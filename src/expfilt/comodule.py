@@ -5,15 +5,24 @@ column i giving Delta(e_i) = sum_j e_j (x) f_{ji}.  On top of that sit the
 comodule-law validator, dual-functional actions, coideal preimages, radical
 quotients, the local-algebra freeness test, and Jordan types of p-nilpotent
 operators.
+
+The validator and ``action_matrices`` read the coaction through one sparse
+pass (:func:`_sparse_columns`): every distinct coalgebra monomial is interned
+to an integer id and each nonzero entry f_{ji} becomes a list of (id, coeff)
+pairs, filed under its column i.  Membership is then decided once per
+distinct monomial, and coassociativity compares integer-keyed coefficient
+tables against a Delta table holding one ``coproduct`` per distinct
+monomial, so no ``MultiPoly`` arithmetic runs inside the index-triple loop.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 
 from . import coalgebras, linalg
 from .coalgebras import CoalgebraId
 from .fpcomb import PrimeField
 from .linalg import Matrix, Subspace
-from .polyring import Monomial, MultiPoly, monomial_sort_key, tensor
+from .polyring import Monomial, MultiPoly, is_primed, monomial_sort_key
 
 
 @dataclass
@@ -70,24 +79,88 @@ class ValidationReport:
         )
 
 
+def _sparse_columns(M: Comodule):
+    """One pass over the coaction: interned monomials and nonzero columns.
+
+    Returns ``(monos, cols)``: ``monos[k]`` is the monomial with id k, in
+    order of first occurrence, and ``cols[i]`` lists ``(j, [(id, coeff),
+    ...])`` for every nonzero f_{ji}, j ascending.
+    """
+    ids = {}
+    cols = [[] for _ in range(M.dim)]
+    for j, row in enumerate(M.coaction):
+        for i, f in enumerate(row):
+            if f.terms:
+                cols[i].append(
+                    (j, [(ids.setdefault(m, len(ids)), c) for m, c in f.terms.items()])
+                )
+    return list(ids), cols
+
+
+def _split_tensor_monomial(m: Monomial):
+    """(left, right) factors of a canonical C (x) C monomial, right unprimed.
+
+    The primed variables of a canonical monomial keep the canonical order of
+    their unprimed names, so both halves come out canonical.
+    """
+    left = tuple((v, e) for v, e in m if not is_primed(v))
+    right = tuple((v[:-1], e) for v, e in m if is_primed(v))
+    return left, right
+
+
+def _coproduct_table(M: Comodule, monos: list) -> tuple:
+    """(table, K): Delta of each interned monomial as [(left id * K + right id, coeff)].
+
+    Factors are interned into the id space of ``monos`` (ids of monomials
+    that occur in the coaction are kept, other factors get fresh ids), and K
+    is the final number of ids, so a key determines its (left, right) pair.
+    """
+    ids = {m: k for k, m in enumerate(monos)}
+    raw = []
+    for m in monos:
+        delta = coalgebras.coproduct(M.coalgebra, M.field, MultiPoly.from_monomial(M.field, m))
+        pairs = []
+        for tm, c in delta.poly.terms.items():
+            left, right = _split_tensor_monomial(tm)
+            pairs.append((ids.setdefault(left, len(ids)), ids.setdefault(right, len(ids)), c))
+        raw.append(pairs)
+    K = len(ids)
+    return [[(a * K + b, c) for a, b, c in pairs] for pairs in raw], K
+
+
 def validate(M: Comodule) -> ValidationReport:
-    """Check membership, the counit law and coassociativity entry by entry."""
-    violations = []
+    """Check membership, the counit law and coassociativity of the coaction.
+
+    Violations are listed per law in a fixed order: membership by entry
+    (j, i) row-major, counit by column then row, coassociativity by
+    component (l, i) column then row; a failing law stops the later ones.
+
+    Membership is decided once per distinct monomial of the coaction.
+    Coassociativity, sum_j f_{lj} (x) f_{ji} = Delta(f_{li}), first builds a
+    Delta table with one ``coproduct`` per distinct monomial; then for each
+    column i the left side is accumulated over the nonzero pattern only
+    (j in nz(col i), then l in nz(col j)) and compared with
+    sum_c coeff_c Delta(c) mod p.  The triple loop costs
+    sum_i sum_{j in nz(col i)} |nz(col j)| entry pairs, each multiplying out
+    its two term lists, instead of n^3 polynomial products.
+    """
     n = M.dim
     coalg = M.coalgebra
     fld = M.field
     if len(M.coaction) != n or any(len(row) != n for row in M.coaction):
         return ValidationReport(False, [{"law": "shape", "index": -1, "detail": "coaction matrix is not dim x dim"}])
-    for j in range(n):
-        for i in range(n):
-            if not coalgebras.is_member(coalg, fld, M.coaction[j][i]):
-                violations.append(
-                    {
-                        "law": "membership",
-                        "index": i,
-                        "detail": f"entry ({j},{i}) not in {coalg}",
-                    }
-                )
+    monos, cols = _sparse_columns(M)
+    member = [coalgebras.is_member(coalg, fld, MultiPoly.from_monomial(fld, m)) for m in monos]
+    bad = sorted(
+        (j, i)
+        for i, col in enumerate(cols)
+        for j, terms in col
+        if not all(member[k] for k, _ in terms)
+    )
+    violations = [
+        {"law": "membership", "index": i, "detail": f"entry ({j},{i}) not in {coalg}"}
+        for j, i in bad
+    ]
     if violations:
         return ValidationReport(False, violations)
 
@@ -108,23 +181,27 @@ def validate(M: Comodule) -> ValidationReport:
         return ValidationReport(False, violations)
 
     # coassociativity: sum_j f_{lj} (x) f_{ji} = Delta_C(f_{li}) for all l, i
-    primed_cache = {}
+    p = fld.p
+    delta, K = _coproduct_table(M, monos)
+    # each entry as a left factor: its ids pre-shifted into the key's high part
+    lefts = [[(l, [(a * K, c) for a, c in terms]) for l, terms in col] for col in cols]
     for i in range(n):
-        for l in range(n):
-            lhs = MultiPoly.zero(fld)
-            for j in range(n):
-                f_lj = M.coaction[l][j]
-                f_ji = M.coaction[j][i]
-                if f_lj.is_zero() or f_ji.is_zero():
-                    continue
-                key = (j, i)
-                pr = primed_cache.get(key)
-                if pr is None:
-                    pr = tensor(MultiPoly.one(fld), f_ji).poly
-                    primed_cache[key] = pr
-                lhs = lhs + f_lj * pr
-            rhs = coalgebras.coproduct(coalg, fld, M.coaction[l][i]).poly
-            if lhs != rhs:
+        diff = {}  # l -> {key: lhs - rhs coefficient}, unreduced
+        for l, terms in cols[i]:
+            d = diff[l] = defaultdict(int)
+            for k, c in terms:
+                for key, dc in delta[k]:
+                    d[key] -= c * dc
+        for j, right in cols[i]:
+            for l, left in lefts[j]:
+                d = diff.get(l)
+                if d is None:
+                    d = diff[l] = defaultdict(int)
+                for a, ca in left:
+                    for b, cb in right:
+                        d[a + b] += ca * cb
+        for l in sorted(diff):
+            if any(v % p for v in diff[l].values()):
                 violations.append(
                     {
                         "law": "coassociativity",
@@ -174,8 +251,19 @@ def dual_action(M: Comodule, functional: dict) -> Matrix:
 
 
 def action_matrices(M: Comodule) -> dict:
-    """{occurring monomial: action matrix}; all other duals act as zero."""
-    return {mono: action_matrix(M, mono) for mono in M.occurring_monomials()}
+    """{occurring monomial: action matrix}; all other duals act as zero.
+
+    Keys come in ``occurring_monomials`` order; all matrices are filled in
+    one pass over the nonzero entries.
+    """
+    monos, cols = _sparse_columns(M)
+    mats = [linalg.zeros(M.dim, M.dim) for _ in monos]
+    for i, col in enumerate(cols):
+        for j, terms in col:
+            for k, c in terms:
+                mats[k][j][i] = c
+    order = sorted(range(len(monos)), key=lambda k: monomial_sort_key(monos[k]))
+    return {monos[k]: mats[k] for k in order}
 
 
 # -- subspaces of a coalgebra piece ------------------------------------------

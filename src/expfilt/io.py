@@ -35,14 +35,17 @@ class ModuleFileError(ValueError):
 
 def _coalgebra_from_group(group: dict) -> coalgebras.CoalgebraId:
     kind = group.get("kind")
-    if kind == "Ga":
-        return coalgebras.ga_poly()
-    if kind == "GaTrunc":
-        return coalgebras.ga_trunc(int(group["r"]))
-    if kind == "UN":
-        return coalgebras.un_poly(int(group["N"]))
-    if kind == "UNTrunc":
-        return coalgebras.un_trunc(int(group["N"]), int(group["r"]))
+    try:
+        if kind == "Ga":
+            return coalgebras.ga_poly()
+        if kind == "GaTrunc":
+            return coalgebras.ga_trunc(int(group["r"]))
+        if kind == "UN":
+            return coalgebras.un_poly(int(group["N"]))
+        if kind == "UNTrunc":
+            return coalgebras.un_trunc(int(group["N"]), int(group["r"]))
+    except (KeyError, TypeError) as exc:
+        raise ModuleFileError(f"group {kind!r}: missing or malformed field {exc}") from exc
     raise ModuleFileError(f"unknown group kind {kind!r}")
 
 
@@ -58,6 +61,14 @@ def _group_from_coalgebra(coalg: coalgebras.CoalgebraId) -> dict:
     raise ModuleFileError(f"{coalg} has no file representation")
 
 
+def _require_matrix(value, what: str, entry_type):
+    """Reject anything but a list of lists whose entries are ``entry_type``."""
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise ModuleFileError(f"{what} must be a list of lists")
+    if not all(isinstance(v, entry_type) for row in value for v in row):
+        raise ModuleFileError(f"{what} entries must be {entry_type.__name__}")
+
+
 def parse_module(doc: dict, check: bool = True):
     """Parse a module-file document into a Comodule or GaUFamily."""
     try:
@@ -66,19 +77,27 @@ def parse_module(doc: dict, check: bool = True):
         module = doc["module"]
     except (KeyError, TypeError) as exc:
         raise ModuleFileError(f"missing field: {exc}") from exc
+    if not isinstance(group, dict) or not isinstance(module, dict):
+        raise ModuleFileError("group and module must be JSON objects")
     field = PrimeField(p)
     if "u_mats" in module:
         if group.get("kind") != "Ga":
             raise ModuleFileError("u_mats form is only valid for group kind 'Ga'")
+        if not isinstance(module["u_mats"], dict):
+            raise ModuleFileError("u_mats must map indices to matrices")
         mats = {}
         dim = None
         for key, mat in module["u_mats"].items():
             s = int(key)
             if s < 0:
                 raise ModuleFileError("u_mats indices must be nonnegative")
-            mats[s] = [[int(v) % p for v in row] for row in mat]
+            _require_matrix(mat, "u_mats matrix", int)
+            mats[s] = [[v % p for v in row] for row in mat]
             dim = len(mats[s]) if dim is None else dim
-        dim = int(module.get("dim", dim if dim is not None else 0))
+        try:
+            dim = int(module.get("dim", dim if dim is not None else 0))
+        except TypeError as exc:
+            raise ModuleFileError(f"malformed field 'dim': {exc}") from exc
         fam = GaUFamily(field, dim, mats)
         if any(len(m) != dim or any(len(r) != dim for r in m) for m in mats.values()):
             raise ModuleFileError("u_mats rows must be dim x dim")
@@ -86,8 +105,12 @@ def parse_module(doc: dict, check: bool = True):
             require_valid_family(fam)
         return fam
     coalg = _coalgebra_from_group(group)
-    dim = int(module["dim"])
-    rows = module["coaction"]
+    try:
+        dim = int(module["dim"])
+        rows = module["coaction"]
+    except (KeyError, TypeError) as exc:
+        raise ModuleFileError(f"missing or malformed field: {exc}") from exc
+    _require_matrix(rows, "coaction", str)
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ModuleFileError("coaction matrix must be dim x dim")
     coaction = [[parse_poly(s, field) for s in row] for row in rows]

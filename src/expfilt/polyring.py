@@ -289,27 +289,6 @@ class MultiPoly:
                 terms[rest_t] = (terms.get(rest_t, 0) + c) % p
         return MultiPoly(self.field, terms)
 
-    def split_by_power(self, var: str) -> dict:
-        """{k: coefficient polynomial of var^k}, nonzero coefficients only."""
-        buckets = {}
-        p = self.field.p
-        for m, c in self.terms.items():
-            e = 0
-            rest = []
-            for v, ve in m:
-                if v == var:
-                    e = ve
-                else:
-                    rest.append((v, ve))
-            d = buckets.setdefault(e, {})
-            rest_t = tuple(rest)
-            nv = (d.get(rest_t, 0) + c) % p
-            if nv:
-                d[rest_t] = nv
-            elif rest_t in d:
-                del d[rest_t]
-        return {k: MultiPoly(self.field, d) for k, d in buckets.items() if d}
-
     def substitute(self, assignment: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Homomorphic image under var -> polynomial; must cover all variables."""
         missing = self.variables() - set(assignment)

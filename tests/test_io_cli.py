@@ -208,6 +208,22 @@ class TestCli:
         path.write_text("{not json", encoding="utf-8")
         assert main(["expdeg", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "module",
+        [
+            {"dim": 1, "coaction": [[5]]},  # entry is not a polynomial string
+            {"dim": 1, "coaction": 7},  # coaction is not a list of rows
+        ],
+        ids=["int-entry", "int-coaction"],
+    )
+    def test_malformed_coaction_exits_2(self, tmp_path, capsys, module):
+        path = tmp_path / "malformed.json"
+        doc = {"p": 3, "group": {"kind": "Ga"}, "module": module}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["expdeg", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert any(line.startswith("error:") for line in err.splitlines())
+
     def test_truncated_kind_rejected_for_support(self, module_file, capsys):
         from expfilt.ga import regular_comodule, restrict_frobenius_ga
 
