@@ -13,6 +13,8 @@ pairs, filed under its column i.  Membership is then decided once per
 distinct monomial, and coassociativity compares integer-keyed coefficient
 tables against a Delta table holding one ``coproduct`` per distinct
 monomial, so no ``MultiPoly`` arithmetic runs inside the index-triple loop.
+The same pass backs :func:`entry_images`, which applies a linear map to every
+entry from one image per distinct monomial.
 """
 
 from collections import defaultdict
@@ -95,6 +97,30 @@ def _sparse_columns(M: Comodule):
                     (j, [(ids.setdefault(m, len(ids)), c) for m, c in f.terms.items()])
                 )
     return list(ids), cols
+
+
+def entry_images(M: Comodule, image) -> list:
+    """Images of the nonzero coaction entries under a linear map, by linearity.
+
+    ``image(m)`` gives the image of one coalgebra monomial as (key, coeff)
+    pairs; it is called once per distinct monomial of the coaction.  Entry
+    f_{ji} = sum_k c_k m_k maps to sum_k c_k image(m_k), summed mod p before
+    the caller sees it, so cancellations between the terms of one entry are
+    exact.  Returns (j, i, {key: coeff}) for every nonzero entry, column by
+    column; zero coefficients are dropped.
+    """
+    monos, cols = _sparse_columns(M)
+    table = [list(image(m)) for m in monos]
+    p = M.field.p
+    out = []
+    for i, col in enumerate(cols):
+        for j, terms in col:
+            acc = defaultdict(int)
+            for k, c in terms:
+                for key, v in table[k]:
+                    acc[key] += c * v
+            out.append((j, i, {key: v % p for key, v in acc.items() if v % p}))
+    return out
 
 
 def _split_tensor_monomial(m: Monomial):

@@ -11,7 +11,8 @@ module filtration M_{[d]} = {m : Delta_M(m) lands in M (x) (k[G])_{[d]}}.
 
 Membership in M_{[d]} is decided through the coefficientwise criterion: all
 T^j-coefficients, j > d, of (1 (x) pullback) Delta_M(m) vanish identically in
-the symbolic entries.
+the symbolic entries.  Each call pulls every distinct coaction monomial back
+once and builds the entries' pullbacks from those by linearity.
 """
 
 import itertools
@@ -19,11 +20,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import coalgebras, linalg
-from .comodule import CoalgebraSubspace, Comodule
-from .fpcomb import PrimeField
+from .comodule import CoalgebraSubspace, Comodule, entry_images
+from .fpcomb import PrimeField, digit_sums
 from .ga import GaUFamily, derived_v
 from .linalg import Matrix, Subspace
-from .polyring import MultiPoly
+from .polyring import Monomial, MultiPoly
 from .un import UNContext, degree_piece
 
 # An exponential pullback is a MultiPoly in T with coefficients in the
@@ -129,10 +130,19 @@ def _symbolic_exp(field: PrimeField, N: int) -> tuple:
     return tuple(tuple(row) for row in out)
 
 
-def _exp_assignment(exp_matrix, field: PrimeField, N: int) -> dict:
-    return {
-        f"x{i + 1}_{j + 1}": exp_matrix[i][j] for i in range(N) for j in range(N)
-    }
+def exp_assignment(B) -> dict:
+    """x_{i,j} -> (exp_B(T))_{i,j} for every entry of the N x N matrix.
+
+    ``B`` is a :class:`NilpotentMatrix` (entries polynomials in T) or a
+    :class:`SymbolicNilpotentDomain` (entries in T and the b-variables).
+    """
+    if isinstance(B, SymbolicNilpotentDomain):
+        exp_matrix = _symbolic_exp(B.field, B.N)
+    elif isinstance(B, NilpotentMatrix):
+        exp_matrix = truncated_exp(B)
+    else:
+        raise TypeError("B must be a NilpotentMatrix or a SymbolicNilpotentDomain")
+    return {f"x{i + 1}_{j + 1}": exp_matrix[i][j] for i in range(B.N) for j in range(B.N)}
 
 
 def exp_pullback(f: MultiPoly, B) -> ExpPullback:
@@ -147,15 +157,17 @@ def exp_pullback(f: MultiPoly, B) -> ExpPullback:
     for v in f.variables():
         if not v.startswith("x"):
             raise ValueError(f"exp_pullback expects matrix coordinates, got {v!r}")
-    if isinstance(B, SymbolicNilpotentDomain):
-        exp_matrix = _symbolic_exp(B.field, B.N)
-        assignment = _exp_assignment(exp_matrix, B.field, B.N)
-    elif isinstance(B, NilpotentMatrix):
-        exp_matrix = truncated_exp(B)
-        assignment = _exp_assignment(exp_matrix, B.field, B.N)
-    else:
-        raise TypeError("B must be a NilpotentMatrix or a SymbolicNilpotentDomain")
-    return f.substitute(assignment)
+    return f.substitute(exp_assignment(B))
+
+
+def _split_t_power(pmono: Monomial) -> tuple:
+    """(T exponent, remaining b-monomial) of a canonical pullback monomial.
+
+    T sorts first in the canonical variable order, so it can only lead.
+    """
+    if pmono and pmono[0][0] == "T":
+        return pmono[0][1], pmono[1:]
+    return 0, pmono
 
 
 def t_degree(pullback: ExpPullback) -> int:
@@ -238,60 +250,46 @@ def coalg_filtration_piece(ctx: UNContext, d: int, Dmax: int) -> CoalgebraSubspa
     for col, mono in enumerate(basis):
         pb = exp_pullback(MultiPoly.from_monomial(ctx.field, mono), domain)
         for pmono, c in pb.terms.items():
-            j = 0
-            rest = []
-            for v, e in pmono:
-                if v == "T":
-                    j = e
-                else:
-                    rest.append((v, e))
+            j, rest = _split_t_power(pmono)
             if j <= d:
                 continue
-            key = (j, tuple(rest))
-            row = constraints.setdefault(key, [0] * len(basis))
+            row = constraints.setdefault((j, rest), [0] * len(basis))
             row[col] = (row[col] + c) % ctx.field.p
     kernel = linalg.kernel_of(list(constraints.values()), len(basis), ctx.field)
     return CoalgebraSubspace(ctx.field, ctx.coalgebra, tuple(basis), kernel)
 
 
-def _entry_pullbacks(M: Comodule) -> list:
+def _pullback_terms(M: Comodule) -> list:
+    """(j, i, {(T power, b-monomial): coeff}) for every nonzero coaction entry.
+
+    Each distinct monomial of the coaction is pulled back once through
+    :func:`exp_pullback` and split once; the entries are then summed from
+    those pullbacks by :func:`~expfilt.comodule.entry_images`, mod p and
+    before any degree test.
+    """
     if M.coalgebra.kind != "UNPoly":
         raise ValueError("exponential filtration needs a comodule over k[U_N]")
-    domain = SymbolicNilpotentDomain(M.field, M.coalgebra.N)
-    cache = {}
+    fld = M.field
+    domain = SymbolicNilpotentDomain(fld, M.coalgebra.N)
 
-    def pull(f):
-        if f not in cache:
-            cache[f] = exp_pullback(f, domain)
-        return cache[f]
+    def pull(m):
+        pb = exp_pullback(MultiPoly.from_monomial(fld, m), domain)
+        return [(_split_t_power(pm), c) for pm, c in pb.terms.items()]
 
-    return [[pull(f) for f in row] for row in M.coaction]
+    return entry_images(M, pull)
 
 
 def module_exp_filtration(M: Comodule, d: int) -> Subspace:
     """M_{[d]}: vectors whose coaction pullbacks have no T^j term, j > d."""
     if d < 0:
         raise ValueError("d must be nonnegative")
-    pulled = _entry_pullbacks(M)
     n = M.dim
-    fld = M.field
     constraints = {}  # (module row, T power, b-monomial) -> row over c
-    for j in range(n):
-        for i in range(n):
-            for pmono, c in pulled[j][i].terms.items():
-                k = 0
-                rest = []
-                for v, e in pmono:
-                    if v == "T":
-                        k = e
-                    else:
-                        rest.append((v, e))
-                if k <= d:
-                    continue
-                key = (j, k, tuple(rest))
-                row = constraints.setdefault(key, [0] * n)
-                row[i] = (row[i] + c) % fld.p
-    return linalg.kernel_of(list(constraints.values()), n, fld)
+    for j, i, pulled in _pullback_terms(M):
+        for (k, rest), c in pulled.items():
+            if k > d:
+                constraints.setdefault((j, k, rest), [0] * n)[i] = c
+    return linalg.kernel_of(list(constraints.values()), n, M.field)
 
 
 def exponential_degree(M) -> int:
@@ -309,8 +307,7 @@ def exponential_degree(M) -> int:
             for f in row:
                 best = max(best, f.degree_in("T"))
         return best
-    pulled = _entry_pullbacks(M)
-    return max((t_degree(f) for row in pulled for f in row), default=0)
+    return max((k for _, _, pulled in _pullback_terms(M) for k, _ in pulled), default=0)
 
 
 def exponential_height(degree: int, field: PrimeField) -> int:
@@ -326,10 +323,8 @@ def ga_exp_filtration(U: GaUFamily, d: int) -> Subspace:
     if d < 0:
         raise ValueError("d must be nonnegative")
     fld = U.field
-    supp = U.support()
     rows = []
-    for combo in itertools.product(range(fld.p), repeat=len(supp)):
-        j = sum(js * fld.p**s for js, s in zip(combo, supp))
+    for j in digit_sums(fld, U.support()):
         if j <= d:
             continue
         mat = derived_v(U, j)
@@ -340,10 +335,8 @@ def ga_exp_filtration(U: GaUFamily, d: int) -> Subspace:
 def ga_exponential_degree(U: GaUFamily) -> int:
     """Largest j with v_j nonzero (0 for the trivial family)."""
     fld = U.field
-    supp = U.support()
     best = 0
-    for combo in itertools.product(range(fld.p), repeat=len(supp)):
-        j = sum(js * fld.p**s for js, s in zip(combo, supp))
+    for j in digit_sums(fld, U.support()):
         if j > best and not linalg.is_zero_matrix(derived_v(U, j), fld):
             best = j
     return best

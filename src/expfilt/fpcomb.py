@@ -5,12 +5,17 @@ the inverse/factorial helpers.  Binomials mod p go through the Lucas kernels,
 carry counts and digit domination are direct digit loops.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernels
 
 MAX_PRIME = 97
+
+# Desk-scale work bound shared by every exhaustive enumeration: the Ga
+# digit-vector loop, Frobenius-kernel monomial counts and dual algebras.
+DESK_GUARD = 10**6
 
 
 def is_prime(n: int) -> bool:
@@ -71,6 +76,26 @@ def digits(n: int, p: int) -> list:
         out.append(n % p)
         n //= p
     return out
+
+
+def digit_sums(field: PrimeField, places):
+    """Every j = sum_s j_s p^s with digits j_s in [0, p) at the given places.
+
+    Yielded in ``itertools.product`` order over the digit vectors (last place
+    fastest).  Raises ValueError when the p^len(places) vectors exceed
+    :data:`DESK_GUARD`.
+    """
+    p = field.p
+    count = p ** len(places)
+    if count > DESK_GUARD:
+        raise ValueError(
+            f"{count} = {p}^{len(places)} digit vectors exceed the desk-scale guard {DESK_GUARD}"
+        )
+    weights = [p**s for s in places]
+    return (
+        sum(d * w for d, w in zip(combo, weights))
+        for combo in itertools.product(range(p), repeat=len(places))
+    )
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import coalgebras, linalg
 from .comodule import CoalgebraSubspace, Comodule, action_matrix, coideal_preimage
-from .fpcomb import PrimeField, binom_mod, binom_row_mod, digit_dominates, digits
+from .fpcomb import PrimeField, binom_mod, binom_row_mod, digit_dominates, digit_sums, digits
 from .linalg import Matrix, Subspace
 from .polyring import MultiPoly, monomial
 
@@ -124,8 +124,7 @@ def family_to_comodule(U: GaUFamily) -> Comodule:
     n = U.dim
     supp = U.support()
     coaction = [[{} for _ in range(n)] for _ in range(n)]
-    for combo in itertools.product(range(fld.p), repeat=len(supp)):
-        k = sum(js * fld.p**s for js, s in zip(combo, supp))
+    for k in digit_sums(fld, supp):
         mat = derived_v(U, k)
         if linalg.is_zero_matrix(mat, fld) and k != 0:
             continue

@@ -12,9 +12,9 @@ Jordan type has a block of size < p.
 from dataclasses import dataclass
 
 from . import coalgebras, linalg
-from .comodule import Comodule, FreenessVerdict, jordan_type, local_freeness
-from .expdeg import NilpotentMatrix, truncated_exp
-from .fpcomb import PrimeField
+from .comodule import Comodule, FreenessVerdict, entry_images, jordan_type, local_freeness
+from .expdeg import NilpotentMatrix, exp_assignment, truncated_exp
+from .fpcomb import DESK_GUARD, PrimeField
 from .ga import (
     GaUFamily,
     comodule_to_family,
@@ -25,9 +25,6 @@ from .ga import (
 from .linalg import Matrix
 from .polyring import MultiPoly, monomial
 from .un import restrict_frobenius_un
-
-DESK_GUARD = 10**6
-
 
 @dataclass
 class OneParamSubgroup:
@@ -136,14 +133,6 @@ def _poly_mat_mul(a, b, field):
     return out
 
 
-def _exp_assignment_for(psi: OneParamSubgroup, s: int) -> dict:
-    B = NilpotentMatrix(psi.field, psi.N, psi.mat(s))
-    E = truncated_exp(B)
-    return {
-        f"x{i + 1}_{j + 1}": E[i][j] for i in range(psi.N) for j in range(psi.N)
-    }
-
-
 def theta_operator(M, psi: OneParamSubgroup) -> Matrix:
     """The p-nilpotent operator sum_s (exp_{B_s})_*(u_s) acting on M."""
     require_valid_1psg(psi)
@@ -164,19 +153,19 @@ def theta_operator(M, psi: OneParamSubgroup) -> Matrix:
     if psi.kind != "UN" or psi.N != M.coalgebra.N:
         raise ValueError("module and subgroup live over different groups")
     fld = M.field
-    n = M.dim
-    theta = linalg.zeros(n, n)
-    for s in range(psi.height):
-        assignment = _exp_assignment_for(psi, s)
-        target = monomial({"T": fld.p**s})
-        for j in range(n):
-            for i in range(n):
-                f = M.coaction[j][i]
-                if f.is_zero():
-                    continue
-                c = f.substitute(assignment).coeff(target)
-                if c:
-                    theta[j][i] = (theta[j][i] + c) % fld.p
+    pulls = [
+        (exp_assignment(NilpotentMatrix(fld, psi.N, psi.mat(s))), monomial({"T": fld.p**s}))
+        for s in range(psi.height)
+    ]
+
+    def coefficient(m):
+        # sum over s of the T^{p^s} coefficient of m pulled back along exp_{B_s}
+        f = MultiPoly.from_monomial(fld, m)
+        return [((), sum(f.substitute(a).coeff(target) for a, target in pulls))]
+
+    theta = linalg.zeros(M.dim, M.dim)
+    for j, i, value in entry_images(M, coefficient):
+        theta[j][i] = value.get((), 0)
     _check_p_nilpotent(theta, fld)
     return theta
 
@@ -243,9 +232,14 @@ def pullback_module(M, psi: OneParamSubgroup) -> GaUFamily:
         return comodule_to_family(comp)
     if M.coalgebra.kind != "UNPoly" or psi.kind != "UN" or psi.N != M.coalgebra.N:
         raise ValueError("module and subgroup live over different groups")
+    fld = M.field
     assignment = psg_pullback_assignment(psi)
-    coaction = [[f.substitute(assignment) for f in row] for row in M.coaction]
-    comp = Comodule(M.field, coalgebras.ga_poly(), M.dim, coaction)
+    coaction = [[MultiPoly.zero(fld)] * M.dim for _ in range(M.dim)]
+    for j, i, terms in entry_images(
+        M, lambda m: MultiPoly.from_monomial(fld, m).substitute(assignment).terms.items()
+    ):
+        coaction[j][i] = MultiPoly(fld, terms)
+    comp = Comodule(fld, coalgebras.ga_poly(), M.dim, coaction)
     return comodule_to_family(comp)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import coalgebras
 from .coalgebras import CoalgebraId, coproduct
 from .comodule import CoalgebraSubspace, Comodule, coideal_preimage
-from .fpcomb import PrimeField
+from .fpcomb import DESK_GUARD, PrimeField
 from .linalg import Subspace
 from .polyring import MultiPoly, TensorPoly, monomial, prime_var
 
@@ -81,9 +81,6 @@ def degree_piece_count(ctx: UNContext, d: int) -> int:
 
 def degree_piece_subspace(ctx: UNContext, d: int) -> CoalgebraSubspace:
     return CoalgebraSubspace.full_span(ctx.field, ctx.coalgebra, degree_piece(ctx, d))
-
-
-DESK_GUARD = 10**6
 
 
 @dataclass

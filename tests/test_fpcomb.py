@@ -1,5 +1,6 @@
 """Digit combinatorics: Lucas binomials, carry counts, digit domination."""
 
+import itertools
 import math
 
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expfilt.fpcomb import (
+    DESK_GUARD,
     DigitVector,
     PrimeField,
     binom_mod,
     binom_row_mod,
     carries_in_addition,
     digit_dominates,
+    digit_sums,
     digits,
 )
 
@@ -146,3 +149,22 @@ def test_digits_reconstruction():
         for n in (0, 1, 64, 1000):
             ds = digits(n, p)
             assert sum(d * p**i for i, d in enumerate(ds)) == n
+
+
+def test_digit_sums_in_product_order():
+    f = PrimeField(3)
+    places = [0, 2, 3]
+    want = [
+        sum(d * 3**s for d, s in zip(combo, places))
+        for combo in itertools.product(range(3), repeat=len(places))
+    ]
+    assert list(digit_sums(f, places)) == want
+    assert list(digit_sums(f, [])) == [0]
+
+
+def test_digit_sums_guard_raises_before_enumerating():
+    f = PrimeField(3)
+    assert 3**12 <= DESK_GUARD < 3**13
+    digit_sums(f, range(12))  # at the guard: allowed
+    with pytest.raises(ValueError, match="desk-scale guard"):
+        digit_sums(f, range(13))

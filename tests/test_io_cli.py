@@ -1,6 +1,7 @@
 """Module/report file formats and the command-line surface."""
 
 import json
+import time
 
 import pytest
 
@@ -223,6 +224,26 @@ class TestCli:
         assert main(["expdeg", str(path)]) == 2
         err = capsys.readouterr().err
         assert any(line.startswith("error:") for line in err.splitlines())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expdeg"],
+            ["filt", "--kind", "exp", "--d", "1"],
+            ["filt", "--kind", "degree", "--d", "1"],
+            ["frobcheck", "--r", "1"],
+            ["pullback", "--psi", '{"kind": "Ga", "lambdas": [1]}'],
+        ],
+        ids=["expdeg", "filt-exp", "filt-degree", "frobcheck", "pullback"],
+    )
+    def test_ga_family_over_desk_guard_exits_2_fast(self, module_file, capsys, argv):
+        # 13 nonzero u_s at p = 3: 3^13 digit vectors, past the desk-scale guard
+        path = module_file(y_r_family(F3, 12))
+        start = time.perf_counter()
+        assert main([argv[0], path] + argv[1:]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert any(line.startswith("error:") and "guard" in line for line in err.splitlines())
 
     def test_truncated_kind_rejected_for_support(self, module_file, capsys):
         from expfilt.ga import regular_comodule, restrict_frobenius_ga
