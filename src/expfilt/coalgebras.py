@@ -10,13 +10,31 @@ Supported ids:
 
 Each id determines a generator alphabet, an identity point (the counit is
 evaluation there), and a truncation bound.
+
+Coproducts of monomials come from one table built per call
+(:func:`coproduct_table`) on packed exponent vectors: the left and right
+tensor factors' exponents, in ``generator_vars`` order, sit in fixed-width
+bit fields of one int, so multiplying two terms is one integer addition.
+C (x) C is commutative of characteristic p, so Frobenius is a ring
+endomorphism of it and the base-p digits e = sum_s d_s p^s of an exponent give
+
+    Delta(x^e) = prod_s Frob^s(Delta(x)^{d_s}),
+
+where Frob^s multiplies every exponent by p^s (one integer multiplication of
+the packed key).  A monomial m = m' x_v^{e_v}, x_v its last variable, expands
+as Delta(m') Delta(x_v^{e_v}) through a memo that lives for the one call, so
+monomials sharing a prefix share its expansion.  Truncated ids are reduced
+after every product, which is valid because I (x) C + C (x) I is an ideal.
+Before a monomial is expanded its term count is bounded by the product of
+the per-digit term counts |Delta(x_v)^{d_s}| (exact for Ga, by Lucas'
+theorem); past :data:`fpcomb.DESK_GUARD` the call raises ValueError.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fpcomb import PrimeField
-from .polyring import MultiPoly, TensorPoly, prime_var
+from .fpcomb import DESK_GUARD, PrimeField, digits
+from .polyring import MultiPoly, TensorPoly, format_poly, is_primed, prime_var
 
 GA_KINDS = ("GaPoly", "GaTrunc")
 UN_KINDS = ("UNPoly", "UNTrunc")
@@ -167,18 +185,147 @@ def _coproduct_assignment(coalg: CoalgebraId, field: PrimeField) -> dict:
     return out
 
 
+def coproduct_table(coalg: CoalgebraId, field: PrimeField, monos) -> tuple:
+    """(factors, table): Delta of every monomial of ``monos`` in one call.
+
+    ``monos`` are canonical monomials in ``generator_vars(coalg)``.
+    ``table[k]`` lists (a, b, coeff) with Delta(monos[k]) =
+    sum coeff * factors[a] (x) factors[b]; ``factors`` are canonical
+    (unprimed) monomials, each listed once.  Raises ValueError when the
+    term-count bound of one monomial exceeds :data:`DESK_GUARD`.
+    """
+    gens = generator_vars(coalg)
+    g = len(gens)
+    pos = {v: s for s, v in enumerate(gens)}
+    p = field.p
+    bound = truncation_bound(coalg, field)
+    # Each generator's coproduct has left and right degree at most 1, so every
+    # exponent of every term of Delta(m) is at most deg(m): fields of W bits
+    # never carry, and their top bit stays clear for the truncation test.
+    top = max((sum(e for _, e in m) for m in monos), default=0)
+    W = top.bit_length() + 1
+    half = W * g  # left exponents in the low g fields, right in the high g
+    reduce = bound is not None and bound <= top
+    if reduce:
+        # a field f >= bound sets its top bit once 2^(W-1) - bound is added to it
+        offset = sum((2 ** (W - 1) - bound) << (W * k) for k in range(2 * g))
+        guard = sum(1 << (W * k + W - 1) for k in range(2 * g))
+
+    def packed(image):
+        """A generator's coproduct keyed by packed exponent vectors."""
+        out = {}
+        for m, c in image.terms.items():
+            k = 0
+            for name, e in m:
+                k += e << (W * pos[name[:-1]] + half if is_primed(name) else W * pos[name])
+            out[k] = c
+        return out
+
+    images = _coproduct_assignment(coalg, field)
+    gen_terms = [packed(images[v]) for v in gens]
+
+    def mul(a, b):
+        out = {}
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = ka + kb
+                out[k] = out.get(k, 0) + ca * cb
+        if reduce:
+            return {k: c % p for k, c in out.items() if c % p and not (k + offset) & guard}
+        return {k: c % p for k, c in out.items() if c % p}
+
+    digit_memo = {}
+
+    def digit_power(s, d):
+        """Delta(x_s)^d for a digit 0 < d < p."""
+        key = (s, d)
+        if key not in digit_memo:
+            digit_memo[key] = gen_terms[s] if d == 1 else mul(digit_power(s, d - 1), gen_terms[s])
+        return digit_memo[key]
+
+    def power_count(s, e):
+        """Term-count bound of Delta(x_s^e); 0 when the truncation kills it."""
+        if bound is not None and e >= bound:
+            return 0
+        count = 1
+        for d in digits(e, p):
+            if d:
+                count *= len(digit_power(s, d))
+        return count
+
+    power_memo = {}
+
+    def power(s, e):
+        """Delta(x_s^e) = prod_t Frob^t(Delta(x_s)^{d_t}), for e below the truncation."""
+        key = (s, e)
+        if key not in power_memo:
+            acc = {0: 1}
+            for t, d in enumerate(digits(e, p)):
+                if d:
+                    q = p**t
+                    acc = mul(acc, {k * q: c for k, c in digit_power(s, d).items()})
+            power_memo[key] = acc
+        return power_memo[key]
+
+    memo = {(): {0: 1}}
+
+    def delta(m):
+        if m not in memo:
+            v, e = m[-1]
+            memo[m] = mul(delta(m[:-1]), power(pos[v], e))
+        return memo[m]
+
+    fmask = (1 << W) - 1
+    half_mask = (1 << half) - 1
+    factor_ids = {}
+    factors = []
+    table = []
+
+    def factor(h):
+        k = factor_ids.get(h)
+        if k is None:
+            k = factor_ids[h] = len(factors)
+            factors.append(tuple(
+                (v, (h >> (W * s)) & fmask) for s, v in enumerate(gens) if (h >> (W * s)) & fmask
+            ))
+        return k
+
+    for m in monos:
+        count = 1
+        for v, e in m:
+            count *= power_count(pos[v], e)
+        if count > DESK_GUARD:
+            raise ValueError(
+                f"coproduct of {format_poly(MultiPoly.from_monomial(field, m))} has up to "
+                f"{count} terms, over the desk-scale guard {DESK_GUARD}"
+            )
+        terms = delta(m) if count else {}
+        table.append([(factor(k & half_mask), factor(k >> half), c) for k, c in terms.items()])
+    return factors, table
+
+
+def _tensor_monomial(left, right, pos: dict):
+    """Canonical C (x) C monomial of left (x) right: x_v < x_v' < the next generator."""
+    merged = sorted(
+        [(pos[v], 0, v, e) for v, e in left] + [(pos[v], 1, prime_var(v), e) for v, e in right]
+    )
+    return tuple((v, e) for _, _, v, e in merged)
+
+
 def coproduct(coalg: CoalgebraId, field: PrimeField, f: MultiPoly) -> TensorPoly:
-    """Delta(f) in C (x) C, computed by the multiplicative extension."""
-    gens = set(generator_vars(coalg))
-    foreign = f.variables() - gens
+    """Delta(f) in C (x) C: the coproduct table of f's monomials, summed by linearity."""
+    gens = generator_vars(coalg)
+    foreign = f.variables() - set(gens)
     if foreign:
         raise ValueError(f"foreign variable(s) {sorted(foreign)} for {coalg}")
-    assignment = _coproduct_assignment(coalg, field)
-    img = f.substitute(assignment)
-    bound = truncation_bound(coalg, field)
-    if bound is not None:
-        img = img.drop_high_exponents(bound)
-    return TensorPoly(img)
+    pos = {v: s for s, v in enumerate(gens)}
+    factors, table = coproduct_table(coalg, field, list(f.terms))
+    terms = {}
+    for c, delta in zip(f.terms.values(), table):
+        for a, b, dc in delta:
+            tm = _tensor_monomial(factors[a], factors[b], pos)
+            terms[tm] = terms.get(tm, 0) + c * dc
+    return TensorPoly(MultiPoly(field, terms))
 
 
 def counit(coalg: CoalgebraId, field: PrimeField, f: MultiPoly) -> int:

@@ -10,9 +10,12 @@ The validator and ``action_matrices`` read the coaction through one sparse
 pass (:func:`_sparse_columns`): every distinct coalgebra monomial is interned
 to an integer id and each nonzero entry f_{ji} becomes a list of (id, coeff)
 pairs, filed under its column i.  Membership is then decided once per
-distinct monomial, and coassociativity compares integer-keyed coefficient
-tables against a Delta table holding one ``coproduct`` per distinct
-monomial, so no ``MultiPoly`` arithmetic runs inside the index-triple loop.
+distinct monomial, the counit is evaluated once per distinct monomial and
+summed over the nonzero pattern, and coassociativity compares integer-keyed
+coefficient tables against a Delta table built by one
+:func:`coalgebras.coproduct_table` call (Frobenius digits, a per-call memo
+over monomial prefixes, the desk-scale term guard), so no ``MultiPoly``
+arithmetic runs inside the index-triple loop.
 The same pass backs :func:`entry_images`, which applies a linear map to every
 entry from one image per distinct monomial.
 """
@@ -24,7 +27,7 @@ from . import coalgebras, linalg
 from .coalgebras import CoalgebraId
 from .fpcomb import PrimeField
 from .linalg import Matrix, Subspace
-from .polyring import Monomial, MultiPoly, is_primed, monomial_sort_key
+from .polyring import Monomial, MultiPoly, monomial_sort_key
 
 
 @dataclass
@@ -123,35 +126,19 @@ def entry_images(M: Comodule, image) -> list:
     return out
 
 
-def _split_tensor_monomial(m: Monomial):
-    """(left, right) factors of a canonical C (x) C monomial, right unprimed.
-
-    The primed variables of a canonical monomial keep the canonical order of
-    their unprimed names, so both halves come out canonical.
-    """
-    left = tuple((v, e) for v, e in m if not is_primed(v))
-    right = tuple((v[:-1], e) for v, e in m if is_primed(v))
-    return left, right
-
-
 def _coproduct_table(M: Comodule, monos: list) -> tuple:
     """(table, K): Delta of each interned monomial as [(left id * K + right id, coeff)].
 
-    Factors are interned into the id space of ``monos`` (ids of monomials
+    One :func:`coalgebras.coproduct_table` call expands every monomial.  Its
+    factors are interned into the id space of ``monos`` (ids of monomials
     that occur in the coaction are kept, other factors get fresh ids), and K
     is the final number of ids, so a key determines its (left, right) pair.
     """
+    factors, table = coalgebras.coproduct_table(M.coalgebra, M.field, monos)
     ids = {m: k for k, m in enumerate(monos)}
-    raw = []
-    for m in monos:
-        delta = coalgebras.coproduct(M.coalgebra, M.field, MultiPoly.from_monomial(M.field, m))
-        pairs = []
-        for tm, c in delta.poly.terms.items():
-            left, right = _split_tensor_monomial(tm)
-            pairs.append((ids.setdefault(left, len(ids)), ids.setdefault(right, len(ids)), c))
-        raw.append(pairs)
+    fid = [ids.setdefault(f, len(ids)) for f in factors]
     K = len(ids)
-    return [[(a * K + b, c) for a, b, c in pairs] for pairs in raw], K
+    return [[(fid[a] * K + fid[b], c) for a, b, c in terms] for terms in table], K
 
 
 def validate(M: Comodule) -> ValidationReport:
@@ -161,9 +148,11 @@ def validate(M: Comodule) -> ValidationReport:
     (j, i) row-major, counit by column then row, coassociativity by
     component (l, i) column then row; a failing law stops the later ones.
 
-    Membership is decided once per distinct monomial of the coaction.
-    Coassociativity, sum_j f_{lj} (x) f_{ji} = Delta(f_{li}), first builds a
-    Delta table with one ``coproduct`` per distinct monomial; then for each
+    Membership and the counit are decided once per distinct monomial of the
+    coaction; an entry's counit is the sum of its terms' values, and a zero
+    diagonal entry is still reported.  Coassociativity,
+    sum_j f_{lj} (x) f_{ji} = Delta(f_{li}), first builds the Delta table of
+    every distinct monomial in one call; then for each
     column i the left side is accumulated over the nonzero pattern only
     (j in nz(col i), then l in nz(col j)) and compared with
     sum_c coeff_c Delta(c) mod p.  The triple loop costs
@@ -190,24 +179,25 @@ def validate(M: Comodule) -> ValidationReport:
     if violations:
         return ValidationReport(False, violations)
 
-    point = coalgebras.identity_point(coalg)
-    for i in range(n):
-        for j in range(n):
+    p = fld.p
+    eps = [coalgebras.counit(coalg, fld, MultiPoly.from_monomial(fld, m)) for m in monos]
+    for i, col in enumerate(cols):
+        values = {j: sum(c * eps[k] for k, c in terms) % p for j, terms in col}
+        values.setdefault(i, 0)  # a zero diagonal entry still owes the value 1
+        for j in sorted(values):
             want = 1 if i == j else 0
-            if M.coaction[j][i].eval_at(point) != want:
+            if values[j] != want:
                 violations.append(
                     {
                         "law": "counit",
                         "index": i,
-                        "detail": f"entry ({j},{i}) evaluates to "
-                        f"{M.coaction[j][i].eval_at(point)} at the identity, want {want}",
+                        "detail": f"entry ({j},{i}) evaluates to {values[j]} at the identity, want {want}",
                     }
                 )
     if violations:
         return ValidationReport(False, violations)
 
     # coassociativity: sum_j f_{lj} (x) f_{ji} = Delta_C(f_{li}) for all l, i
-    p = fld.p
     delta, K = _coproduct_table(M, monos)
     # each entry as a left factor: its ids pre-shifted into the key's high part
     lefts = [[(l, [(a * K, c) for a, c in terms]) for l, terms in col] for col in cols]

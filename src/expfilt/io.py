@@ -9,7 +9,13 @@ A module file is a UTF-8 JSON document::
 
 Coaction matrices are row-major (entry [j][i] is the coefficient of e_j in
 Delta(e_i)); polystrings follow the polynomial text grammar.  The u_mats form
-is only meaningful for kind "Ga".  Canonical serialization sorts keys and
+is only meaningful for kind "Ga".  :func:`parse_module` parses each distinct
+coaction string once per call and shares the (immutable) polynomial between
+the entries that spell it; with ``check`` it validates the comodule laws,
+whose Delta table expands every distinct monomial once through base-p
+Frobenius digits and a per-call prefix memo, and rejects a monomial whose
+coproduct would exceed the desk-scale term guard (``ValueError``, exit code
+2 in the CLI).  Canonical serialization sorts keys and
 uses two-space indentation, so serialize(parse(file)) is byte-identical for
 canonical files.
 
@@ -113,7 +119,10 @@ def parse_module(doc: dict, check: bool = True):
     _require_matrix(rows, "coaction", str)
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ModuleFileError("coaction matrix must be dim x dim")
-    coaction = [[parse_poly(s, field) for s in row] for row in rows]
+    # one parse per distinct string, in first-occurrence order so the first
+    # malformed string is the one reported; MultiPoly is immutable, so entries share
+    parsed = {t: parse_poly(t, field) for t in dict.fromkeys(t for row in rows for t in row)}
+    coaction = [[parsed[t] for t in row] for row in rows]
     M = Comodule(field, coalg, dim, coaction)
     if check:
         rep = validate(M)

@@ -245,6 +245,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert any(line.startswith("error:") and "guard" in line for line in err.splitlines())
 
+    @pytest.mark.parametrize(
+        "p, exponent, reason",
+        [
+            (3, 10**9, "comodule law violation"),  # 3,888 coproduct terms
+            (5, 10**9, "comodule law violation"),  # 45 coproduct terms
+            (3, 3**19 - 1, "guard"),  # nineteen digits 2: 3^19 coproduct terms
+        ],
+        ids=["T^1e9-p3", "T^1e9-p5", "T^(3^19-1)-p3"],
+    )
+    def test_huge_exponent_exits_2_fast(self, tmp_path, capsys, p, exponent, reason):
+        path = tmp_path / "huge.json"
+        doc = {"p": p, "group": {"kind": "Ga"}, "module": {"dim": 1, "coaction": [[f"1 + T^{exponent}"]]}}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["expdeg", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert any(line.startswith("error:") and reason in line for line in err.splitlines())
+
     def test_truncated_kind_rejected_for_support(self, module_file, capsys):
         from expfilt.ga import regular_comodule, restrict_frobenius_ga
 

@@ -2,10 +2,12 @@
 ``action_matrices`` against their polynomial-arithmetic originals.
 
 ``oracle_validate`` is the entry-by-entry validator that multiplies out
-sum_j f_{lj} (x) f_{ji} with ``MultiPoly`` arithmetic for every index triple
-and recomputes ``coproduct`` per entry.  It is kept here only as the slow
-reference: both must give the same verdict and the same violation list
-(dicts, strings and order) on seeded pools and on single-entry mutations.
+sum_j f_{lj} (x) f_{ji} with ``MultiPoly`` arithmetic for every index triple,
+evaluates the counit on every entry, and computes Delta(f_{li}) per entry by
+substitution (``oracle_coproduct``), so it shares no code with the
+coproduct table under test.  It is kept here only as the slow reference:
+both must give the same verdict and the same violation list (dicts, strings
+and order) on seeded pools and on single-entry mutations.
 """
 
 import random
@@ -34,6 +36,7 @@ from expfilt.un import (
     sym_square_rep,
     sym_square_rep_gl,
 )
+from test_coproduct_differential import oracle_coproduct
 
 
 def oracle_validate(M: Comodule) -> ValidationReport:
@@ -89,7 +92,7 @@ def oracle_validate(M: Comodule) -> ValidationReport:
                     pr = tensor(MultiPoly.one(fld), f_ji).poly
                     primed_cache[key] = pr
                 lhs = lhs + f_lj * pr
-            rhs = coalgebras.coproduct(coalg, fld, M.coaction[l][i]).poly
+            rhs = oracle_coproduct(coalg, fld, M.coaction[l][i]).poly
             if lhs != rhs:
                 violations.append(
                     {
@@ -176,6 +179,19 @@ def _mutants(label: str, M: Comodule, rng: random.Random):
         yield f"{label} / replace ({j},{i})", _with_entry(M, j, i, MultiPoly(fld, terms))
 
 
+def _counit_mutants(label: str, M: Comodule, rng: random.Random):
+    """A zero diagonal entry (no monomial left to evaluate) and a constant
+    added to an off-diagonal entry."""
+    n = M.dim
+    fld = M.field
+    i = rng.randrange(n)
+    yield f"{label} / zero diagonal ({i},{i})", _with_entry(M, i, i, MultiPoly.zero(fld))
+    if n > 1:
+        j, i = rng.sample(range(n), 2)
+        off = M.coaction[j][i] + rng.randrange(1, fld.p)
+        yield f"{label} / constant off-diagonal ({j},{i})", _with_entry(M, j, i, off)
+
+
 @pytest.fixture(scope="module")
 def pool():
     return _pool()
@@ -184,7 +200,12 @@ def pool():
 @pytest.fixture(scope="module")
 def mutants(pool):
     rng = random.Random("validate-differential/mutants")
-    return [case for label, M in pool for case in _mutants(label, M, rng)]
+    counit_rng = random.Random("validate-differential/counit")
+    return [
+        case
+        for label, M in pool
+        for case in (*_mutants(label, M, rng), *_counit_mutants(label, M, counit_rng))
+    ]
 
 
 def _assert_same(label, M):
@@ -205,6 +226,9 @@ def test_mutants_validate_like_oracle(mutants):
     for label, M in mutants:
         rep = _assert_same(label, M)
         laws.update(v["law"] for v in rep.violations)
+        if "diagonal" in label:
+            # the counit catches both: a zero diagonal entry has no monomial at all
+            assert rep.violations and rep.violations[0]["law"] == "counit", label
     # the mutation pool reaches every law the validator can report on a square matrix
     assert laws == {"membership", "counit", "coassociativity"}
 
