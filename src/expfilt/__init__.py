@@ -13,6 +13,7 @@ from .comodule import (
     FreenessVerdict,
     JordanType,
     coideal_preimage,
+    degree_below,
     dual_action,
     jordan_type,
     local_freeness,

@@ -18,8 +18,18 @@ over monomial prefixes, the desk-scale term guard), so no ``MultiPoly``
 arithmetic runs inside the index-triple loop.
 The same pass backs :func:`entry_images`, which applies a linear map to every
 entry from one image per distinct monomial.
+
+The transforms read the module as its per-monomial actions: the action
+matrix A_mu of the dual functional of an occurring monomial mu, held as its
+nonzero (j, i, c) entries (:func:`_actions`).  A coideal preimage for a
+monomial-spanned B, given as a membership test, is the kernel of the rows of
+A_mu for every mu outside B; stability and restriction apply A_mu to the
+basis rows of a subspace and compare with its pivot coordinates; a quotient
+is P A_mu on the kept columns; base change by g is g A_mu g^{-1}.  Only the
+output entries are built as ``MultiPoly``.
 """
 
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 
@@ -27,7 +37,7 @@ from . import coalgebras, linalg
 from .coalgebras import CoalgebraId
 from .fpcomb import PrimeField
 from .linalg import Matrix, Subspace
-from .polyring import Monomial, MultiPoly, monomial_sort_key
+from .polyring import Monomial, MultiPoly, monomial_degree, monomial_sort_key
 
 
 @dataclass
@@ -100,6 +110,21 @@ def _sparse_columns(M: Comodule):
                     (j, [(ids.setdefault(m, len(ids)), c) for m, c in f.terms.items()])
                 )
     return list(ids), cols
+
+
+def _actions(M: Comodule) -> dict:
+    """Per-monomial actions: {occurring monomial: its nonzero (j, i, c)}.
+
+    (j, i, c) means A[j][i] = c for the action matrix A of the monomial's
+    dual functional; monomials come in first-occurrence order and their
+    entries row by row, i ascending within a row.
+    """
+    acts = defaultdict(list)
+    for j, entries in enumerate(M.coaction):
+        for i, f in enumerate(entries):
+            for m, c in f.terms.items():
+                acts[m].append((j, i, c))
+    return acts
 
 
 def entry_images(M: Comodule, image) -> list:
@@ -294,38 +319,6 @@ class CoalgebraSubspace:
     monomials: tuple  # ordered monomial basis of the ambient piece
     space: Subspace  # subspace of F_p^{len(monomials)}
 
-    @classmethod
-    def span_of(cls, field, coalg, polys, ambient_monomials=None) -> "CoalgebraSubspace":
-        for f in polys:
-            if not coalgebras.is_member(coalg, field, f):
-                raise ValueError(f"{f} is not in {coalg}")
-        if ambient_monomials is None:
-            seen = set()
-            for f in polys:
-                seen.update(f.terms)
-            ambient_monomials = sorted(seen, key=monomial_sort_key)
-        ambient_monomials = tuple(ambient_monomials)
-        index = {m: k for k, m in enumerate(ambient_monomials)}
-        vectors = []
-        for f in polys:
-            v = [0] * len(ambient_monomials)
-            for m, c in f.terms.items():
-                if m not in index:
-                    raise ValueError("polynomial leaves the stated ambient piece")
-                v[index[m]] = c
-            vectors.append(v)
-        return cls(
-            field,
-            coalg,
-            ambient_monomials,
-            Subspace.from_vectors(field, len(ambient_monomials), vectors),
-        )
-
-    @classmethod
-    def full_span(cls, field, coalg, monomials) -> "CoalgebraSubspace":
-        monomials = tuple(monomials)
-        return cls(field, coalg, monomials, Subspace.full(field, len(monomials)))
-
     def extended_to(self, monomials) -> "CoalgebraSubspace":
         """Re-embed into a larger ambient monomial list (zero on new coords)."""
         monomials = tuple(monomials)
@@ -355,116 +348,150 @@ class CoalgebraSubspace:
         return out
 
 
-def coideal_preimage(M: Comodule, B: CoalgebraSubspace) -> Subspace:
-    """Basis of {m in M : Delta_M(m) in M (x) B}.
+def degree_below(coalg: CoalgebraId, d: int):
+    """Membership test of k[C]_{<d}: monomials in C's generators of degree < d."""
+    gens = frozenset(coalgebras.generator_vars(coalg))
+    return lambda m: monomial_degree(m) < d and all(v in gens for v, _ in m)
 
-    The ambient monomial basis is the union of B's ambient and everything
-    occurring in the coaction.  When B is a right coideal the result is
-    coaction-stable (see :func:`is_coaction_stable`).
+
+def coideal_preimage(M: Comodule, inside) -> Subspace:
+    """Basis of {m in M : Delta_M(m) in M (x) B} for a monomial-spanned B.
+
+    ``inside(mono)`` tells whether a coalgebra monomial lies in B.  Since B
+    is spanned by monomials, m is in the preimage iff A_mu m = 0 for every
+    occurring monomial mu outside B, so the result is the kernel of the rows
+    of those action matrices; rows that are multiples of one another are
+    kept once.  When B is a right coideal the result is coaction-stable (see
+    :func:`is_coaction_stable`).
     """
-    if B.coalgebra != M.coalgebra or B.field != M.field:
-        raise ValueError("subspace and module live over different coalgebras")
-    fld = M.field
-    n = M.dim
-    ambient = set(M.occurring_monomials())
-    ambient.update(B.monomials)
-    ambient = sorted(ambient, key=monomial_sort_key)
-    index = {m: k for k, m in enumerate(ambient)}
-    Bext = B.extended_to(ambient).space
-    constraints = []
-    for j in range(n):
-        # columnwise residues of [vec(f_{j0}) ... vec(f_{j,n-1})] modulo B
-        cols = []
-        for i in range(n):
-            v = [0] * len(ambient)
-            for m, c in M.coaction[j][i].terms.items():
-                v[index[m]] = c
-            cols.append(Bext.reduce(v))
-        for k in range(len(ambient)):
-            row = [cols[i][k] for i in range(n)]
-            if any(row):
-                constraints.append(row)
-    return linalg.kernel_of(constraints, n, fld)
+    p = M.field.p
+    distinct = set()
+    for m, act in _actions(M).items():
+        if inside(m):
+            continue
+        for _, row in itertools.groupby(act, key=lambda e: e[0]):  # row j of A_mu
+            row = [(i, c) for _, i, c in row]
+            inv = pow(row[0][1], p - 2, p)
+            distinct.add(tuple((i, c * inv % p) for i, c in row))
+    dense = []
+    for items in distinct:
+        v = [0] * M.dim
+        for i, c in items:
+            v[i] = c
+        dense.append(v)
+    return linalg.kernel_of(dense, M.dim, M.field)
+
+
+def _check_ambient(M: Comodule, S: Subspace):
+    if S.ambient != M.dim:
+        raise ValueError("subspace ambient does not match module dimension")
+
+
+def _images(cols, s: dict) -> dict:
+    """{monomial id: {l: (A_mu s)_l}}, unreduced, for a sparse vector s = {i: s_i}."""
+    out = {}
+    for i, si in s.items():
+        for l, terms in cols[i]:
+            for k, c in terms:
+                w = out.get(k)
+                if w is None:
+                    w = out[k] = defaultdict(int)
+                w[l] += si * c
+    return out
+
+
+def _pivot_images(M: Comodule, S: Subspace):
+    """(monos, images) with images[a][k] = {b: (A_mu s_a) at pivot b}, or None.
+
+    A_mu s_a lies in S iff it equals sum_b (A_mu s_a)[piv_b] s_b, because S
+    is in reduced echelon form; None means some image does not, i.e. S is
+    not coaction-stable.
+    """
+    _check_ambient(M, S)
+    p = M.field.p
+    monos, cols = _sparse_columns(M)
+    pos = {piv: b for b, piv in enumerate(S.pivots)}
+    rows = [{l: c for l, c in enumerate(row) if c} for row in S.rows]
+    images = []
+    for s in rows:
+        at_pivots = {}
+        for k, w in _images(cols, s).items():
+            w = {l: v % p for l, v in w.items() if v % p}
+            coeffs = {pos[l]: v for l, v in w.items() if l in pos}
+            recon = defaultdict(int)
+            for b, v in coeffs.items():
+                for l, c in rows[b].items():
+                    recon[l] += v * c
+            if {l: v % p for l, v in recon.items() if v % p} != w:
+                return None
+            if coeffs:
+                at_pivots[k] = coeffs
+        images.append(at_pivots)
+    return monos, images
 
 
 def is_coaction_stable(M: Comodule, S: Subspace) -> bool:
     """S is stable under every dual-basis action of an occurring monomial."""
-    for A in action_matrices(M).values():
-        for row in S.rows:
-            img = linalg.mat_vec(A, list(row), M.field)
-            if not S.contains(img):
-                return False
-    return True
+    return _pivot_images(M, S) is not None
 
 
 def restrict_to_subspace(M: Comodule, S: Subspace) -> Comodule:
-    """The subcomodule on a coaction-stable subspace, in S's RREF basis."""
-    if S.ambient != M.dim:
-        raise ValueError("subspace ambient does not match module dimension")
-    fld = M.field
+    """The subcomodule on a coaction-stable subspace, in S's RREF basis.
+
+    Entry (b, a) is sum_mu (A_mu s_a)[piv_b] mu.
+    """
+    found = _pivot_images(M, S)
+    if found is None:
+        raise ValueError("subspace is not coaction-stable")
+    monos, images = found
     k = S.dim
-    # g_{ba} determined at the pivot coordinates; remaining rows must agree
-    images = []  # images[a][l] = sum_i S[a][i] f_{li}
-    for a in range(k):
-        col = []
-        for l in range(M.dim):
-            acc = MultiPoly.zero(fld)
-            for i, c in enumerate(S.rows[a]):
-                if c:
-                    acc = acc + M.coaction[l][i].scale(c)
-            col.append(acc)
-        images.append(col)
-    new_coaction = [[images[a][S.pivots[b]] for a in range(k)] for b in range(k)]
-    # consistency: the images must reconstruct through the basis rows
-    for a in range(k):
-        for l in range(M.dim):
-            acc = MultiPoly.zero(fld)
-            for b in range(k):
-                c = S.rows[b][l]
-                if c:
-                    acc = acc + new_coaction[b][a].scale(c)
-            if acc != images[a][l]:
-                raise ValueError("subspace is not coaction-stable")
-    return Comodule(fld, M.coalgebra, k, new_coaction)
+    terms = [[{} for _ in range(k)] for _ in range(k)]
+    for a, at_pivots in enumerate(images):
+        for mono_id, coeffs in at_pivots.items():
+            for b, v in coeffs.items():
+                terms[b][a][monos[mono_id]] = v
+    return Comodule(M.field, M.coalgebra, k, [[MultiPoly(M.field, t) for t in row] for row in terms])
 
 
 def quotient_by_subspace(M: Comodule, S: Subspace) -> Comodule:
-    """The quotient comodule M/S for a coaction-stable S."""
-    if S.ambient != M.dim:
-        raise ValueError("subspace ambient does not match module dimension")
+    """The quotient comodule M/S for a coaction-stable S.
+
+    With P the projection onto the non-pivot coordinates, the quotient's
+    action of mu is P A_mu on those columns; P A_mu s must vanish for every
+    basis row s of S.
+    """
+    _check_ambient(M, S)
     fld = M.field
+    p = fld.p
     pivset = set(S.pivots)
     keep = [i for i in range(M.dim) if i not in pivset]
     k = len(keep)
-    # projection of e_l onto the quotient coordinates
-    proj = linalg.zeros(M.dim, k)
+    # proj[l]: e_l in the quotient coordinates, as (index, coeff) pairs
+    proj = [[] for _ in range(M.dim)]
     for idx, i in enumerate(keep):
-        proj[i][idx] = 1
+        proj[i].append((idx, 1))
     for row, piv in zip(S.rows, S.pivots):
-        for idx, i in enumerate(keep):
-            proj[piv][idx] = (-row[i]) % fld.p
-    new_coaction = [[MultiPoly.zero(fld) for _ in range(k)] for _ in range(k)]
-    for a_idx, a in enumerate(keep):
-        for l in range(M.dim):
-            f = M.coaction[l][a]
-            if f.is_zero():
-                continue
-            for b_idx in range(k):
-                c = proj[l][b_idx]
-                if c:
-                    new_coaction[b_idx][a_idx] = new_coaction[b_idx][a_idx] + f.scale(c)
-    Q = Comodule(fld, M.coalgebra, k, new_coaction)
+        proj[piv] = [(idx, -row[i] % p) for idx, i in enumerate(keep) if row[i]]
+    monos, cols = _sparse_columns(M)
+
+    def project(w):
+        out = defaultdict(int)
+        for l, v in w.items():
+            for b, c in proj[l]:
+                out[b] += c * v
+        return out
+
+    terms = [[{} for _ in range(k)] for _ in range(k)]
+    for a, i in enumerate(keep):
+        for mono_id, w in _images(cols, {i: 1}).items():
+            for b, v in project(w).items():
+                terms[b][a][monos[mono_id]] = v
+    Q = Comodule(fld, M.coalgebra, k, [[MultiPoly(fld, t) for t in row] for row in terms])
     # well-definedness: Delta must kill S in the quotient coordinates
     for row in S.rows:
-        for b_idx in range(k):
-            acc = MultiPoly.zero(fld)
-            for i, c in enumerate(row):
-                if c:
-                    for l in range(M.dim):
-                        cc = proj[l][b_idx]
-                        if cc:
-                            acc = acc + M.coaction[l][i].scale(c * cc)
-            if not acc.is_zero():
+        s = {i: c for i, c in enumerate(row) if c}
+        for w in _images(cols, s).values():
+            if any(v % p for v in project(w).values()):
                 raise ValueError("subspace is not coaction-stable")
     return Q
 
@@ -490,31 +517,33 @@ def direct_sum(modules) -> Comodule:
 
 
 def conjugate(M: Comodule, g: Matrix) -> Comodule:
-    """Base change by an invertible g: new coaction g F g^{-1} entrywise."""
-    fld = M.field
-    ginv = linalg.mat_inverse(g, fld)
+    """Base change by an invertible g: the action of mu becomes g A_mu g^{-1}."""
     n = M.dim
-    zero = MultiPoly.zero(fld)
-    # (g F)_{ji} then (g F g^{-1})
-    gf = [[zero for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for i in range(n):
-            acc = MultiPoly.zero(fld)
-            for t in range(n):
-                c = g[j][t]
+    if len(g) != n or any(len(row) != n for row in g):
+        raise ValueError("base change matrix does not match module dimension")
+    fld = M.field
+    p = fld.p
+    ginv = linalg.mat_inverse(g, fld)
+    terms = [[{} for _ in range(n)] for _ in range(n)]
+    for mono, act in _actions(M).items():
+        ag = {}  # j -> row j of A_mu g^{-1}, unreduced
+        for j, i, c in act:
+            row = ag.get(j)
+            if row is None:
+                ag[j] = [c * x for x in ginv[i]]
+            else:
+                ag[j] = [a + c * x for a, x in zip(row, ginv[i])]
+        for r, grow in enumerate(g):
+            acc = [0] * n
+            for j, row in ag.items():
+                c = grow[j] % p
                 if c:
-                    acc = acc + M.coaction[t][i].scale(c)
-            gf[j][i] = acc
-    out = [[zero for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for i in range(n):
-            acc = MultiPoly.zero(fld)
-            for t in range(n):
-                c = ginv[t][i]
-                if c:
-                    acc = acc + gf[j][t].scale(c)
-            out[j][i] = acc
-    return Comodule(fld, M.coalgebra, n, out)
+                    acc = [a + c * x for a, x in zip(acc, row)]
+            for q, v in enumerate(acc):
+                v %= p
+                if v:
+                    terms[r][q][mono] = v
+    return Comodule(fld, M.coalgebra, n, [[MultiPoly(fld, t) for t in row] for row in terms])
 
 
 # -- radical quotients and local freeness -------------------------------------

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from . import coalgebras, linalg
-from .comodule import CoalgebraSubspace, Comodule, action_matrix, coideal_preimage
+from .comodule import Comodule, action_matrix, coideal_preimage, degree_below
 from .fpcomb import PrimeField, binom_mod, binom_row_mod, digit_dominates, digit_sums, digits
 from .linalg import Matrix, Subspace
 from .polyring import MultiPoly, monomial
@@ -198,19 +198,13 @@ def regular_trunc_comodule(field: PrimeField, r: int) -> Comodule:
 # -- filtrations and submodules -------------------------------------------------
 
 
-def ga_degree_piece(field: PrimeField, d: int) -> CoalgebraSubspace:
-    """The span of 1, T, ..., T^{d-1} inside k[Ga]."""
-    monos = [monomial({"T": k}) for k in range(d)]
-    return CoalgebraSubspace.full_span(field, coalgebras.ga_poly(), monos)
-
-
 def degree_filtration_ga(M: Comodule, d: int) -> Subspace:
     """M_{<d} = {m : v_j(m) = 0 for j >= d} via the coideal preimage."""
     if M.coalgebra.kind != "GaPoly":
         raise ValueError("degree_filtration_ga needs a comodule over k[Ga]")
     if d < 1:
         raise ValueError("d must be >= 1")
-    return coideal_preimage(M, ga_degree_piece(M.field, d))
+    return coideal_preimage(M, degree_below(M.coalgebra, d))
 
 
 def generated_submodule(M: Comodule, S) -> Subspace:

@@ -106,7 +106,7 @@ def is_invertible(a: Matrix, field: PrimeField) -> bool:
 def mat_inverse(a: Matrix, field: PrimeField) -> Matrix:
     """Inverse of a square matrix; raises on singular input."""
     n = len(a)
-    aug = [list(r) + identity(n)[i] for i, r in enumerate(a)]
+    aug = [list(r) + e for r, e in zip(a, identity(n))]
     red, pivots = _kernels.rref(aug, 2 * n, field.p)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")

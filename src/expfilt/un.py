@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import coalgebras
 from .coalgebras import CoalgebraId, coproduct
-from .comodule import CoalgebraSubspace, Comodule, coideal_preimage
+from .comodule import Comodule, coideal_preimage, degree_below
 from .fpcomb import DESK_GUARD, PrimeField
 from .linalg import Subspace
 from .polyring import MultiPoly, TensorPoly, monomial, prime_var
@@ -77,10 +77,6 @@ def degree_piece(ctx: UNContext, d: int) -> list:
 def degree_piece_count(ctx: UNContext, d: int) -> int:
     """C(m + d - 1, m), the number of monomials of degree < d in m variables."""
     return math.comb(ctx.m + d - 1, ctx.m)
-
-
-def degree_piece_subspace(ctx: UNContext, d: int) -> CoalgebraSubspace:
-    return CoalgebraSubspace.full_span(ctx.field, ctx.coalgebra, degree_piece(ctx, d))
 
 
 @dataclass
@@ -167,8 +163,10 @@ def degree_filtration_un(M: Comodule, d: int) -> Subspace:
     """M_{<d} = {m : Delta_M(m) in M (x) k[U]_{<d}}."""
     if M.coalgebra.kind != "UNPoly":
         raise ValueError("degree_filtration_un needs a comodule over k[U_N]")
-    ctx = UNContext(M.field, M.coalgebra.N)
-    return coideal_preimage(M, degree_piece_subspace(ctx, d))
+    UNContext(M.field, M.coalgebra.N)  # rejects N < 2
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    return coideal_preimage(M, degree_below(M.coalgebra, d))
 
 
 def degree_piece_comodule(ctx: UNContext, d: int) -> Comodule:

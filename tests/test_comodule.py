@@ -8,10 +8,10 @@ import pytest
 from expfilt import coalgebras, linalg
 from expfilt.coalgebras import convolve, ga_trunc
 from expfilt.comodule import (
-    CoalgebraSubspace,
     coideal_preimage,
     conjugate,
     direct_sum,
+    degree_below,
     dual_action,
     is_coaction_stable,
     jordan_type,
@@ -24,7 +24,6 @@ from expfilt.comodule import (
 )
 from expfilt.fpcomb import PrimeField, binom_mod
 from expfilt.ga import (
-    ga_degree_piece,
     regular_comodule,
     regular_trunc_comodule,
     restrict_frobenius_ga,
@@ -129,19 +128,17 @@ class TestDualAction:
 class TestCoidealPreimage:
     def test_full_ambient_gives_everything(self):
         M = natural_rep(UNContext(F3, 3))
-        B = CoalgebraSubspace.full_span(F3, M.coalgebra, M.occurring_monomials())
-        assert coideal_preimage(M, B).is_full()
+        assert coideal_preimage(M, lambda m: True).is_full()
 
     def test_span_of_one_gives_invariants(self):
         M = natural_rep(UNContext(F3, 3))
-        B = CoalgebraSubspace.full_span(F3, M.coalgebra, [()])
-        assert coideal_preimage(M, B) == span(F3, 3, [0])
+        assert coideal_preimage(M, lambda m: m == ()) == span(F3, 3, [0])
 
     def test_monotone_in_B(self):
         fld = F3
         M = regular_comodule(fld, 7)
-        small = ga_degree_piece(fld, 2)
-        large = ga_degree_piece(fld, 5)
+        small = degree_below(M.coalgebra, 2)
+        large = degree_below(M.coalgebra, 5)
         S1 = coideal_preimage(M, small)
         S2 = coideal_preimage(M, large)
         assert S2.contains_space(S1)
@@ -149,9 +146,9 @@ class TestCoidealPreimage:
     def test_idempotent_via_restriction(self):
         fld = F3
         M = regular_comodule(fld, 7)
-        S = coideal_preimage(M, ga_degree_piece(fld, 3))
+        S = coideal_preimage(M, degree_below(M.coalgebra, 3))
         sub = restrict_to_subspace(M, S)
-        again = coideal_preimage(sub, ga_degree_piece(fld, 3))
+        again = coideal_preimage(sub, degree_below(M.coalgebra, 3))
         assert again.is_full()
 
 
@@ -185,6 +182,23 @@ class TestSubQuotient:
         M = natural_rep(UNContext(F3, 3))
         assert is_coaction_stable(M, span(F3, 3, [0]))
         assert not is_coaction_stable(M, span(F3, 3, [2]))
+
+
+    @pytest.mark.parametrize("ambient", [2, 4])
+    def test_stability_check_rejects_wrong_ambient(self, ambient):
+        M = natural_rep(UNContext(F3, 3))
+        with pytest.raises(ValueError, match="ambient"):
+            is_coaction_stable(M, span(F3, ambient, [0]))
+
+    @pytest.mark.parametrize(
+        "g",
+        [linalg.identity(2), linalg.identity(4), [[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1, 0], [0, 0, 1]]],
+        ids=["2x2", "4x4", "2x3", "ragged"],
+    )
+    def test_conjugate_rejects_wrong_size(self, g):
+        M = natural_rep(UNContext(F3, 3))
+        with pytest.raises(ValueError, match="dimension"):
+            conjugate(M, g)
 
 
 class TestRadicalAndFreeness:

@@ -1,0 +1,316 @@
+"""Differential tests: the comodule transforms on per-monomial action matrices
+against their polynomial-arithmetic originals.
+
+The oracles below are the entry-by-entry versions that the per-monomial code
+replaced, kept here only as the slow reference:
+
+- ``oracle_coideal_preimage`` re-embeds B into the union of its monomials
+  and the coaction's (``CoalgebraSubspace.extended_to``) and reduces one
+  ambient-length vector per coaction entry modulo B (``Subspace.reduce``);
+- ``oracle_is_coaction_stable`` applies every ``action_matrices`` matrix to
+  every basis row with ``mat_vec``;
+- ``oracle_restrict``, ``oracle_quotient`` and ``oracle_conjugate`` form the
+  new coaction with ``MultiPoly`` additions and scalings, entry by entry.
+
+Each pooled module is checked at every degree d from 1 to its top degree + 1
+(for the two Ga families of top degree 162 and 375 only at the degrees where
+the set of occurring monomials of degree < d changes; the preimage is
+constant in between), on the degree pieces and generated submodules, which
+are stable, and on random subspaces, which mostly are not.  Results must be
+equal as subspaces and as coaction entries, ``save_module`` must write the
+same bytes, and unstable input must raise the same ``ValueError``.
+"""
+
+import itertools
+import random
+from collections import Counter
+
+import pytest
+
+from expfilt import coalgebras, linalg
+from expfilt.comodule import (
+    CoalgebraSubspace,
+    Comodule,
+    action_matrices,
+    coideal_preimage,
+    conjugate,
+    degree_below,
+    is_coaction_stable,
+    quotient_by_subspace,
+    restrict_to_subspace,
+)
+from expfilt.fpcomb import PrimeField
+from expfilt.ga import degree_filtration_ga, regular_comodule, regular_trunc_comodule
+from expfilt.io import save_module
+from expfilt.linalg import Subspace
+from expfilt.polyring import MultiPoly, monomial, monomial_degree, monomial_sort_key
+from expfilt.samplers import random_invertible
+from expfilt.un import UNContext, degree_filtration_un, degree_piece_comodule
+from test_validate_differential import _pool
+
+# -- oracles: the polynomial-arithmetic originals ------------------------------
+
+
+def oracle_coideal_preimage(M: Comodule, B: CoalgebraSubspace) -> Subspace:
+    fld = M.field
+    n = M.dim
+    ambient = set(M.occurring_monomials())
+    ambient.update(B.monomials)
+    ambient = sorted(ambient, key=monomial_sort_key)
+    index = {m: k for k, m in enumerate(ambient)}
+    Bext = B.extended_to(ambient).space
+    constraints = []
+    for j in range(n):
+        cols = []
+        for i in range(n):
+            v = [0] * len(ambient)
+            for m, c in M.coaction[j][i].terms.items():
+                v[index[m]] = c
+            cols.append(Bext.reduce(v))
+        for k in range(len(ambient)):
+            row = [cols[i][k] for i in range(n)]
+            if any(row):
+                constraints.append(row)
+    return linalg.kernel_of(constraints, n, fld)
+
+
+def oracle_is_coaction_stable(M: Comodule, S: Subspace) -> bool:
+    for A in action_matrices(M).values():
+        for row in S.rows:
+            img = linalg.mat_vec(A, list(row), M.field)
+            if not S.contains(img):
+                return False
+    return True
+
+
+def oracle_restrict(M: Comodule, S: Subspace) -> Comodule:
+    fld = M.field
+    k = S.dim
+    images = []
+    for a in range(k):
+        col = []
+        for l in range(M.dim):
+            acc = MultiPoly.zero(fld)
+            for i, c in enumerate(S.rows[a]):
+                if c:
+                    acc = acc + M.coaction[l][i].scale(c)
+            col.append(acc)
+        images.append(col)
+    new_coaction = [[images[a][S.pivots[b]] for a in range(k)] for b in range(k)]
+    for a in range(k):
+        for l in range(M.dim):
+            acc = MultiPoly.zero(fld)
+            for b in range(k):
+                c = S.rows[b][l]
+                if c:
+                    acc = acc + new_coaction[b][a].scale(c)
+            if acc != images[a][l]:
+                raise ValueError("subspace is not coaction-stable")
+    return Comodule(fld, M.coalgebra, k, new_coaction)
+
+
+def oracle_quotient(M: Comodule, S: Subspace) -> Comodule:
+    fld = M.field
+    pivset = set(S.pivots)
+    keep = [i for i in range(M.dim) if i not in pivset]
+    k = len(keep)
+    proj = linalg.zeros(M.dim, k)
+    for idx, i in enumerate(keep):
+        proj[i][idx] = 1
+    for row, piv in zip(S.rows, S.pivots):
+        for idx, i in enumerate(keep):
+            proj[piv][idx] = (-row[i]) % fld.p
+    new_coaction = [[MultiPoly.zero(fld) for _ in range(k)] for _ in range(k)]
+    for a_idx, a in enumerate(keep):
+        for l in range(M.dim):
+            f = M.coaction[l][a]
+            if f.is_zero():
+                continue
+            for b_idx in range(k):
+                c = proj[l][b_idx]
+                if c:
+                    new_coaction[b_idx][a_idx] = new_coaction[b_idx][a_idx] + f.scale(c)
+    Q = Comodule(fld, M.coalgebra, k, new_coaction)
+    for row in S.rows:
+        for b_idx in range(k):
+            acc = MultiPoly.zero(fld)
+            for i, c in enumerate(row):
+                if c:
+                    for l in range(M.dim):
+                        cc = proj[l][b_idx]
+                        if cc:
+                            acc = acc + M.coaction[l][i].scale(c * cc)
+            if not acc.is_zero():
+                raise ValueError("subspace is not coaction-stable")
+    return Q
+
+
+def oracle_conjugate(M: Comodule, g) -> Comodule:
+    fld = M.field
+    ginv = linalg.mat_inverse(g, fld)
+    n = M.dim
+    gf = [[None] * n for _ in range(n)]
+    for j in range(n):
+        for i in range(n):
+            acc = MultiPoly.zero(fld)
+            for t in range(n):
+                if g[j][t]:
+                    acc = acc + M.coaction[t][i].scale(g[j][t])
+            gf[j][i] = acc
+    out = [[None] * n for _ in range(n)]
+    for j in range(n):
+        for i in range(n):
+            acc = MultiPoly.zero(fld)
+            for t in range(n):
+                if ginv[t][i]:
+                    acc = acc + gf[j][t].scale(ginv[t][i])
+            out[j][i] = acc
+    return Comodule(fld, M.coalgebra, n, out)
+
+
+def oracle_degree_piece(M: Comodule, d: int) -> CoalgebraSubspace:
+    """The full span of every monomial of degree < d in the generators."""
+    gens = coalgebras.generator_vars(M.coalgebra)
+    monos = tuple(
+        monomial(Counter(vs))
+        for deg in range(d)
+        for vs in itertools.combinations_with_replacement(gens, deg)
+    )
+    return CoalgebraSubspace(M.field, M.coalgebra, monos, Subspace.full(M.field, len(monos)))
+
+
+# -- pools ----------------------------------------------------------------------
+
+
+def _full_pool():
+    out = list(_pool())
+    for p in (2, 3, 5):
+        F = PrimeField(p)
+        out.append((f"regular GaPoly p={p} dim {3 * p + 1}", regular_comodule(F, 3 * p + 1)))
+        out.append((f"regular GaTrunc p={p} r=2", regular_trunc_comodule(F, 2)))
+    for p, N, d in ((3, 3, 3), (3, 3, 4), (5, 3, 3), (3, 4, 3), (2, 4, 3)):
+        ctx = UNContext(PrimeField(p), N)
+        out.append((f"U_{N} degree piece p={p} d={d}", degree_piece_comodule(ctx, d)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def pool():
+    return _full_pool()
+
+
+def _degrees(M: Comodule) -> list:
+    top = M.max_entry_degree()
+    if top <= 40:
+        return list(range(1, top + 2))
+    degs = {monomial_degree(m) for m in M.occurring_monomials()}
+    return sorted(({1, top + 1} | degs | {e + 1 for e in degs}) - {0})
+
+
+def _degree_filtration(M: Comodule, d: int) -> Subspace:
+    if M.coalgebra.kind == "UNPoly":
+        return degree_filtration_un(M, d)
+    if M.coalgebra.kind == "GaPoly":
+        return degree_filtration_ga(M, d)
+    return coideal_preimage(M, degree_below(M.coalgebra, d))
+
+
+def _generated(M: Comodule, v) -> Subspace:
+    """The subcomodule generated by v: the span of A_mu v over every mu."""
+    imgs = [linalg.mat_vec(A, v, M.field) for A in action_matrices(M).values()]
+    return Subspace.from_vectors(M.field, M.dim, imgs)
+
+
+def _random_subspace(M: Comodule, rng: random.Random) -> Subspace:
+    k = rng.randrange(1, M.dim) if M.dim > 1 else 1
+    vecs = [[rng.randrange(M.field.p) for _ in range(M.dim)] for _ in range(k)]
+    return Subspace.from_vectors(M.field, M.dim, vecs)
+
+
+def _subspaces(M: Comodule, rng: random.Random) -> list:
+    spaces = {_degree_filtration(M, d) for d in _degrees(M)}
+    for _ in range(2):
+        spaces.add(_generated(M, [rng.randrange(M.field.p) for _ in range(M.dim)]))
+    for _ in range(3):
+        spaces.add(_random_subspace(M, rng))
+    return sorted(spaces, key=lambda S: (S.dim, S.rows))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _saved(M: Comodule, tmp_path):
+    if M.coalgebra.kind == "MatPoly":
+        return None  # no file representation
+    path = tmp_path / "module.json"
+    save_module(M, str(path))
+    return path.read_bytes()
+
+
+def _assert_same_module(label, got, want, tmp_path):
+    if isinstance(want, tuple):  # the oracle raised
+        assert got == want, label
+        return
+    assert isinstance(got, Comodule), label
+    assert (got.dim, got.coalgebra, got.field) == (want.dim, want.coalgebra, want.field), label
+    assert got.coaction == want.coaction, label
+    assert _saved(got, tmp_path) == _saved(want, tmp_path), label
+
+
+# -- tests ----------------------------------------------------------------------
+
+
+def test_degree_filtration_matches_oracle(pool):
+    for label, M in pool:
+        for d in _degrees(M):
+            want = oracle_coideal_preimage(M, oracle_degree_piece(M, d))
+            assert _degree_filtration(M, d) == want, (label, d)
+
+
+def test_preimage_of_monomial_sets_matches_oracle(pool):
+    """B spanned by an arbitrary set of occurring monomials, coideal or not."""
+    rng = random.Random("actions-differential/preimage")
+    for label, M in pool:
+        occurring = M.occurring_monomials()
+        for _ in range(3):
+            chosen = [m for m in occurring if rng.random() < 0.5]
+            B = CoalgebraSubspace(M.field, M.coalgebra, tuple(chosen), Subspace.full(M.field, len(chosen)))
+            inside = set(chosen).__contains__
+            assert coideal_preimage(M, inside) == oracle_coideal_preimage(M, B), (label, chosen)
+
+
+def test_stability_restrict_quotient_match_oracle(pool, tmp_path):
+    rng = random.Random("actions-differential/subspaces")
+    verdicts = Counter()
+    for label, M in pool:
+        for S in _subspaces(M, rng):
+            case = (label, S.rows)
+            stable = oracle_is_coaction_stable(M, S)
+            verdicts[stable] += 1
+            assert is_coaction_stable(M, S) == stable, case
+            want = _outcome(oracle_restrict, M, S)
+            assert isinstance(want, Comodule) == stable, case
+            _assert_same_module(case, _outcome(restrict_to_subspace, M, S), want, tmp_path)
+            want = _outcome(oracle_quotient, M, S)
+            assert isinstance(want, Comodule) == stable, case
+            _assert_same_module(case, _outcome(quotient_by_subspace, M, S), want, tmp_path)
+    # both verdicts are reached many times over
+    assert verdicts[True] >= 100 and verdicts[False] >= 50, verdicts
+
+
+def test_conjugate_matches_oracle(pool, tmp_path):
+    rng = random.Random("actions-differential/conjugate")
+    for label, M in pool:
+        for _ in range(2):
+            g = random_invertible(M.field, M.dim, rng)
+            _assert_same_module((label, g), conjugate(M, g), oracle_conjugate(M, g), tmp_path)
+
+
+def test_singular_conjugation_raises_like_oracle():
+    M = regular_comodule(PrimeField(3), 3)
+    g = [[1, 1, 0], [2, 2, 0], [0, 0, 1]]
+    assert _outcome(conjugate, M, g) == _outcome(oracle_conjugate, M, g) == ("ValueError", "matrix is singular")

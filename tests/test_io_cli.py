@@ -264,6 +264,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert any(line.startswith("error:") and reason in line for line in err.splitlines())
 
+    @pytest.mark.parametrize("d", [50, 10**9], ids=["d=50", "d=1e9"])
+    @pytest.mark.parametrize("kind", ["natural U_3", "regular Ga dim 2"])
+    def test_high_degree_filtration_fast(self, module_file, capsys, kind, d):
+        # the degree piece k[G]_{<d} is a membership test, never a monomial list
+        from expfilt.ga import regular_comodule
+
+        M = natural_rep(UNContext(F3, 3)) if kind == "natural U_3" else regular_comodule(F3, 2)
+        path = module_file(M)
+        start = time.perf_counter()
+        assert main(["filt", path, "--kind", "degree", "--d", str(d)]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out.startswith(f"dim {M.dim} of {M.dim}\n")
+
     def test_truncated_kind_rejected_for_support(self, module_file, capsys):
         from expfilt.ga import regular_comodule, restrict_frobenius_ga
 
