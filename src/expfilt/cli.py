@@ -164,20 +164,39 @@ def cmd_support(args) -> int:
     return EXIT_OK
 
 
-def _parse_psi(text: str, field: PrimeField):
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _parse_psi(text: str, obj):
+    """The --psi subgroup for a loaded module; a UN form takes N from the module."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("psi must be a JSON object")
     if data.get("kind") == "Ga":
-        return ga_psg(field, data["lambdas"])
+        lambdas = data.get("lambdas")
+        if not isinstance(lambdas, list) or not all(_is_int(v) for v in lambdas):
+            raise ValueError("psi 'lambdas' must be a list of integers")
+        return ga_psg(obj.field, lambdas)
     if data.get("kind") == "UN":
-        mats = data["mats"]
-        return un_psg(field, len(mats[0]), mats)
+        mats = data.get("mats")
+        if not isinstance(mats, list) or not all(
+            isinstance(m, list)
+            and all(isinstance(row, list) and all(_is_int(v) for v in row) for row in m)
+            for m in mats
+        ):
+            raise ValueError("psi 'mats' must be a list of integer matrices")
+        coalg = getattr(obj, "coalgebra", None)
+        if coalg is None or coalg.kind != "UNPoly":
+            raise ValueError("a UN-form subgroup pairs with a k[U_N]-comodule")
+        return un_psg(obj.field, coalg.N, mats)
     raise ValueError("psi must have kind 'Ga' or 'UN'")
 
 
 def cmd_pullback(args) -> int:
     obj = _load(args)
     try:
-        psi = _parse_psi(args.psi, obj.field)
+        psi = _parse_psi(args.psi, obj)
         fam = pullback_module(obj, psi)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

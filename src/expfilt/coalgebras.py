@@ -12,9 +12,10 @@ Each id determines a generator alphabet, an identity point (the counit is
 evaluation there), and a truncation bound.
 
 Coproducts of monomials come from one table built per call
-(:func:`coproduct_table`) on packed exponent vectors: the left and right
-tensor factors' exponents, in ``generator_vars`` order, sit in fixed-width
-bit fields of one int, so multiplying two terms is one integer addition.
+(:func:`coproduct_table`, expanded by :func:`polyring.frobenius_images`) on
+packed exponent vectors: the left and right tensor factors' exponents, in
+``generator_vars`` order, sit in fixed-width bit fields of one int, so
+multiplying two terms is one integer addition.
 C (x) C is commutative of characteristic p, so Frobenius is a ring
 endomorphism of it and the base-p digits e = sum_s d_s p^s of an exponent give
 
@@ -33,8 +34,8 @@ theorem); past :data:`fpcomb.DESK_GUARD` the call raises ValueError.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fpcomb import DESK_GUARD, PrimeField, digits
-from .polyring import MultiPoly, TensorPoly, format_poly, is_primed, prime_var
+from .fpcomb import PrimeField
+from .polyring import MultiPoly, TensorPoly, frobenius_images, is_primed, prime_var
 
 GA_KINDS = ("GaPoly", "GaTrunc")
 UN_KINDS = ("UNPoly", "UNTrunc")
@@ -191,13 +192,13 @@ def coproduct_table(coalg: CoalgebraId, field: PrimeField, monos) -> tuple:
     ``monos`` are canonical monomials in ``generator_vars(coalg)``.
     ``table[k]`` lists (a, b, coeff) with Delta(monos[k]) =
     sum coeff * factors[a] (x) factors[b]; ``factors`` are canonical
-    (unprimed) monomials, each listed once.  Raises ValueError when the
-    term-count bound of one monomial exceeds :data:`DESK_GUARD`.
+    (unprimed) monomials, each listed once.  The expansion is
+    :func:`polyring.frobenius_images`; it raises ValueError when the
+    term-count bound of one monomial exceeds :data:`fpcomb.DESK_GUARD`.
     """
     gens = generator_vars(coalg)
     g = len(gens)
     pos = {v: s for s, v in enumerate(gens)}
-    p = field.p
     bound = truncation_bound(coalg, field)
     # Each generator's coproduct has left and right degree at most 1, so every
     # exponent of every term of Delta(m) is at most deg(m): fields of W bits
@@ -222,58 +223,10 @@ def coproduct_table(coalg: CoalgebraId, field: PrimeField, monos) -> tuple:
         return out
 
     images = _coproduct_assignment(coalg, field)
-    gen_terms = [packed(images[v]) for v in gens]
-
-    def mul(a, b):
-        out = {}
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                out[k] = out.get(k, 0) + ca * cb
-        if reduce:
-            return {k: c % p for k, c in out.items() if c % p and not (k + offset) & guard}
-        return {k: c % p for k, c in out.items() if c % p}
-
-    digit_memo = {}
-
-    def digit_power(s, d):
-        """Delta(x_s)^d for a digit 0 < d < p."""
-        key = (s, d)
-        if key not in digit_memo:
-            digit_memo[key] = gen_terms[s] if d == 1 else mul(digit_power(s, d - 1), gen_terms[s])
-        return digit_memo[key]
-
-    def power_count(s, e):
-        """Term-count bound of Delta(x_s^e); 0 when the truncation kills it."""
-        if bound is not None and e >= bound:
-            return 0
-        count = 1
-        for d in digits(e, p):
-            if d:
-                count *= len(digit_power(s, d))
-        return count
-
-    power_memo = {}
-
-    def power(s, e):
-        """Delta(x_s^e) = prod_t Frob^t(Delta(x_s)^{d_t}), for e below the truncation."""
-        key = (s, e)
-        if key not in power_memo:
-            acc = {0: 1}
-            for t, d in enumerate(digits(e, p)):
-                if d:
-                    q = p**t
-                    acc = mul(acc, {k * q: c for k, c in digit_power(s, d).items()})
-            power_memo[key] = acc
-        return power_memo[key]
-
-    memo = {(): {0: 1}}
-
-    def delta(m):
-        if m not in memo:
-            v, e = m[-1]
-            memo[m] = mul(delta(m[:-1]), power(pos[v], e))
-        return memo[m]
+    expanded = frobenius_images(
+        field, [packed(images[v]) for v in gens], pos, monos, "coproduct",
+        prune=(offset, guard) if reduce else None, cap=bound,
+    )
 
     fmask = (1 << W) - 1
     half_mask = (1 << half) - 1
@@ -290,16 +243,7 @@ def coproduct_table(coalg: CoalgebraId, field: PrimeField, monos) -> tuple:
             ))
         return k
 
-    for m in monos:
-        count = 1
-        for v, e in m:
-            count *= power_count(pos[v], e)
-        if count > DESK_GUARD:
-            raise ValueError(
-                f"coproduct of {format_poly(MultiPoly.from_monomial(field, m))} has up to "
-                f"{count} terms, over the desk-scale guard {DESK_GUARD}"
-            )
-        terms = delta(m) if count else {}
+    for terms in expanded:
         table.append([(factor(k & half_mask), factor(k >> half), c) for k, c in terms.items()])
     return factors, table
 
@@ -312,13 +256,17 @@ def _tensor_monomial(left, right, pos: dict):
     return tuple((v, e) for _, _, v, e in merged)
 
 
-def coproduct(coalg: CoalgebraId, field: PrimeField, f: MultiPoly) -> TensorPoly:
-    """Delta(f) in C (x) C: the coproduct table of f's monomials, summed by linearity."""
-    gens = generator_vars(coalg)
-    foreign = f.variables() - set(gens)
+def require_generators(coalg: CoalgebraId, monos):
+    """Raise ValueError when a monomial has a variable outside ``coalg``'s generators."""
+    foreign = {v for m in monos for v, _ in m} - set(generator_vars(coalg))
     if foreign:
         raise ValueError(f"foreign variable(s) {sorted(foreign)} for {coalg}")
-    pos = {v: s for s, v in enumerate(gens)}
+
+
+def coproduct(coalg: CoalgebraId, field: PrimeField, f: MultiPoly) -> TensorPoly:
+    """Delta(f) in C (x) C: the coproduct table of f's monomials, summed by linearity."""
+    require_generators(coalg, f.terms)
+    pos = {v: s for s, v in enumerate(generator_vars(coalg))}
     factors, table = coproduct_table(coalg, field, list(f.terms))
     terms = {}
     for c, delta in zip(f.terms.values(), table):

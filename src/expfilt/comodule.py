@@ -127,18 +127,18 @@ def _actions(M: Comodule) -> dict:
     return acts
 
 
-def entry_images(M: Comodule, image) -> list:
+def entry_images(M: Comodule, images) -> list:
     """Images of the nonzero coaction entries under a linear map, by linearity.
 
-    ``image(m)`` gives the image of one coalgebra monomial as (key, coeff)
-    pairs; it is called once per distinct monomial of the coaction.  Entry
+    ``images(monos)`` is called once, on the distinct monomials of the
+    coaction, and gives each one's image as (key, coeff) pairs.  Entry
     f_{ji} = sum_k c_k m_k maps to sum_k c_k image(m_k), summed mod p before
     the caller sees it, so cancellations between the terms of one entry are
     exact.  Returns (j, i, {key: coeff}) for every nonzero entry, column by
     column; zero coefficients are dropped.
     """
     monos, cols = _sparse_columns(M)
-    table = [list(image(m)) for m in monos]
+    table = [list(terms) for terms in images(monos)]
     p = M.field.p
     out = []
     for i, col in enumerate(cols):
@@ -364,22 +364,13 @@ def coideal_preimage(M: Comodule, inside) -> Subspace:
     kept once.  When B is a right coideal the result is coaction-stable (see
     :func:`is_coaction_stable`).
     """
-    p = M.field.p
-    distinct = set()
+    rows = []
     for m, act in _actions(M).items():
         if inside(m):
             continue
         for _, row in itertools.groupby(act, key=lambda e: e[0]):  # row j of A_mu
-            row = [(i, c) for _, i, c in row]
-            inv = pow(row[0][1], p - 2, p)
-            distinct.add(tuple((i, c * inv % p) for i, c in row))
-    dense = []
-    for items in distinct:
-        v = [0] * M.dim
-        for i, c in items:
-            v[i] = c
-        dense.append(v)
-    return linalg.kernel_of(dense, M.dim, M.field)
+            rows.append([(i, c) for _, i, c in row])
+    return linalg.kernel_of(linalg.distinct_lines(rows, M.dim, M.field), M.dim, M.field)
 
 
 def _check_ambient(M: Comodule, S: Subspace):
@@ -553,20 +544,22 @@ def radical_quotient_dim(M: Comodule) -> int:
     """dim(M / rad(A).M) over the local dual algebra A of a truncated id.
 
     rad(A) is spanned by the dual-basis functionals of non-identity monomials;
-    only monomials occurring in the coaction can act nonzero.
+    only monomials occurring in the coaction can act nonzero, so rad(A).M is
+    spanned by the nonzero columns of their action matrices, read sparsely
+    from :func:`_actions` and kept once per line.
     """
     if not M.coalgebra.is_truncated():
         raise ValueError("radical quotient needs a truncated (finite) coalgebra")
-    vectors = []
-    for mono, A in action_matrices(M).items():
+    columns = []
+    for mono, act in _actions(M).items():
         if mono == ():
             continue
-        for i in range(M.dim):
-            col = [A[j][i] for j in range(M.dim)]
-            if any(col):
-                vectors.append(col)
-    rad_dim = Subspace.from_vectors(M.field, M.dim, vectors).dim
-    return M.dim - rad_dim
+        col = defaultdict(list)  # column i of A_mu, rows ascending
+        for j, i, c in act:
+            col[i].append((j, c))
+        columns.extend(col.values())
+    vectors = linalg.distinct_lines(columns, M.dim, M.field)
+    return M.dim - Subspace.from_vectors(M.field, M.dim, vectors).dim
 
 
 @dataclass

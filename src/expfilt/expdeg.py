@@ -13,9 +13,23 @@ Membership in M_{[d]} is decided through the coefficientwise criterion: all
 T^j-coefficients, j > d, of (1 (x) pullback) Delta_M(m) vanish identically in
 the symbolic entries.  Each call pulls every distinct coaction monomial back
 once and builds the entries' pullbacks from those by linearity.
+
+The module-level pullbacks run on integer tables, not ``MultiPoly``: a term
+T^k prod b_{a,b}^{e_ab} is one int with k in its lowest bit field and each
+e_ab in a field of its own, so multiplying terms adds keys.  The image of
+x_{i,j} is a sum over paths i < a_1 < ... < j (one b per step, T^k/k! for k
+steps).  The coefficients lie in F_p, so Frobenius is one integer multiply
+of a key by p, and the digit rule x^e = prod_s Frob^s(x^{d_s}) for the
+base-p digits e = sum_s d_s p^s expands a power from the p - 1 digit powers
+of each image (:func:`~expfilt.polyring.frobenius_images`, shared with the
+coproduct table, with a per-call memo and the desk-scale term bound).  A
+term of the pullback of m has T exponent at most (N-1) deg m and b exponents
+at most deg m, so fields of ((N-1) max deg).bit_length() bits never carry.
+``exp_pullback`` remains the per-polynomial route.
 """
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,7 +38,7 @@ from .comodule import CoalgebraSubspace, Comodule, entry_images
 from .fpcomb import PrimeField, digit_sums
 from .ga import GaUFamily, derived_v
 from .linalg import Matrix, Subspace
-from .polyring import Monomial, MultiPoly
+from .polyring import Monomial, MultiPoly, frobenius_images, monomial_degree
 from .un import UNContext, degree_piece
 
 # An exponential pullback is a MultiPoly in T with coefficients in the
@@ -259,37 +273,80 @@ def coalg_filtration_piece(ctx: UNContext, d: int, Dmax: int) -> CoalgebraSubspa
     return CoalgebraSubspace(ctx.field, ctx.coalgebra, tuple(basis), kernel)
 
 
-def _pullback_terms(M: Comodule) -> list:
-    """(j, i, {(T power, b-monomial): coeff}) for every nonzero coaction entry.
+def _generic_exp_images(field: PrimeField, gens: tuple, W: int) -> list:
+    """Packed image of each generator x_{i,j} under exp of the generic B.
 
-    Each distinct monomial of the coaction is pulled back once through
-    :func:`exp_pullback` and split once; the entries are then summed from
-    those pullbacks by :func:`~expfilt.comodule.entry_images`, mod p and
-    before any degree test.
+    (exp_B(T))_{i,j} = sum over paths i = a_0 < a_1 < ... < a_k = j of
+    T^k/k! b_{a_0 a_1} ... b_{a_{k-1} a_k}.  A key holds the T exponent in
+    its lowest W-bit field and b_{a,b} in field 1 + (position of x_{a,b}).
+    """
+    shift = {}
+    for s, v in enumerate(gens):
+        a, b = v[1:].split("_")
+        shift[int(a), int(b)] = W * (s + 1)
+    out = []
+    for a, b in shift:
+        terms = {}
+        stack = [(a, 0, 0)]  # (vertex, path length, packed b-monomial)
+        while stack:
+            u, k, key = stack.pop()
+            if u == b:
+                terms[key + k] = field.inv_factorial(k)
+                continue
+            for w in range(u + 1, b + 1):
+                stack.append((w, k + 1, key + (1 << shift[u, w])))
+        out.append(terms)
+    return out
+
+
+def _pullback_terms(M: Comodule) -> list:
+    """(j, i, {(T power, b-key): coeff}) for every nonzero coaction entry.
+
+    Every distinct monomial of the coaction is pulled back along exp of the
+    generic B in one :func:`~expfilt.polyring.frobenius_images` call, on
+    packed (T, b) exponent keys (see :func:`_generic_exp_images`); the b-part
+    of a key stays a packed int, consistent within the call.  The entries
+    are then summed from those pullbacks by
+    :func:`~expfilt.comodule.entry_images`, mod p and before any degree test.
     """
     if M.coalgebra.kind != "UNPoly":
         raise ValueError("exponential filtration needs a comodule over k[U_N]")
     fld = M.field
-    domain = SymbolicNilpotentDomain(fld, M.coalgebra.N)
+    N = M.coalgebra.N
+    SymbolicNilpotentDomain(fld, N)  # raises unless N <= p
+    gens = coalgebras.generator_vars(M.coalgebra)
 
-    def pull(m):
-        pb = exp_pullback(MultiPoly.from_monomial(fld, m), domain)
-        return [(_split_t_power(pm), c) for pm, c in pb.terms.items()]
+    def images(monos):
+        coalgebras.require_generators(M.coalgebra, monos)
+        # a term of the pullback of m has T exponent <= (N-1) deg m and b
+        # exponents <= deg m, so W-bit fields never carry
+        top = max((monomial_degree(m) for m in monos), default=0)
+        W = max(1, ((N - 1) * top).bit_length())
+        pulled = frobenius_images(
+            fld, _generic_exp_images(fld, gens, W), {v: s for s, v in enumerate(gens)},
+            monos, "exponential pullback",
+        )
+        mask = (1 << W) - 1
+        return [[((k & mask, k >> W), c) for k, c in terms.items()] for terms in pulled]
 
-    return entry_images(M, pull)
+    return entry_images(M, images)
 
 
 def module_exp_filtration(M: Comodule, d: int) -> Subspace:
-    """M_{[d]}: vectors whose coaction pullbacks have no T^j term, j > d."""
+    """M_{[d]}: vectors whose coaction pullbacks have no T^j term, j > d.
+
+    Each (module row, T power, b-monomial) gives one sparse constraint row;
+    rows that are scalar multiples of one another are kept once.
+    """
     if d < 0:
         raise ValueError("d must be nonnegative")
-    n = M.dim
-    constraints = {}  # (module row, T power, b-monomial) -> row over c
+    constraints = defaultdict(list)  # (module row, T power, b-key) -> [(i, c)], i ascending
     for j, i, pulled in _pullback_terms(M):
         for (k, rest), c in pulled.items():
             if k > d:
-                constraints.setdefault((j, k, rest), [0] * n)[i] = c
-    return linalg.kernel_of(list(constraints.values()), n, M.field)
+                constraints[j, k, rest].append((i, c))
+    rows = linalg.distinct_lines(constraints.values(), M.dim, M.field)
+    return linalg.kernel_of(rows, M.dim, M.field)
 
 
 def exponential_degree(M) -> int:

@@ -198,6 +198,28 @@ class Subspace:
         return f"Subspace(F_{self.field.p}, dim {self.dim} of {self.ambient})"
 
 
+def distinct_lines(rows, ncols: int, field: PrimeField) -> list:
+    """Dense rows, one for each line spanned by a nonzero sparse row.
+
+    Each of ``rows`` lists (column, coeff) pairs, columns ascending and
+    coefficients nonzero in [1, p).  It is scaled to lead with 1, so rows
+    that are scalar multiples of one another are kept once; their span and
+    kernel are unchanged.
+    """
+    p = field.p
+    lines = set()
+    for row in rows:
+        inv = pow(row[0][1], p - 2, p)
+        lines.add(tuple((i, c * inv % p) for i, c in row))
+    dense = []
+    for line in lines:
+        v = [0] * ncols
+        for i, c in line:
+            v[i] = c
+        dense.append(v)
+    return dense
+
+
 def kernel_of(rows, ncols: int, field: PrimeField) -> Subspace:
     """{x : rows . x = 0} as a Subspace of F_p^ncols."""
     basis = _kernels.nullspace(rows, ncols, field.p)

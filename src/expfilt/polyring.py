@@ -14,7 +14,7 @@ coefficients reduced mod p.  "-" starting a term negates it.
 import re
 from typing import Mapping
 
-from .fpcomb import PrimeField
+from .fpcomb import DESK_GUARD, PrimeField, digits
 
 _VAR_RE = re.compile(r"^(T|[xb](\d+)_(\d+))('?)$")
 
@@ -463,3 +463,91 @@ def format_poly(f: MultiPoly) -> str:
         else:
             parts.append("*".join([str(c)] + factors))
     return " + ".join(parts)
+
+
+def frobenius_images(field: PrimeField, images: list, pos: dict, monos, what: str,
+                     prune=None, cap=None) -> list:
+    """Images of ``monos`` under the F_p-algebra map x_v -> images[pos[v]].
+
+    Polynomials are {packed key: coeff} dicts: a key packs an exponent
+    vector into bit fields of one int, so multiplying two terms adds their
+    keys (the caller sizes the fields so that they never carry).  The
+    coefficients lie in F_p, so Frobenius f -> f^p multiplies every key by
+    p, and the base-p digits e = sum_t d_t p^t of an exponent give
+
+        x_v^e -> prod_t Frob^t(images[v]^{d_t}).
+
+    A monomial m = m' x_v^e, x_v its last variable, expands as
+    image(m') image(x_v^e) through a memo that lives for the one call, so
+    monomials sharing a prefix share its expansion.  ``cap``: exponents
+    >= cap map to zero.  ``prune = (offset, mask)``: a term whose
+    key + offset meets mask is dropped after every product (a truncation
+    ideal).  Before a monomial is expanded its term count is bounded by the
+    product of the per-digit counts |images[v]^{d_t}|; past
+    :data:`fpcomb.DESK_GUARD` the call raises ValueError naming ``what``.
+    """
+    p = field.p
+    offset, mask = prune or (0, 0)
+
+    def mul(a, b):
+        out = {}
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = ka + kb
+                out[k] = out.get(k, 0) + ca * cb
+        if prune is None:
+            return {k: c % p for k, c in out.items() if c % p}
+        return {k: c % p for k, c in out.items() if c % p and not (k + offset) & mask}
+
+    digit_memo = {}
+
+    def digit_power(s, d):
+        """images[s]^d for a digit 0 < d < p."""
+        key = (s, d)
+        if key not in digit_memo:
+            digit_memo[key] = images[s] if d == 1 else mul(digit_power(s, d - 1), images[s])
+        return digit_memo[key]
+
+    def power_count(s, e):
+        """Term-count bound of the image of x_s^e; 0 when the cap kills it."""
+        if cap is not None and e >= cap:
+            return 0
+        count = 1
+        for d in digits(e, p):
+            if d:
+                count *= len(digit_power(s, d))
+        return count
+
+    power_memo = {}
+
+    def power(s, e):
+        key = (s, e)
+        if key not in power_memo:
+            acc = {0: 1}
+            for t, d in enumerate(digits(e, p)):
+                if d:
+                    q = p**t
+                    acc = mul(acc, {k * q: c for k, c in digit_power(s, d).items()})
+            power_memo[key] = acc
+        return power_memo[key]
+
+    memo = {(): {0: 1}}
+
+    def image(m):
+        if m not in memo:
+            v, e = m[-1]
+            memo[m] = mul(image(m[:-1]), power(pos[v], e))
+        return memo[m]
+
+    out = []
+    for m in monos:
+        count = 1
+        for v, e in m:
+            count *= power_count(pos[v], e)
+        if count > DESK_GUARD:
+            raise ValueError(
+                f"{what} of {format_poly(MultiPoly.from_monomial(field, m))} has up to "
+                f"{count} terms, over the desk-scale guard {DESK_GUARD}"
+            )
+        out.append(image(m) if count else {})
+    return out

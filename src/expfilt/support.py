@@ -7,13 +7,22 @@ tuple (B_0, ..., B_{r-1}); Theta is the operator of sum_s (coefficient of
 T^{p^s} in the pullback of the coaction through exp_{B_s}).  The module is in
 the support of psi exactly when Theta does not act freely, i.e. when its
 Jordan type has a block of size < p.
+
+A UN tuple is held as its divided powers B_s^k/k! (k < p), integer matrices
+computed once per call; exp_{B_s}(T) = sum_k (B_s^k/k!) T^k.  The validator
+compares the two-variable exponentials coefficientwise on them.  Pullbacks
+along psi are polynomials in the one variable T, held as coefficient lists:
+Theta multiplies the entries' lists truncated at degree p^s, and since every
+entry x_{i<j} of exp_{B_s}(T) has zero constant term, the pullback of a
+monomial m has no term below T^{deg m}, so level s is skipped when
+deg m > p^s.  The pullback along the whole subgroup reads its T^n
+coefficient off the base-p digits of n.
 """
 
 from dataclasses import dataclass
 
 from . import coalgebras, linalg
 from .comodule import Comodule, FreenessVerdict, entry_images, jordan_type, local_freeness
-from .expdeg import NilpotentMatrix, exp_assignment, truncated_exp
 from .fpcomb import DESK_GUARD, PrimeField
 from .ga import (
     GaUFamily,
@@ -23,7 +32,7 @@ from .ga import (
     restrict_frobenius_ga,
 )
 from .linalg import Matrix
-from .polyring import MultiPoly, monomial
+from .polyring import MultiPoly, monomial_degree
 from .un import restrict_frobenius_un
 
 @dataclass
@@ -75,67 +84,96 @@ def un_psg(field: PrimeField, N: int, mats) -> OneParamSubgroup:
     return OneParamSubgroup(field, "UN", mats=tuple(tuple(tuple(r) for r in m) for m in mats), N=N)
 
 
-def validate_1psg(psi: OneParamSubgroup) -> list:
-    """Violations of the tuple invariants (empty list when valid).
+def _divided_powers(psi: OneParamSubgroup) -> tuple:
+    """(violations, exps) of a tuple, exps[s][k] = B_s^k/k! mod p ([], [] for Ga).
 
-    For UN tuples this includes commutation of the formal matrix exponentials
-    exp_{B_s}(T) exp_{B_t}(T') in two variables, not just of the matrices.
+    exps[s] stops before the first zero power, so exp_{B_s}(T) =
+    sum_k exps[s][k] T^k.  Violations are listed by s, then by pair (s, t).
     """
-    out = []
     if psi.kind == "Ga":
-        return out
+        return [], []
     fld = psi.field
+    p = fld.p
+    N = psi.N
+    out = []
     exps = []
     for s in range(psi.height):
-        m = psi.mat(s)
-        try:
-            B = NilpotentMatrix(fld, psi.N, m)
-        except ValueError:
+        B = psi.mat(s)
+        if len(B) != N or any(len(row) != N for row in B):
+            out.append(f"B_{s} is not N x N")
+            continue
+        if any(B[i][j] for i in range(N) for j in range(i + 1)):
+            out.append(f"B_{s} is not strictly upper triangular")
+            continue
+        E = []
+        power = linalg.identity(N)  # B^k; B^p after a loop that never breaks
+        for k in range(p):
+            if linalg.is_zero_matrix(power, fld):
+                break
+            E.append(linalg.mat_scale(power, fld.inv_factorial(k), fld))
+            power = linalg.mat_mul(power, B, fld)
+        if not linalg.is_zero_matrix(power, fld):
             out.append(f"B_{s} is not p-nilpotent")
             continue
-        exps.append(truncated_exp(B))
+        exps.append(E)
     if out:
-        return out
+        return out, exps
     for s in range(psi.height):
         for t in range(s + 1, psi.height):
             if not linalg.mats_commute(psi.mat(s), psi.mat(t), fld):
                 out.append(f"B_{s} and B_{t} do not commute")
                 continue
-            left = _poly_mat_mul(exps[s], _rename_t(exps[t]), fld)
-            right = _poly_mat_mul(_rename_t(exps[t]), exps[s], fld)
-            if left != right:
+            # the T^a T'^b coefficients of exp_{B_s}(T) exp_{B_t}(T') and of
+            # exp_{B_t}(T') exp_{B_s}(T); a = 0 or b = 0 is the identity
+            if not all(linalg.mats_commute(a, b, fld) for a in exps[s][1:] for b in exps[t][1:]):
                 out.append(f"exponentials of B_{s} and B_{t} do not commute")
-    return out
+    return out, exps
 
 
-def require_valid_1psg(psi: OneParamSubgroup):
-    bad = validate_1psg(psi)
+def validate_1psg(psi: OneParamSubgroup) -> list:
+    """Violations of the tuple invariants (empty list when valid).
+
+    A UN tuple must consist of N x N strictly upper triangular matrices (so
+    each exp_{B_s} lands in U_N) that are p-nilpotent and commute.  The
+    formal exponentials exp_{B_s}(T) exp_{B_t}(T') in two variables must
+    commute too, which is checked coefficientwise:
+    B_s^a/a! B_t^b/b! = B_t^b/b! B_s^a/a! for all a, b < p.
+    """
+    return _divided_powers(psi)[0]
+
+
+def require_valid_1psg(psi: OneParamSubgroup) -> list:
+    """Raise on an invalid tuple; else the divided powers (empty for Ga)."""
+    bad, exps = _divided_powers(psi)
     if bad:
         raise ValueError("invalid 1-parameter subgroup: " + "; ".join(bad))
+    return exps
 
 
-def _rename_t(poly_mat):
-    return [[f.rename_variables({"T": "T'"}) for f in row] for row in poly_mat]
-
-
-def _poly_mat_mul(a, b, field):
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    out = [[MultiPoly.zero(field) for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            if a[i][t].is_zero():
-                continue
-            for j in range(m):
-                if not b[t][j].is_zero():
-                    out[i][j] = out[i][j] + a[i][t] * b[t][j]
-    return out
+def _series_mul(a: list, b: list, p: int, top=None) -> list:
+    """Product of two coefficient lists in T mod p, cut after degree ``top``."""
+    n = len(a) + len(b) - 1 if a and b else 0
+    if top is not None:
+        n = min(n, top + 1)
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[: n - i]):
+                out[i + j] += x * y
+    return [c % p for c in out]
 
 
 def theta_operator(M, psi: OneParamSubgroup) -> Matrix:
-    """The p-nilpotent operator sum_s (exp_{B_s})_*(u_s) acting on M."""
-    require_valid_1psg(psi)
+    """The p-nilpotent operator sum_s (exp_{B_s})_*(u_s) acting on M.
+
+    For a k[U_N]-comodule, level s contributes the T^{p^s} coefficient of
+    each monomial m pulled back along exp_{B_s}(T).  The entries x_{i<j} of
+    exp_{B_s}(T) have zero constant term, so the pullback of m is T^{deg m}
+    times the product of the entries divided by T: its T^{p^s} coefficient
+    is that product's coefficient of T^{p^s - deg m}, and level s is skipped
+    when deg m > p^s.
+    """
+    exps = require_valid_1psg(psi)
     if isinstance(M, GaUFamily):
         if psi.kind != "Ga":
             raise ValueError("a GaUFamily pairs with a Ga-form subgroup")
@@ -153,18 +191,36 @@ def theta_operator(M, psi: OneParamSubgroup) -> Matrix:
     if psi.kind != "UN" or psi.N != M.coalgebra.N:
         raise ValueError("module and subgroup live over different groups")
     fld = M.field
-    pulls = [
-        (exp_assignment(NilpotentMatrix(fld, psi.N, psi.mat(s))), monomial({"T": fld.p**s}))
-        for s in range(psi.height)
+    p = fld.p
+    # level s: (p^s, {x_{i,j}: coefficients of T^1, T^2, ... of exp_{B_s}(T)_{i,j}})
+    levels = [
+        (p**s, {f"x{i + 1}_{j + 1}": [Ek[i][j] for Ek in E[1:]]
+                for i in range(psi.N) for j in range(i + 1, psi.N)})
+        for s, E in enumerate(exps)
     ]
 
-    def coefficient(m):
-        # sum over s of the T^{p^s} coefficient of m pulled back along exp_{B_s}
-        f = MultiPoly.from_monomial(fld, m)
-        return [((), sum(f.substitute(a).coeff(target) for a, target in pulls))]
+    def images(monos):
+        coalgebras.require_generators(M.coalgebra, monos)
+        out = []
+        for m in monos:
+            deg = monomial_degree(m)
+            total = 0
+            for q, shifted in levels:
+                r = q - deg
+                if r < 0:
+                    continue
+                acc = [1]
+                for v, e in m:
+                    f = shifted[v]
+                    for _ in range(e):
+                        acc = _series_mul(acc, f, p, r)
+                if r < len(acc):
+                    total += acc[r]
+            out.append([((), total % p)] if total % p else [])
+        return out
 
     theta = linalg.zeros(M.dim, M.dim)
-    for j, i, value in entry_images(M, coefficient):
+    for j, i, value in entry_images(M, images):
         theta[j][i] = value.get((), 0)
     _check_p_nilpotent(theta, fld)
     return theta
@@ -191,29 +247,41 @@ def support_sample(M, samples) -> list:
     return out
 
 
+def _psg_matrix(psi: OneParamSubgroup, exps: list) -> dict:
+    """{x_{i,j}: coefficient list in T} of the entries of prod_s exp_{B_s}(T^{p^s}).
+
+    The T^n coefficient is prod_s B_s^{n_s}/n_s! over the base-p digits n_s
+    of n, since the exponents sum_s k_s p^s with k_s < p are all distinct.
+    """
+    fld = psi.field
+    coeffs = {0: linalg.identity(psi.N)}  # T^n -> coefficient matrix of the product so far
+    for s, E in enumerate(exps):
+        q = fld.p**s
+        coeffs = {
+            n + k * q: linalg.mat_mul(C, Ek, fld) for n, C in coeffs.items() for k, Ek in enumerate(E)
+        }
+    top = max(coeffs)
+    return {
+        f"x{i + 1}_{j + 1}": [coeffs[n][i][j] if n in coeffs else 0 for n in range(top + 1)]
+        for i in range(psi.N)
+        for j in range(psi.N)
+    }
+
+
 def psg_pullback_assignment(psi: OneParamSubgroup) -> dict:
     """x_{i,j} -> (i,j) entry of prod_s exp_{B_s}(T^{p^s})."""
-    fld = psi.field
-    prod = None
-    for s in range(psi.height):
-        B = NilpotentMatrix(fld, psi.N, psi.mat(s))
-        E = truncated_exp(B)
-        tp = MultiPoly.variable(fld, "T", fld.p**s)
-        Es = [[f.substitute({"T": tp}) if not f.is_zero() else f for f in row] for row in E]
-        prod = Es if prod is None else _poly_mat_mul(prod, Es, fld)
-    if prod is None:
-        prod = [
-            [MultiPoly.one(fld) if i == j else MultiPoly.zero(fld) for j in range(psi.N)]
-            for i in range(psi.N)
-        ]
-    return {
-        f"x{i + 1}_{j + 1}": prod[i][j] for i in range(psi.N) for j in range(psi.N)
-    }
+    P = _psg_matrix(psi, require_valid_1psg(psi))
+    return {v: MultiPoly(psi.field, _t_terms(f)) for v, f in P.items()}
+
+
+def _t_terms(f: list) -> dict:
+    """{T-monomial: coeff} of a coefficient list in T."""
+    return {(("T", k),) if k else (): c for k, c in enumerate(f) if c}
 
 
 def pullback_module(M, psi: OneParamSubgroup) -> GaUFamily:
     """The restriction of M along psi, as a u-family for the additive group."""
-    require_valid_1psg(psi)
+    exps = require_valid_1psg(psi)
     if isinstance(M, GaUFamily):
         if psi.kind != "Ga":
             raise ValueError("a GaUFamily pairs with a Ga-form subgroup")
@@ -233,11 +301,22 @@ def pullback_module(M, psi: OneParamSubgroup) -> GaUFamily:
     if M.coalgebra.kind != "UNPoly" or psi.kind != "UN" or psi.N != M.coalgebra.N:
         raise ValueError("module and subgroup live over different groups")
     fld = M.field
-    assignment = psg_pullback_assignment(psi)
+    P = _psg_matrix(psi, exps)
+
+    def images(monos):
+        coalgebras.require_generators(M.coalgebra, monos)
+        out = []
+        for m in monos:
+            acc = [1]
+            for v, e in m:
+                f = P[v]
+                for _ in range(e):
+                    acc = _series_mul(acc, f, fld.p)
+            out.append(_t_terms(acc).items())
+        return out
+
     coaction = [[MultiPoly.zero(fld)] * M.dim for _ in range(M.dim)]
-    for j, i, terms in entry_images(
-        M, lambda m: MultiPoly.from_monomial(fld, m).substitute(assignment).terms.items()
-    ):
+    for j, i, terms in entry_images(M, images):
         coaction[j][i] = MultiPoly(fld, terms)
     comp = Comodule(fld, coalgebras.ga_poly(), M.dim, coaction)
     return comodule_to_family(comp)

@@ -1,22 +1,34 @@
-"""Differential tests: the interned per-monomial pullback table against the
-per-entry ``exp_pullback`` / ``substitute`` route it replaced.
+"""Differential tests: the integer-table pullbacks along 1-parameter
+subgroups against the ``MultiPoly`` routes they replaced.
 
 The oracles below pull every coaction entry back as a whole polynomial (one
-``substitute`` per entry) and read degrees, filtration constraints, Theta
-coefficients and pulled-back coactions off those polynomials.  They are kept
-here only as the slow reference: the library must give identical subspaces,
-degrees, verdicts, matrices and families on seeded pools.
+``exp_pullback`` / ``substitute`` per entry) and read degrees, filtration
+constraints, Theta coefficients and pulled-back coactions off those
+polynomials; the 1-psg oracle compares the formal exponentials as
+``MultiPoly`` matrices in T and T'; the radical-quotient oracle spans the
+columns of dense ``action_matrices``.  They are kept here only as the slow
+reference: the library must give identical subspaces, degrees, verdicts,
+matrices, families and violation lists on seeded pools.
 """
 
 import random
+import time
 
 import pytest
 
 from expfilt import coalgebras, linalg
-from expfilt.comodule import Comodule, conjugate, direct_sum, trivial_comodule
+from expfilt.comodule import (
+    Comodule,
+    action_matrices,
+    conjugate,
+    direct_sum,
+    radical_quotient_dim,
+    trivial_comodule,
+)
 from expfilt.expdeg import (
     NilpotentMatrix,
     SymbolicNilpotentDomain,
+    _pullback_terms,
     exp_pullback,
     exponential_degree,
     mock_trivial_check,
@@ -24,11 +36,36 @@ from expfilt.expdeg import (
     truncated_exp,
 )
 from expfilt.fpcomb import PrimeField
-from expfilt.ga import GaUFamily, comodule_to_family, family_to_comodule, y_r_family
+from expfilt.ga import (
+    GaUFamily,
+    comodule_to_family,
+    family_to_comodule,
+    regular_comodule,
+    restrict_frobenius_ga,
+    y_r_family,
+)
 from expfilt.polyring import MultiPoly, monomial, parse_poly
-from expfilt.samplers import random_commuting_tuple, random_invertible, random_un_comodule
-from expfilt.support import psg_pullback_assignment, pullback_module, theta_operator, un_psg
-from expfilt.un import UNContext, degree_piece_comodule, ga_as_u2, natural_rep, sym_square_rep
+from expfilt.samplers import (
+    random_commuting_tuple,
+    random_ga_family,
+    random_invertible,
+    random_un_comodule,
+)
+from expfilt.support import (
+    psg_pullback_assignment,
+    pullback_module,
+    theta_operator,
+    un_psg,
+    validate_1psg,
+)
+from expfilt.un import (
+    UNContext,
+    degree_piece_comodule,
+    ga_as_u2,
+    natural_rep,
+    restrict_frobenius_un,
+    sym_square_rep,
+)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -87,10 +124,72 @@ def oracle_theta(M: Comodule, psi):
     return theta
 
 
+def _poly_mat_mul(a, b, field):
+    n = len(a)
+    out = [[MultiPoly.zero(field) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for t in range(n):
+            for j in range(n):
+                out[i][j] = out[i][j] + a[i][t] * b[t][j]
+    return out
+
+
+def oracle_psg_assignment(psi) -> dict:
+    """x_{i,j} -> (i,j) entry of prod_s exp_{B_s}(T^{p^s}), as MultiPoly matrices."""
+    fld = psi.field
+    prod = [[MultiPoly.one(fld) if i == j else MultiPoly.zero(fld) for j in range(psi.N)]
+            for i in range(psi.N)]
+    for s in range(psi.height):
+        E = truncated_exp(NilpotentMatrix(fld, psi.N, psi.mat(s)))
+        tp = MultiPoly.variable(fld, "T", fld.p**s)
+        prod = _poly_mat_mul(prod, [[f.substitute({"T": tp}) for f in row] for row in E], fld)
+    return {f"x{i + 1}_{j + 1}": prod[i][j] for i in range(psi.N) for j in range(psi.N)}
+
+
 def oracle_pullback_module(M: Comodule, psi) -> GaUFamily:
-    assignment = psg_pullback_assignment(psi)
+    assignment = oracle_psg_assignment(psi)
     coaction = [[f.substitute(assignment) for f in row] for row in M.coaction]
     return comodule_to_family(Comodule(M.field, coalgebras.ga_poly(), M.dim, coaction))
+
+
+def oracle_validate_1psg(psi) -> list:
+    """Shape checks, then nilpotency, then MultiPoly exponentials in T and T'."""
+    fld = psi.field
+    N = psi.N
+    out = []
+    exps = []
+    for s in range(psi.height):
+        B = psi.mat(s)
+        if len(B) != N or any(len(row) != N for row in B):
+            out.append(f"B_{s} is not N x N")
+        elif any(B[i][j] for i in range(N) for j in range(i + 1)):
+            out.append(f"B_{s} is not strictly upper triangular")
+        else:
+            try:
+                exps.append(truncated_exp(NilpotentMatrix(fld, N, B)))
+            except ValueError:
+                out.append(f"B_{s} is not p-nilpotent")
+    if out:
+        return out
+    for s in range(psi.height):
+        for t in range(s + 1, psi.height):
+            if not linalg.mats_commute(psi.mat(s), psi.mat(t), fld):
+                out.append(f"B_{s} and B_{t} do not commute")
+                continue
+            primed = [[f.rename_variables({"T": "T'"}) for f in row] for row in exps[t]]
+            if _poly_mat_mul(exps[s], primed, fld) != _poly_mat_mul(primed, exps[s], fld):
+                out.append(f"exponentials of B_{s} and B_{t} do not commute")
+    return out
+
+
+def oracle_radical_quotient_dim(M: Comodule) -> int:
+    cols = [
+        [A[j][i] for j in range(M.dim)]
+        for mono, A in action_matrices(M).items()
+        if mono != ()
+        for i in range(M.dim)
+    ]
+    return M.dim - linalg.row_space([c for c in cols if any(c)], M.dim, M.field).dim
 
 
 # -- pools ------------------------------------------------------------------------
@@ -170,3 +269,162 @@ def test_entry_terms_cancel_before_the_degree_test(field):
     assert module_exp_filtration(M, 1).is_full()
     assert module_exp_filtration(M, 0) == oracle_module_exp_filtration(M, 0)
     assert module_exp_filtration(M, 0).dim == 1
+
+
+def test_psg_assignment_matches_oracle(pool):
+    for label, _, psis in pool:
+        for psi in psis:
+            assert psg_pullback_assignment(psi) == oracle_psg_assignment(psi), (label, psi.height)
+
+
+# -- the packed pullback table on exponents with several base-p digits -------------
+
+
+# base-p digits: p=3: 7 = 21, 5 = 12, 4 = 11, 13 = 111, 8 = 22;
+# p=5: 6 = 11, 11 = 21, 24 = 44, 13 = 23, 7 = 12
+_DIGIT_MONOMIALS = {
+    3: ["x1_2^7", "x1_3^5*x2_3^4", "x1_3^13", "x1_2^8*x2_3^2", "x1_2^4*x1_3^5*x2_3^7"],
+    5: ["x1_2^6*x1_3^11", "x2_3^24", "x1_3^13*x2_3^7", "x1_2^11*x2_3^6", "x1_2^7*x1_3^6*x2_3^11"],
+}
+
+
+def _digit_module(field):
+    """Upper unitriangular module whose entries carry the hand-picked monomials.
+
+    Not a comodule: the pullback table reads the coaction without validating.
+    """
+    texts = _DIGIT_MONOMIALS[field.p]
+    n = len(texts) + 1
+    one = MultiPoly.one(field)
+    zero = MultiPoly.zero(field)
+    coaction = [[one if i == j else zero for i in range(n)] for j in range(n)]
+    for k, text in enumerate(texts):
+        coaction[0][k + 1] = parse_poly(text, field)
+        coaction[k][k + 1] = coaction[k][k + 1] + parse_poly(f"2*{text} + x1_2", field)
+    return Comodule(field, coalgebras.un_poly(3), n, coaction)
+
+
+def _signatures(terms) -> list:
+    """Each b-key's occurrences {(j, i, T power, coeff)}, as a sorted multiset.
+
+    Two tables agree up to a consistent renaming of their b-keys iff these
+    multisets are equal."""
+    occ = {}
+    for j, i, pulled in terms:
+        for (k, rest), c in pulled.items():
+            occ.setdefault(rest, set()).add((j, i, k, c))
+    return sorted(sorted(v) for v in occ.values())
+
+
+@pytest.mark.parametrize("field", [F3, F5], ids=["p=3", "p=5"])
+def test_pullback_terms_match_exp_pullback(field):
+    # the table packs each b-monomial into an int; the oracle keeps it as a
+    # monomial tuple
+    M = _digit_module(field)
+    assert any(e >= field.p for row in M.coaction for f in row for m in f.terms for _, e in m)
+    oracle = []
+    for j, row in enumerate(oracle_entry_pullbacks(M)):
+        for i, pb in enumerate(row):
+            if not M.coaction[j][i].is_zero():
+                split = {}
+                for pmono, c in pb.terms.items():
+                    split[dict(pmono).get("T", 0), tuple(ve for ve in pmono if ve[0] != "T")] = c
+                oracle.append((j, i, split))
+    got = _pullback_terms(M)
+    assert sorted((j, i) for j, i, _ in got) == sorted((j, i) for j, i, _ in oracle)
+    assert _signatures(got) == _signatures(oracle)
+    e = oracle_exponential_degree(M)
+    assert exponential_degree(M) == e
+    for d in range(0, e + 2, 3):
+        assert module_exp_filtration(M, d) == oracle_module_exp_filtration(M, d), d
+
+
+def test_pullback_term_guard_rejects_before_expanding():
+    # x1_3 pulls back to 2 terms and its square to 3: nineteen digits 2 bound
+    # the pullback of x1_3^(3^19 - 1) by 3^19 terms, past the desk-scale guard
+    f = parse_poly(f"x1_3^{3**19 - 1}", F3)
+    one = MultiPoly.one(F3)
+    M = Comodule(F3, coalgebras.un_poly(3), 2, [[one, f], [MultiPoly.zero(F3), one]])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="guard"):
+        exponential_degree(M)
+    assert time.perf_counter() - start < 1.0
+
+
+# -- the 1-psg validator -----------------------------------------------------------
+
+
+def _psg_cases():
+    """(label, psi) over valid, non-nilpotent, non-commuting, non-triangular and
+    wrong-shape tuples, alone and mixed."""
+    out = []
+    rng = random.Random("validate-1psg-differential")
+    for F in (F3, F5):
+        for N in (2, 3, 4):
+            for h in (1, 2, 3):
+                mats = random_commuting_tuple(F, N, h, rng)
+                out.append((f"valid p={F.p} N={N} h={h}", un_psg(F, N, mats)))
+    F2 = PrimeField(2)
+    jordan3 = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+    out.append(("non-nilpotent p=2 N=3", un_psg(F2, 3, [jordan3])))
+    out.append(("non-nilpotent second p=2 N=3", un_psg(F2, 3, [[[0, 0, 1], [0, 0, 0], [0, 0, 0]], jordan3])))
+    e12 = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+    e23 = [[0, 0, 0], [0, 0, 1], [0, 0, 0]]
+    e13 = [[0, 0, 1], [0, 0, 0], [0, 0, 0]]
+    out.append(("non-commuting p=3", un_psg(F3, 3, [e12, e23])))
+    out.append(("non-commuting of three p=5", un_psg(F5, 3, [e12, e13, e23])))
+    out.append(("lower p=3 N=2", un_psg(F3, 2, [[[0, 0], [1, 0]]])))
+    out.append(("full p=3 N=2", un_psg(F3, 2, [[[1, 1], [2, 2]]])))
+    out.append(("diagonal p=5 N=3", un_psg(F5, 3, [e12, [[0, 0, 0], [0, 1, 0], [0, 0, 0]]])))
+    out.append(("2x2 in N=3 p=3", un_psg(F3, 3, [[[0, 1], [0, 0]]])))
+    out.append(("ragged in N=3 p=3", un_psg(F3, 3, [e12, [[0, 1, 0], [0, 0], [0, 0, 0]]])))
+    out.append(("mixed p=3", un_psg(F3, 3, [e12, [[0, 1], [0, 0]], [[0, 0, 0], [1, 0, 0], [0, 0, 0]]])))
+    out.append(("empty p=3", un_psg(F3, 3, [])))
+    return out
+
+
+def test_validate_1psg_matches_oracle():
+    seen = []
+    for label, psi in _psg_cases():
+        want = oracle_validate_1psg(psi)
+        assert validate_1psg(psi) == want, label
+        seen.extend(want)
+    for phrase in ("is not p-nilpotent", "do not commute", "is not strictly upper triangular",
+                   "is not N x N"):
+        assert any(phrase in v for v in seen), phrase
+
+
+# -- the sparse radical quotient -----------------------------------------------------
+
+
+def _truncated_pool():
+    out = []
+    for p in (2, 3):
+        F = PrimeField(p)
+        rng = random.Random(f"radical-differential/{p}")
+        ctx = UNContext(F, 3)
+        for r in (1, 2):
+            out.append((f"U_3 degree piece d=3 p={p} r={r}", restrict_frobenius_un(degree_piece_comodule(ctx, 3), r)))
+            M = random_un_comodule(F, 3, rng, max_pieces=2)
+            out.append((f"random U_3 p={p} r={r}", restrict_frobenius_un(conjugate(M, random_invertible(F, M.dim, rng)), r)))
+            out.append((f"regular Ga D=9 p={p} r={r}", restrict_frobenius_ga(regular_comodule(F, 9), r)))
+            fam = random_ga_family(F, 4, rng)
+            out.append((f"random Ga p={p} r={r}", restrict_frobenius_ga(family_to_comodule(fam), r)))
+    return out
+
+
+def test_radical_quotient_matches_dense_route():
+    for label, M in _truncated_pool():
+        assert radical_quotient_dim(M) == oracle_radical_quotient_dim(M), label
+
+
+def test_entries_outside_the_generators_raise_value_error():
+    # x1_1 is no coordinate of U_3: the tables reject it instead of reading
+    # the diagonal of exp_B
+    f = parse_poly("x1_1 + x1_2", F3)
+    one = MultiPoly.one(F3)
+    M = Comodule(F3, coalgebras.un_poly(3), 2, [[one, f], [MultiPoly.zero(F3), one]])
+    psi = un_psg(F3, 3, [[[0, 1, 0], [0, 0, 0], [0, 0, 0]]])
+    for call in (exponential_degree, lambda M: theta_operator(M, psi), lambda M: pullback_module(M, psi)):
+        with pytest.raises(ValueError, match="foreign variable"):
+            call(M)

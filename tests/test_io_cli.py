@@ -169,6 +169,42 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["module"]["u_mats"] == {"0": [[0, 1], [0, 0]]}
 
+    def test_pullback_empty_psi_is_trivial(self, module_file, capsys):
+        # N comes from the module, so a height-0 subgroup needs no matrix
+        path = module_file(natural_rep(UNContext(F3, 2)))
+        assert main(["pullback", path, "--psi", '{"kind": "UN", "mats": []}']) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["module"]["u_mats"] == {}
+
+    @pytest.mark.parametrize(
+        "psi, reason",
+        [
+            ("[1]", "JSON object"),
+            ('{"kind": "UN", "mats": 5}', "'mats'"),
+            ('{"kind": "UN", "mats": [[[0, 1.5], [0, 0]]]}', "'mats'"),
+            ('{"kind": "UN", "mats": [[[0, true], [0, 0]]]}', "'mats'"),
+            ('{"kind": "UN", "mats": [[0, 1]]}', "'mats'"),
+            ('{"kind": "Ga", "lambdas": "1"}', "'lambdas'"),
+            ('{"kind": "UN", "mats": [[[0, 0], [1, 0]]]}', "strictly upper triangular"),
+            ('{"kind": "UN", "mats": [[[0, 1, 0], [0, 0, 0], [0, 0, 0]]]}', "not N x N"),
+            ('{"kind": "XY"}', "kind"),
+        ],
+        ids=["not-object", "mats-int", "float-entry", "bool-entry", "flat-mats", "lambdas-str",
+             "lower", "3x3-for-N=2", "bad-kind"],
+    )
+    def test_pullback_bad_psi_exits_2(self, module_file, capsys, psi, reason):
+        path = module_file(natural_rep(UNContext(F3, 2)))
+        assert main(["pullback", path, "--psi", psi]) == 2
+        err = capsys.readouterr().err
+        assert any(line.startswith("error:") and reason in line for line in err.splitlines())
+
+    def test_pullback_un_psi_on_ga_module_exits_2(self, module_file, capsys):
+        from expfilt.ga import regular_comodule
+
+        path = module_file(regular_comodule(F3, 3))
+        assert main(["pullback", path, "--psi", '{"kind": "UN", "mats": []}']) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_frobcheck(self, module_file, capsys):
         from expfilt.ga import regular_comodule
 

@@ -61,6 +61,25 @@ class TestValidate1psg:
         psi = un_psg(F2, 3, [[[0, 1, 0], [0, 0, 1], [0, 0, 0]]])
         assert any("nilpotent" in v for v in validate_1psg(psi))
 
+    @pytest.mark.parametrize("B", [[[0, 0], [1, 0]], [[1, 1], [2, 2]]], ids=["lower", "full"])
+    def test_not_strictly_upper_rejected(self, B):
+        # p-nilpotent at p = 3, but exp_B is not a subgroup of U_2
+        from expfilt.expdeg import NilpotentMatrix
+
+        NilpotentMatrix(F3, 2, B)
+        psi = un_psg(F3, 2, [B])
+        assert validate_1psg(psi) == ["B_0 is not strictly upper triangular"]
+        M = natural_rep(UNContext(F3, 2))
+        for f in (theta_operator, pullback_module):
+            with pytest.raises(ValueError, match="strictly upper triangular"):
+                f(M, psi)
+
+    def test_wrong_shape_rejected(self):
+        psi = un_psg(F3, 3, [unit(3, 0, 1), unit(2, 0, 1)])
+        assert validate_1psg(psi) == ["B_1 is not N x N"]
+        with pytest.raises(ValueError, match="not N x N"):
+            theta_operator(natural_rep(UNContext(F3, 3)), psi)
+
 
 class TestTheta:
     def test_zero_subgroup(self):
