@@ -148,7 +148,8 @@ def comodule_to_family(M: Comodule) -> GaUFamily:
     fld = M.field
     if any(not f.variables() <= {"T"} for row in M.coaction for f in row):
         raise ValueError("coaction entries must be polynomials in T")
-    maxdeg = max((m[0][1] if m else 0 for row in M.coaction for f in row for m in f.terms), default=0)
+    degrees = {m[0][1] if m else 0 for row in M.coaction for f in row for m in f.terms}
+    maxdeg = max(degrees, default=0)
     u_mats = {}
     s = 0
     while fld.p**s <= maxdeg:
@@ -160,7 +161,14 @@ def comodule_to_family(M: Comodule) -> GaUFamily:
     bad = validate_family(fam)
     if bad:
         raise ValueError("extracted family is invalid: " + "; ".join(bad))
-    for j in range(maxdeg + 1):
+    # v_j = 0 unless the nonzero base-p digits of j all sit at places in the
+    # support, and the coefficient of T^j is 0 unless T^j occurs: only
+    # those j up to the top degree can disagree
+    sums = [0]
+    for s in fam.support():
+        w = fld.p**s
+        sums = [j + d * w for j in sums for d in range(fld.p) if j + d * w <= maxdeg]
+    for j in sorted(degrees.union(sums)):
         if not linalg.mat_equal(action_matrix(M, monomial({"T": j})), derived_v(fam, j), fld):
             raise ValueError(f"coefficient of T^{j} disagrees with the divided-power formula")
     if not linalg.mat_equal(action_matrix(M, ()), linalg.identity(M.dim), fld):

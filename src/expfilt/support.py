@@ -11,19 +11,23 @@ Jordan type has a block of size < p.
 A UN tuple is held as its divided powers B_s^k/k! (k < p), integer matrices
 computed once per call; exp_{B_s}(T) = sum_k (B_s^k/k!) T^k.  The validator
 compares the two-variable exponentials coefficientwise on them.  Pullbacks
-along psi are polynomials in the one variable T, held as coefficient lists:
-Theta multiplies the entries' lists truncated at degree p^s, and since every
-entry x_{i<j} of exp_{B_s}(T) has zero constant term, the pullback of a
-monomial m has no term below T^{deg m}, so level s is skipped when
-deg m > p^s.  The pullback along the whole subgroup reads its T^n
-coefficient off the base-p digits of n.
+along psi are polynomials in the one variable T.  Theta multiplies the
+entries' coefficient lists truncated at degree p^s, and since every entry
+x_{i<j} of exp_{B_s}(T) has zero constant term, the pullback of a monomial m
+has no term below T^{deg m}, so level s is skipped when deg m > p^s.  The
+pullback along the whole subgroup reads its T^n coefficient off the base-p
+digits of n and expands monomials through
+:func:`~expfilt.polyring.frobenius_images` on T exponents.  Both raise
+x^e through the base-p digits e = sum_t d_t p^t, as prod_t Frob^t(x^{d_t}),
+where Frob^t multiplies every T exponent by p^t: the work grows with the
+number of digits of e, not with e.
 """
 
 from dataclasses import dataclass
 
 from . import coalgebras, linalg
 from .comodule import Comodule, FreenessVerdict, entry_images, jordan_type, local_freeness
-from .fpcomb import DESK_GUARD, PrimeField
+from .fpcomb import DESK_GUARD, PrimeField, digits
 from .ga import (
     GaUFamily,
     comodule_to_family,
@@ -32,7 +36,7 @@ from .ga import (
     restrict_frobenius_ga,
 )
 from .linalg import Matrix
-from .polyring import MultiPoly, monomial_degree
+from .polyring import MultiPoly, frobenius_images, monomial_degree
 from .un import restrict_frobenius_un
 
 @dataclass
@@ -124,7 +128,10 @@ def _divided_powers(psi: OneParamSubgroup) -> tuple:
                 out.append(f"B_{s} and B_{t} do not commute")
                 continue
             # the T^a T'^b coefficients of exp_{B_s}(T) exp_{B_t}(T') and of
-            # exp_{B_t}(T') exp_{B_s}(T); a = 0 or b = 0 is the identity
+            # exp_{B_t}(T') exp_{B_s}(T); a = 0 or b = 0 is the identity.
+            # Powers of commuting matrices commute, so this cannot fail once
+            # the test above has passed; it is the two-variable comparison's
+            # own check, kept with its message
             if not all(linalg.mats_commute(a, b, fld) for a in exps[s][1:] for b in exps[t][1:]):
                 out.append(f"exponentials of B_{s} and B_{t} do not commute")
     return out, exps
@@ -150,17 +157,38 @@ def require_valid_1psg(psi: OneParamSubgroup) -> list:
     return exps
 
 
-def _series_mul(a: list, b: list, p: int, top=None) -> list:
+def _series_mul(a: list, b: list, p: int, top: int) -> list:
     """Product of two coefficient lists in T mod p, cut after degree ``top``."""
-    n = len(a) + len(b) - 1 if a and b else 0
-    if top is not None:
-        n = min(n, top + 1)
+    n = min(len(a) + len(b) - 1, top + 1) if a and b else 0
     out = [0] * n
     for i, x in enumerate(a[:n]):
         if x:
             for j, y in enumerate(b[: n - i]):
                 out[i + j] += x * y
     return [c % p for c in out]
+
+
+def _times_power(acc: list, f: list, e: int, p: int, top: int) -> list:
+    """acc * f^e mod p, cut after degree ``top``, by the base-p digits of e.
+
+    Over F_p, Frob^t(g) = g^{p^t} is g(T^{p^t}), so f^e is the product of
+    Frob^t(f^{d_t}) over the digits d_t of e, and Frob^t(g) cut after ``top``
+    needs only g cut after top // p^t: there are sum_t d_t products.
+    Unlike :func:`~expfilt.polyring.frobenius_images` it cuts every product at
+    a degree, so no term count of the uncut power is ever bounded or built.
+    """
+    for t, d in enumerate(digits(e, p)):
+        if d:
+            q = p**t
+            g = f[: top // q + 1]
+            for _ in range(d - 1):
+                g = _series_mul(g, f, p, top // q)
+            if q > 1:
+                spread = [0] * ((len(g) - 1) * q + 1)
+                spread[::q] = g
+                g = spread
+            acc = _series_mul(acc, g, p, top)
+    return acc
 
 
 def theta_operator(M, psi: OneParamSubgroup) -> Matrix:
@@ -211,9 +239,7 @@ def theta_operator(M, psi: OneParamSubgroup) -> Matrix:
                     continue
                 acc = [1]
                 for v, e in m:
-                    f = shifted[v]
-                    for _ in range(e):
-                        acc = _series_mul(acc, f, p, r)
+                    acc = _times_power(acc, shifted[v], e, p, r)
                 if r < len(acc):
                     total += acc[r]
             out.append([((), total % p)] if total % p else [])
@@ -247,8 +273,8 @@ def support_sample(M, samples) -> list:
     return out
 
 
-def _psg_matrix(psi: OneParamSubgroup, exps: list) -> dict:
-    """{x_{i,j}: coefficient list in T} of the entries of prod_s exp_{B_s}(T^{p^s}).
+def _psg_images(psi: OneParamSubgroup, exps: list) -> dict:
+    """{x_{i<j}: {n: coefficient of T^n}} of the entries of prod_s exp_{B_s}(T^{p^s}).
 
     The T^n coefficient is prod_s B_s^{n_s}/n_s! over the base-p digits n_s
     of n, since the exponents sum_s k_s p^s with k_s < p are all distinct.
@@ -260,27 +286,22 @@ def _psg_matrix(psi: OneParamSubgroup, exps: list) -> dict:
         coeffs = {
             n + k * q: linalg.mat_mul(C, Ek, fld) for n, C in coeffs.items() for k, Ek in enumerate(E)
         }
-    top = max(coeffs)
     return {
-        f"x{i + 1}_{j + 1}": [coeffs[n][i][j] if n in coeffs else 0 for n in range(top + 1)]
+        f"x{i + 1}_{j + 1}": {n: C[i][j] for n, C in coeffs.items() if C[i][j]}
         for i in range(psi.N)
-        for j in range(psi.N)
+        for j in range(i + 1, psi.N)
     }
 
 
-def psg_pullback_assignment(psi: OneParamSubgroup) -> dict:
-    """x_{i,j} -> (i,j) entry of prod_s exp_{B_s}(T^{p^s})."""
-    P = _psg_matrix(psi, require_valid_1psg(psi))
-    return {v: MultiPoly(psi.field, _t_terms(f)) for v, f in P.items()}
-
-
-def _t_terms(f: list) -> dict:
-    """{T-monomial: coeff} of a coefficient list in T."""
-    return {(("T", k),) if k else (): c for k, c in enumerate(f) if c}
-
-
 def pullback_module(M, psi: OneParamSubgroup) -> GaUFamily:
-    """The restriction of M along psi, as a u-family for the additive group."""
+    """The restriction of M along psi, as a u-family for the additive group.
+
+    For a k[U_N]-comodule every distinct coaction monomial is mapped through
+    x_{i,j} -> (i, j) entry of psi in one
+    :func:`~expfilt.polyring.frobenius_images` call, on T exponents as keys:
+    a power x^e is expanded by the base-p digits of e, and its term count is
+    bounded by the desk-scale guard before it is expanded.
+    """
     exps = require_valid_1psg(psi)
     if isinstance(M, GaUFamily):
         if psi.kind != "Ga":
@@ -301,19 +322,16 @@ def pullback_module(M, psi: OneParamSubgroup) -> GaUFamily:
     if M.coalgebra.kind != "UNPoly" or psi.kind != "UN" or psi.N != M.coalgebra.N:
         raise ValueError("module and subgroup live over different groups")
     fld = M.field
-    P = _psg_matrix(psi, exps)
+    P = _psg_images(psi, exps)
+    gens = coalgebras.generator_vars(M.coalgebra)
 
     def images(monos):
         coalgebras.require_generators(M.coalgebra, monos)
-        out = []
-        for m in monos:
-            acc = [1]
-            for v, e in m:
-                f = P[v]
-                for _ in range(e):
-                    acc = _series_mul(acc, f, fld.p)
-            out.append(_t_terms(acc).items())
-        return out
+        pulled = frobenius_images(
+            fld, [P[v] for v in gens], {v: s for s, v in enumerate(gens)}, monos,
+            "pullback along the subgroup",
+        )
+        return [[((("T", k),) if k else (), c) for k, c in terms.items()] for terms in pulled]
 
     coaction = [[MultiPoly.zero(fld)] * M.dim for _ in range(M.dim)]
     for j, i, terms in entry_images(M, images):

@@ -31,6 +31,7 @@ from expfilt.expdeg import (
     _pullback_terms,
     exp_pullback,
     exponential_degree,
+    frobenius_twist,
     mock_trivial_check,
     module_exp_filtration,
     truncated_exp,
@@ -52,7 +53,6 @@ from expfilt.samplers import (
     random_un_comodule,
 )
 from expfilt.support import (
-    psg_pullback_assignment,
     pullback_module,
     theta_operator,
     un_psg,
@@ -216,6 +216,14 @@ def _pool():
         triv = trivial_comodule(F, ctx.coalgebra, 3)
         out.append((f"trivial conjugated p={p}", conjugate(triv, random_invertible(F, 3, rng)), psis(3)))
         out.append((f"degree piece U_3 d=3 p={p}", degree_piece_comodule(ctx, 3), psis(3)))
+        # exponents p and 2p: Theta and the subgroup pullback take a power
+        # through its second base-p digit; at p = 3 the level-2 term of
+        # x1_3^6 along J = E12 + E23 is the T^3 coefficient of Frob(f^2), f
+        # the T-coefficients of exp_J(T)_{1,3} / T
+        twisted = frobenius_twist(summed)
+        J = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+        out.append((f"sym+nat twisted p={p}", conjugate(twisted, random_invertible(F, twisted.dim, rng)),
+                    psis(3) + [un_psg(F, 3, [J, J, J])]))
         for R in (1, 2):
             M = ga_as_u2(family_to_comodule(y_r_family(F, R)))
             out.append((f"ga_as_u2 y_{R} p={p}", M, psis(2)))
@@ -250,6 +258,16 @@ def test_theta_matches_oracle(pool):
             assert theta_operator(M, psi) == oracle_theta(M, psi), (label, psi.height)
 
 
+def test_theta_takes_powers_through_every_digit():
+    # k[U_3]_{<6} at p = 3 has x1_3^4*x1_2 (4 = 11 in base 3), whose level-2
+    # term along J is the T^9 coefficient of (aT + cT^2)^4 bT, i.e. b c^4
+    M = degree_piece_comodule(UNContext(F3, 3), 6)
+    J = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+    for mats in ([J, J, J], [[[0] * 3] * 3, J, J], [J, [[0, 0, 1], [0, 0, 0], [0, 0, 0]], J]):
+        psi = un_psg(F3, 3, mats)
+        assert theta_operator(M, psi) == oracle_theta(M, psi), mats
+
+
 def test_pullback_module_matches_oracle(pool):
     for label, M, psis in pool:
         for psi in psis:
@@ -269,12 +287,6 @@ def test_entry_terms_cancel_before_the_degree_test(field):
     assert module_exp_filtration(M, 1).is_full()
     assert module_exp_filtration(M, 0) == oracle_module_exp_filtration(M, 0)
     assert module_exp_filtration(M, 0).dim == 1
-
-
-def test_psg_assignment_matches_oracle(pool):
-    for label, _, psis in pool:
-        for psi in psis:
-            assert psg_pullback_assignment(psi) == oracle_psg_assignment(psi), (label, psi.height)
 
 
 # -- the packed pullback table on exponents with several base-p digits -------------
@@ -348,6 +360,19 @@ def test_pullback_term_guard_rejects_before_expanding():
     start = time.perf_counter()
     with pytest.raises(ValueError, match="guard"):
         exponential_degree(M)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_subgroup_pullback_guard_rejects_before_expanding():
+    # along (E12, E12) x1_2 pulls back to T + T^3 and its square to 3 terms:
+    # x1_2^(3^19 - 1) is bounded by 3^19 terms, past the desk-scale guard
+    f = parse_poly(f"x1_2^{3**19 - 1}", F3)
+    one = MultiPoly.one(F3)
+    M = Comodule(F3, coalgebras.un_poly(2), 2, [[one, f], [MultiPoly.zero(F3), one]])
+    e12 = [[0, 1], [0, 0]]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="guard"):
+        pullback_module(M, un_psg(F3, 2, [e12, e12]))
     assert time.perf_counter() - start < 1.0
 
 

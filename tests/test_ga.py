@@ -144,6 +144,22 @@ class TestConversions:
         with pytest.raises(ValueError):
             comodule_to_family(M)
 
+    @pytest.mark.parametrize(
+        "corner, upper, missing",
+        [("T^3", "T", 2), ("2*T^2 + 2*T^6", "T + T^3", 4)],
+        ids=["u0-squared", "u0-times-u1"],
+    )
+    def test_missing_divided_power_rejected(self, corner, upper, missing):
+        # both families are valid (u_0 = E01 + E12 and u_1 = E02, or
+        # u_0 = u_1 = E01 + E12), but T^missing, whose coefficient should be
+        # v_2 = u_0^2 / 2 or v_4 = u_0 u_1, does not occur at all
+        M = family_to_comodule(GaUFamily(F3, 3, {}))
+        M.coaction[0][1] = parse_poly(upper, F3)
+        M.coaction[1][2] = parse_poly(upper, F3)
+        M.coaction[0][2] = parse_poly(corner, F3)
+        with pytest.raises(ValueError, match=rf"T\^{missing} disagrees"):
+            comodule_to_family(M)
+
     def test_invalid_family_rejected(self):
         a = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
         b = [[0, 0, 0], [0, 0, 1], [0, 0, 0]]

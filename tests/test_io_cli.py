@@ -177,6 +177,27 @@ class TestCli:
         assert doc["module"]["u_mats"] == {}
 
     @pytest.mark.parametrize(
+        "mats, u_mats",
+        [
+            ([], {}),
+            ([[[0, 1], [0, 0]]], {"19": [[0, 1], [0, 0]]}),
+            ([[[0, 1], [0, 0]], [[0, 2], [0, 0]]], {"19": [[0, 1], [0, 0]], "20": [[0, 2], [0, 0]]}),
+        ],
+        ids=["trivial", "height-1", "height-2"],
+    )
+    def test_pullback_of_a_high_frobenius_twist_is_fast(self, tmp_path, capsys, mats, u_mats):
+        # x1_2 -> x1_2^(3^19) is the 19th Frobenius twist of the natural module;
+        # along psi it pulls back to a sum of T^(3^(19+s)), one term per level
+        path = tmp_path / "twist.json"
+        doc = {"p": 3, "group": {"kind": "UN", "N": 2},
+               "module": {"dim": 2, "coaction": [["1", f"x1_2^{3**19}"], ["0", "1"]]}}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["pullback", str(path), "--psi", json.dumps({"kind": "UN", "mats": mats})]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert json.loads(capsys.readouterr().out)["module"]["u_mats"] == u_mats
+
+    @pytest.mark.parametrize(
         "psi, reason",
         [
             ("[1]", "JSON object"),
