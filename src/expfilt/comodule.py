@@ -16,12 +16,13 @@ coefficient tables against a Delta table built by one
 :func:`coalgebras.coproduct_table` call (Frobenius digits, a per-call memo
 over monomial prefixes, the desk-scale term guard), so no ``MultiPoly``
 arithmetic runs inside the index-triple loop.
-The same pass backs :func:`entry_images`, which applies a linear map to every
-entry from one image per distinct monomial.
 
 The transforms read the module as its per-monomial actions: the action
 matrix A_mu of the dual functional of an occurring monomial mu, held as its
-nonzero (j, i, c) entries (:func:`_actions`).  A coideal preimage for a
+nonzero (j, i, c) entries (:func:`_actions`).  Since the coaction is
+sum_mu mu A_mu, any linear image of its entries is sum_mu image(mu) A_mu;
+the exponential layer and Theta accumulate such sums (see
+:mod:`expfilt.expdeg` and :mod:`expfilt.support`).  A coideal preimage for a
 monomial-spanned B, given as a membership test, is the kernel of the rows of
 A_mu for every mu outside B; stability and restriction apply A_mu to the
 basis rows of a subspace and compare with its pivot coordinates; a quotient
@@ -122,33 +123,11 @@ def _actions(M: Comodule) -> dict:
     acts = defaultdict(list)
     for j, entries in enumerate(M.coaction):
         for i, f in enumerate(entries):
-            for m, c in f.terms.items():
-                acts[m].append((j, i, c))
+            terms = f.terms
+            if terms:  # most entries of a degree piece are zero
+                for m, c in terms.items():
+                    acts[m].append((j, i, c))
     return acts
-
-
-def entry_images(M: Comodule, images) -> list:
-    """Images of the nonzero coaction entries under a linear map, by linearity.
-
-    ``images(monos)`` is called once, on the distinct monomials of the
-    coaction, and gives each one's image as (key, coeff) pairs.  Entry
-    f_{ji} = sum_k c_k m_k maps to sum_k c_k image(m_k), summed mod p before
-    the caller sees it, so cancellations between the terms of one entry are
-    exact.  Returns (j, i, {key: coeff}) for every nonzero entry, column by
-    column; zero coefficients are dropped.
-    """
-    monos, cols = _sparse_columns(M)
-    table = [list(terms) for terms in images(monos)]
-    p = M.field.p
-    out = []
-    for i, col in enumerate(cols):
-        for j, terms in col:
-            acc = defaultdict(int)
-            for k, c in terms:
-                for key, v in table[k]:
-                    acc[key] += c * v
-            out.append((j, i, {key: v % p for key, v in acc.items() if v % p}))
-    return out
 
 
 def _coproduct_table(M: Comodule, monos: list) -> tuple:
@@ -612,12 +591,12 @@ class JordanType:
 
 
 def jordan_type(theta: Matrix, field: PrimeField) -> JordanType:
-    """Jordan type from ranks of powers; requires theta^p = 0."""
+    """Jordan type from the ranks of theta, theta^2, ..., theta^p; requires theta^p = 0."""
     n = len(theta)
     p = field.p
-    power = linalg.identity(n)
-    ranks = [n]
-    for _ in range(p):
+    power = theta
+    ranks = [n, linalg.mat_rank(power, n, field)]
+    for _ in range(p - 1):
         power = linalg.mat_mul(power, theta, field)
         ranks.append(linalg.mat_rank(power, n, field))
     if ranks[p] != 0:

@@ -11,8 +11,13 @@ module filtration M_{[d]} = {m : Delta_M(m) lands in M (x) (k[G])_{[d]}}.
 
 Membership in M_{[d]} is decided through the coefficientwise criterion: all
 T^j-coefficients, j > d, of (1 (x) pullback) Delta_M(m) vanish identically in
-the symbolic entries.  Each call pulls every distinct coaction monomial back
-once and builds the entries' pullbacks from those by linearity.
+the symbolic entries.  Each call pulls every distinct coaction monomial mu
+back once.  The coaction is sum_mu mu A_mu, A_mu the action matrix of mu's
+dual functional, so the pullback of the entries is sum_mu pullback(mu) A_mu:
+``module_exp_filtration`` sums only the terms with T power above d into its
+constraint rows, and ``exponential_degree`` sums one T power at a time from
+the top down.  The sums are exact, so cancellation between the terms of one
+entry is kept.
 
 The module-level pullbacks run on integer tables, not ``MultiPoly``: a term
 T^k prod b_{a,b}^{e_ab} is one int with k in its lowest bit field and each
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import coalgebras, linalg
-from .comodule import CoalgebraSubspace, Comodule, entry_images
+from .comodule import CoalgebraSubspace, Comodule, _actions
 from .fpcomb import PrimeField, digit_sums
 from .ga import GaUFamily, derived_v
 from .linalg import Matrix, Subspace
@@ -299,15 +304,16 @@ def _generic_exp_images(field: PrimeField, gens: tuple, W: int) -> list:
     return out
 
 
-def _pullback_terms(M: Comodule) -> list:
-    """(j, i, {(T power, b-key): coeff}) for every nonzero coaction entry.
+def _pullback_table(M: Comodule) -> tuple:
+    """(acts, pulled, mask): the per-monomial actions and their pullbacks.
 
-    Every distinct monomial of the coaction is pulled back along exp of the
-    generic B in one :func:`~expfilt.polyring.frobenius_images` call, on
-    packed (T, b) exponent keys (see :func:`_generic_exp_images`); the b-part
-    of a key stays a packed int, consistent within the call.  The entries
-    are then summed from those pullbacks by
-    :func:`~expfilt.comodule.entry_images`, mod p and before any degree test.
+    ``acts`` is :func:`~expfilt.comodule._actions` of M; ``pulled[k]`` is
+    the pullback of its k-th monomial along exp of the generic B, as
+    {packed key: coeff} with the T power in ``key & mask`` and the
+    b-monomial in the bits above (see :func:`_generic_exp_images`), all
+    from one :func:`~expfilt.polyring.frobenius_images` call.  The
+    coaction is sum_mu mu A_mu, so the pullback of entry f_{ji} is
+    sum_mu (A_mu)_{ji} pulled[mu]: callers sum only the terms they need.
     """
     if M.coalgebra.kind != "UNPoly":
         raise ValueError("exponential filtration needs a comodule over k[U_N]")
@@ -315,38 +321,47 @@ def _pullback_terms(M: Comodule) -> list:
     N = M.coalgebra.N
     SymbolicNilpotentDomain(fld, N)  # raises unless N <= p
     gens = coalgebras.generator_vars(M.coalgebra)
-
-    def images(monos):
-        coalgebras.require_generators(M.coalgebra, monos)
-        # a term of the pullback of m has T exponent <= (N-1) deg m and b
-        # exponents <= deg m, so W-bit fields never carry
-        top = max((monomial_degree(m) for m in monos), default=0)
-        W = max(1, ((N - 1) * top).bit_length())
-        pulled = frobenius_images(
-            fld, _generic_exp_images(fld, gens, W), {v: s for s, v in enumerate(gens)},
-            monos, "exponential pullback",
-        )
-        mask = (1 << W) - 1
-        return [[((k & mask, k >> W), c) for k, c in terms.items()] for terms in pulled]
-
-    return entry_images(M, images)
+    acts = _actions(M)
+    monos = list(acts)
+    coalgebras.require_generators(M.coalgebra, monos)
+    # a term of the pullback of m has T exponent <= (N-1) deg m and b
+    # exponents <= deg m, so W-bit fields never carry
+    top = max((monomial_degree(m) for m in monos), default=0)
+    W = max(1, ((N - 1) * top).bit_length())
+    pulled = frobenius_images(
+        fld, _generic_exp_images(fld, gens, W), {v: s for s, v in enumerate(gens)},
+        monos, "exponential pullback",
+    )
+    return acts, pulled, (1 << W) - 1
 
 
 def module_exp_filtration(M: Comodule, d: int) -> Subspace:
     """M_{[d]}: vectors whose coaction pullbacks have no T^j term, j > d.
 
-    Each (module row, T power, b-monomial) gives one sparse constraint row;
-    rows that are scalar multiples of one another are kept once.
+    Constraint row (j, T^k b) is the T^k b coefficient of the pullbacks of
+    row j of the coaction, summed as sum_mu c A_mu[j] over the pullback
+    terms c T^k b of each monomial mu with k > d; monomials without such
+    terms are skipped.  Rows that are scalar multiples of one another are
+    kept once.
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
-    constraints = defaultdict(list)  # (module row, T power, b-key) -> [(i, c)], i ascending
-    for j, i, pulled in _pullback_terms(M):
-        for (k, rest), c in pulled.items():
-            if k > d:
-                constraints[j, k, rest].append((i, c))
-    rows = linalg.distinct_lines(constraints.values(), M.dim, M.field)
-    return linalg.kernel_of(rows, M.dim, M.field)
+    acts, pulled, mask = _pullback_table(M)
+    p = M.field.p
+    constraints = defaultdict(lambda: defaultdict(int))  # (row j, key) -> {i: coeff}
+    for act, terms in zip(acts.values(), pulled):
+        high = [(key, c) for key, c in terms.items() if key & mask > d]
+        if not high:
+            continue
+        for j, i, a in act:
+            for key, c in high:
+                constraints[j, key][i] += a * c
+    rows = []
+    for row in constraints.values():
+        line = [(i, v % p) for i, v in sorted(row.items()) if v % p]
+        if line:
+            rows.append(line)
+    return linalg.kernel_of(linalg.distinct_lines(rows, M.dim, M.field), M.dim, M.field)
 
 
 def exponential_degree(M) -> int:
@@ -354,7 +369,10 @@ def exponential_degree(M) -> int:
 
     Equals the largest T-degree among the pullbacks of the coaction entries
     (for the additive group: the largest T-exponent in the coaction).
-    Accepts a Comodule over k[Ga] or k[U_N] (N <= p), or a GaUFamily.
+    Accepts a Comodule over k[Ga] or k[U_N] (N <= p), or a GaUFamily.  Over
+    k[U_N] the T powers of the pullback table are visited from the top
+    down; the first whose (j, i, b) coefficients sum_mu c A_mu[j][i] do not
+    all vanish is the degree.
     """
     if isinstance(M, GaUFamily):
         return ga_exponential_degree(M)
@@ -364,7 +382,22 @@ def exponential_degree(M) -> int:
             for f in row:
                 best = max(best, f.degree_in("T"))
         return best
-    return max((k for _, _, pulled in _pullback_terms(M) for k, _ in pulled), default=0)
+    acts, pulled, mask = _pullback_table(M)
+    p = M.field.p
+    by_power = defaultdict(list)  # T power -> [(A_mu entries, key, coeff)]
+    for act, terms in zip(acts.values(), pulled):
+        for key, c in terms.items():
+            by_power[key & mask].append((act, key, c))
+    for k in sorted(by_power, reverse=True):
+        if k == 0:
+            break
+        acc = defaultdict(int)
+        for act, key, c in by_power[k]:
+            for j, i, a in act:
+                acc[j, i, key] += a * c
+        if any(v % p for v in acc.values()):
+            return k
+    return 0
 
 
 def exponential_height(degree: int, field: PrimeField) -> int:
@@ -439,9 +472,10 @@ def relate_inclusions_check(ctx: UNContext, d: int, e: int, Dmax: int) -> dict:
 
 
 def mock_trivial_check(M) -> bool:
-    """M = M_{[0]}: every one-parameter pullback acts trivially."""
+    """M = M_{[0]}: every one-parameter pullback acts trivially.
+
+    That is exponential degree 0: no entry's pullback has a T^j term, j > 0.
+    """
     if isinstance(M, GaUFamily):
         return M.is_trivial()
-    if M.coalgebra.kind == "GaPoly":
-        return exponential_degree(M) == 0
-    return module_exp_filtration(M, 0).is_full()
+    return exponential_degree(M) == 0

@@ -112,6 +112,38 @@ def derived_v(U: GaUFamily, j: int) -> Matrix:
     return linalg.mat_scale(result, scalar, fld)
 
 
+def _nonzero_v(U: GaUFamily) -> dict:
+    """{j: v_j} for every digit sum j over the support with v_j != 0.
+
+    v_j = v_{j'} u_s^{j_s}/j_s! for the top place s of j and j' = j without
+    that digit.  :func:`~expfilt.fpcomb.digit_sums` (and its guard) yields
+    j' before j, and v_j = 0 once v_{j'} = 0, so no product is formed past
+    a zero one.
+    """
+    fld = U.field
+    p = fld.p
+    divided = {}  # s -> [u_s^k / k! for k < p]
+    for s in U.support():
+        powers = [linalg.identity(U.dim)]
+        for k in range(1, p):
+            powers.append(linalg.mat_scale(
+                linalg.mat_mul(powers[-1], U.u(s), fld), fld.inv(k), fld))
+        divided[s] = powers
+    out = {}
+    for j in digit_sums(fld, U.support()):
+        if j == 0:
+            out[0] = linalg.identity(U.dim)
+            continue
+        ds = digits(j, p)
+        s, d = len(ds) - 1, ds[-1]
+        prev = out.get(j - d * p**s)
+        if prev is not None:
+            v = linalg.mat_mul(prev, divided[s][d], fld)
+            if not linalg.is_zero_matrix(v, fld):
+                out[j] = v
+    return out
+
+
 def u_degree_bound(U: GaUFamily) -> int:
     """Largest j with a possibly nonzero v_j: sum over support of (p-1) p^s."""
     return sum((U.field.p - 1) * U.field.p**s for s in U.support())
@@ -162,14 +194,13 @@ def comodule_to_family(M: Comodule) -> GaUFamily:
     if bad:
         raise ValueError("extracted family is invalid: " + "; ".join(bad))
     # v_j = 0 unless the nonzero base-p digits of j all sit at places in the
-    # support, and the coefficient of T^j is 0 unless T^j occurs: only
-    # those j up to the top degree can disagree
-    sums = [0]
-    for s in fam.support():
-        w = fld.p**s
-        sums = [j + d * w for j in sums for d in range(fld.p) if j + d * w <= maxdeg]
-    for j in sorted(degrees.union(sums)):
-        if not linalg.mat_equal(action_matrix(M, monomial({"T": j})), derived_v(fam, j), fld):
+    # support, and the coefficient of T^j is 0 unless T^j occurs: only the
+    # occurring j and the j with v_j != 0 (above the top degree too) can
+    # disagree
+    nonzero = _nonzero_v(fam)
+    zero = linalg.zeros(M.dim, M.dim)
+    for j in sorted(degrees.union(nonzero)):
+        if not linalg.mat_equal(action_matrix(M, monomial({"T": j})), nonzero.get(j, zero), fld):
             raise ValueError(f"coefficient of T^{j} disagrees with the divided-power formula")
     if not linalg.mat_equal(action_matrix(M, ()), linalg.identity(M.dim), fld):
         raise ValueError("coefficient of T^0 is not the identity")

@@ -9,24 +9,27 @@ the support of psi exactly when Theta does not act freely, i.e. when its
 Jordan type has a block of size < p.
 
 A UN tuple is held as its divided powers B_s^k/k! (k < p), integer matrices
-computed once per call; exp_{B_s}(T) = sum_k (B_s^k/k!) T^k.  The validator
-compares the two-variable exponentials coefficientwise on them.  Pullbacks
-along psi are polynomials in the one variable T.  Theta multiplies the
-entries' coefficient lists truncated at degree p^s, and since every entry
-x_{i<j} of exp_{B_s}(T) has zero constant term, the pullback of a monomial m
-has no term below T^{deg m}, so level s is skipped when deg m > p^s.  The
-pullback along the whole subgroup reads its T^n coefficient off the base-p
-digits of n and expands monomials through
-:func:`~expfilt.polyring.frobenius_images` on T exponents.  Both raise
-x^e through the base-p digits e = sum_t d_t p^t, as prod_t Frob^t(x^{d_t}),
-where Frob^t multiplies every T exponent by p^t: the work grows with the
-number of digits of e, not with e.
+computed once per call; exp_{B_s}(T) = sum_k (B_s^k/k!) T^k.  Pullbacks
+along psi are polynomials in the one variable T, computed once per
+occurring monomial mu and summed over the action matrices A_mu of the
+monomials' dual functionals (the coaction is sum_mu mu A_mu).  Theta is
+sum_mu theta_mu A_mu: theta_mu multiplies the entries' coefficient lists
+truncated at degree p^s, and since every entry x_{i<j} of exp_{B_s}(T) has
+zero constant term, the pullback of a monomial m has no term below
+T^{deg m}, so level s is skipped when deg m > p^s.  The pullback along the
+whole subgroup reads its T^n coefficient off the base-p digits of n and
+expands monomials through :func:`~expfilt.polyring.frobenius_images` on T
+exponents.  Both raise x^e through the base-p digits e = sum_t d_t p^t, as
+prod_t Frob^t(x^{d_t}), where Frob^t multiplies every T exponent by p^t:
+the work grows with the number of digits of e, not with e.  The freeness
+test reads Theta^p = 0 and the Jordan type off one chain of powers.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from . import coalgebras, linalg
-from .comodule import Comodule, FreenessVerdict, entry_images, jordan_type, local_freeness
+from .comodule import Comodule, FreenessVerdict, _actions, jordan_type, local_freeness
 from .fpcomb import DESK_GUARD, PrimeField, digits
 from .ga import (
     GaUFamily,
@@ -38,6 +41,9 @@ from .ga import (
 from .linalg import Matrix
 from .polyring import MultiPoly, frobenius_images, monomial_degree
 from .un import restrict_frobenius_un
+
+_NOT_P_NILPOTENT = "Theta^p != 0: corrupted input module"
+
 
 @dataclass
 class OneParamSubgroup:
@@ -126,14 +132,6 @@ def _divided_powers(psi: OneParamSubgroup) -> tuple:
         for t in range(s + 1, psi.height):
             if not linalg.mats_commute(psi.mat(s), psi.mat(t), fld):
                 out.append(f"B_{s} and B_{t} do not commute")
-                continue
-            # the T^a T'^b coefficients of exp_{B_s}(T) exp_{B_t}(T') and of
-            # exp_{B_t}(T') exp_{B_s}(T); a = 0 or b = 0 is the identity.
-            # Powers of commuting matrices commute, so this cannot fail once
-            # the test above has passed; it is the two-variable comparison's
-            # own check, kept with its message
-            if not all(linalg.mats_commute(a, b, fld) for a in exps[s][1:] for b in exps[t][1:]):
-                out.append(f"exponentials of B_{s} and B_{t} do not commute")
     return out, exps
 
 
@@ -142,9 +140,9 @@ def validate_1psg(psi: OneParamSubgroup) -> list:
 
     A UN tuple must consist of N x N strictly upper triangular matrices (so
     each exp_{B_s} lands in U_N) that are p-nilpotent and commute.  The
-    formal exponentials exp_{B_s}(T) exp_{B_t}(T') in two variables must
-    commute too, which is checked coefficientwise:
-    B_s^a/a! B_t^b/b! = B_t^b/b! B_s^a/a! for all a, b < p.
+    formal exponentials exp_{B_s}(T) exp_{B_t}(T') in two variables then
+    commute too: their coefficients B_s^a/a! and B_t^b/b! are powers of
+    commuting matrices.
     """
     return _divided_powers(psi)[0]
 
@@ -191,76 +189,84 @@ def _times_power(acc: list, f: list, e: int, p: int, top: int) -> list:
     return acc
 
 
-def theta_operator(M, psi: OneParamSubgroup) -> Matrix:
-    """The p-nilpotent operator sum_s (exp_{B_s})_*(u_s) acting on M.
-
-    For a k[U_N]-comodule, level s contributes the T^{p^s} coefficient of
-    each monomial m pulled back along exp_{B_s}(T).  The entries x_{i<j} of
-    exp_{B_s}(T) have zero constant term, so the pullback of m is T^{deg m}
-    times the product of the entries divided by T: its T^{p^s} coefficient
-    is that product's coefficient of T^{p^s - deg m}, and level s is skipped
-    when deg m > p^s.
-    """
+def _theta(M, psi: OneParamSubgroup) -> Matrix:
+    """Theta on M without the p-nilpotency check (see :func:`theta_operator`)."""
     exps = require_valid_1psg(psi)
     if isinstance(M, GaUFamily):
         if psi.kind != "Ga":
             raise ValueError("a GaUFamily pairs with a Ga-form subgroup")
-        theta = ga_one_param_theta(M, psi.lambdas)
-        _check_p_nilpotent(theta, M.field)
-        return theta
+        return ga_one_param_theta(M, psi.lambdas)
     if M.coalgebra.kind == "GaPoly":
         if psi.kind != "Ga":
             raise ValueError("a k[Ga]-comodule pairs with a Ga-form subgroup")
-        theta = ga_one_param_theta(comodule_to_family(M), psi.lambdas)
-        _check_p_nilpotent(theta, M.field)
-        return theta
+        return ga_one_param_theta(comodule_to_family(M), psi.lambdas)
     if M.coalgebra.kind != "UNPoly":
         raise ValueError("theta_operator needs a k[Ga]- or k[U_N]-comodule")
     if psi.kind != "UN" or psi.N != M.coalgebra.N:
         raise ValueError("module and subgroup live over different groups")
-    fld = M.field
-    p = fld.p
+    p = M.field.p
     # level s: (p^s, {x_{i,j}: coefficients of T^1, T^2, ... of exp_{B_s}(T)_{i,j}})
     levels = [
         (p**s, {f"x{i + 1}_{j + 1}": [Ek[i][j] for Ek in E[1:]]
                 for i in range(psi.N) for j in range(i + 1, psi.N)})
         for s, E in enumerate(exps)
     ]
-
-    def images(monos):
-        coalgebras.require_generators(M.coalgebra, monos)
-        out = []
-        for m in monos:
-            deg = monomial_degree(m)
-            total = 0
-            for q, shifted in levels:
-                r = q - deg
-                if r < 0:
-                    continue
-                acc = [1]
-                for v, e in m:
-                    acc = _times_power(acc, shifted[v], e, p, r)
-                if r < len(acc):
-                    total += acc[r]
-            out.append([((), total % p)] if total % p else [])
-        return out
-
+    acts = _actions(M)
+    coalgebras.require_generators(M.coalgebra, acts)
     theta = linalg.zeros(M.dim, M.dim)
-    for j, i, value in entry_images(M, images):
-        theta[j][i] = value.get((), 0)
-    _check_p_nilpotent(theta, fld)
+    for m, act in acts.items():
+        deg = monomial_degree(m)
+        total = 0  # theta_mu
+        for q, shifted in levels:
+            r = q - deg
+            if r < 0:
+                continue
+            acc = [1]
+            for v, e in m:
+                acc = _times_power(acc, shifted[v], e, p, r)
+            if r < len(acc):
+                total += acc[r]
+        total %= p
+        if total:
+            for j, i, c in act:
+                theta[j][i] += total * c
+    return linalg.mat_mod(theta, M.field)
+
+
+def theta_operator(M, psi: OneParamSubgroup) -> Matrix:
+    """The p-nilpotent operator sum_s (exp_{B_s})_*(u_s) acting on M.
+
+    For a k[U_N]-comodule Theta = sum_mu theta_mu A_mu over the occurring
+    monomials mu, A_mu the action matrix of mu's dual functional and
+    theta_mu the sum over the levels s of the T^{p^s} coefficient of mu
+    pulled back along exp_{B_s}(T).  The entries x_{i<j} of exp_{B_s}(T)
+    have zero constant term, so the pullback of mu is T^{deg mu} times the
+    product of the entries divided by T: its T^{p^s} coefficient is that
+    product's coefficient of T^{p^s - deg mu}, and level s is skipped when
+    deg mu > p^s.  Raises when Theta^p != 0.
+    """
+    theta = _theta(M, psi)
+    _check_p_nilpotent(theta, M.field)
     return theta
 
 
 def _check_p_nilpotent(theta: Matrix, field: PrimeField):
     if not linalg.is_zero_matrix(linalg.mat_pow(theta, field.p, field), field):
-        raise ValueError("Theta^p != 0: corrupted input module")
+        raise ValueError(_NOT_P_NILPOTENT)
 
 
 def is_free_at(M, psi: OneParamSubgroup):
-    """(free?, JordanType) of the Theta-action; support membership is the negation."""
+    """(free?, JordanType) of the Theta-action; support membership is the negation.
+
+    The Jordan type's one chain Theta, Theta^2, ..., Theta^p also decides
+    Theta^p = 0.
+    """
     fld = M.field
-    jt = jordan_type(theta_operator(M, psi), fld)
+    theta = _theta(M, psi)
+    try:
+        jt = jordan_type(theta, fld)
+    except ValueError:  # Theta^p != 0
+        raise ValueError(_NOT_P_NILPOTENT) from None
     return jt.is_free(fld), jt
 
 
@@ -300,7 +306,8 @@ def pullback_module(M, psi: OneParamSubgroup) -> GaUFamily:
     x_{i,j} -> (i, j) entry of psi in one
     :func:`~expfilt.polyring.frobenius_images` call, on T exponents as keys:
     a power x^e is expanded by the base-p digits of e, and its term count is
-    bounded by the desk-scale guard before it is expanded.
+    bounded by the desk-scale guard before it is expanded.  The pulled-back
+    coaction is sum_mu pullback(mu) A_mu over the occurring monomials.
     """
     exps = require_valid_1psg(psi)
     if isinstance(M, GaUFamily):
@@ -324,18 +331,22 @@ def pullback_module(M, psi: OneParamSubgroup) -> GaUFamily:
     fld = M.field
     P = _psg_images(psi, exps)
     gens = coalgebras.generator_vars(M.coalgebra)
-
-    def images(monos):
-        coalgebras.require_generators(M.coalgebra, monos)
-        pulled = frobenius_images(
-            fld, [P[v] for v in gens], {v: s for s, v in enumerate(gens)}, monos,
-            "pullback along the subgroup",
-        )
-        return [[((("T", k),) if k else (), c) for k, c in terms.items()] for terms in pulled]
-
+    acts = _actions(M)
+    monos = list(acts)
+    coalgebras.require_generators(M.coalgebra, monos)
+    pulled = frobenius_images(
+        fld, [P[v] for v in gens], {v: s for s, v in enumerate(gens)}, monos,
+        "pullback along the subgroup",
+    )
+    entries = defaultdict(lambda: defaultdict(int))  # (j, i) -> {T power: coeff}
+    for act, terms in zip(acts.values(), pulled):
+        for j, i, a in act:
+            entry = entries[j, i]
+            for k, c in terms.items():
+                entry[k] += a * c
     coaction = [[MultiPoly.zero(fld)] * M.dim for _ in range(M.dim)]
-    for j, i, terms in entry_images(M, images):
-        coaction[j][i] = MultiPoly(fld, terms)
+    for (j, i), entry in entries.items():
+        coaction[j][i] = MultiPoly(fld, {(("T", k),) if k else (): c for k, c in entry.items()})
     comp = Comodule(fld, coalgebras.ga_poly(), M.dim, coaction)
     return comodule_to_family(comp)
 

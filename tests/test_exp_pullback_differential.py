@@ -1,24 +1,33 @@
-"""Differential tests: the integer-table pullbacks along 1-parameter
-subgroups against the ``MultiPoly`` routes they replaced.
+"""Differential tests: the pullbacks along 1-parameter subgroups, summed
+over the per-monomial actions, against the routes they replaced.
 
-The oracles below pull every coaction entry back as a whole polynomial (one
-``exp_pullback`` / ``substitute`` per entry) and read degrees, filtration
-constraints, Theta coefficients and pulled-back coactions off those
-polynomials; the 1-psg oracle compares the formal exponentials as
-``MultiPoly`` matrices in T and T'; the radical-quotient oracle spans the
-columns of dense ``action_matrices``.  They are kept here only as the slow
-reference: the library must give identical subspaces, degrees, verdicts,
-matrices, families and violation lists on seeded pools.
+The ``MultiPoly`` oracles pull every coaction entry back as a whole
+polynomial (one ``exp_pullback`` / ``substitute`` per entry) and read
+degrees, filtration constraints, Theta coefficients and pulled-back
+coactions off those polynomials.  The per-entry table oracles sum each
+nonzero entry's pullback from the integer table of its monomials first
+(``oracle_entry_images``) and only then keep the terms they need: the
+constraint rows with T power above d, the largest T power, the Theta
+coefficient, the subgroup pullback; Jordan types come from a chain of
+powers that starts at the identity, after a separate Theta^p check.  The
+1-psg oracle compares the formal exponentials as ``MultiPoly`` matrices in
+T and T'; the radical-quotient oracle spans the columns of dense
+``action_matrices``.  They are kept here only as the slow reference: the
+library must give identical subspaces, degrees, verdicts, matrices, Jordan
+types, families and violation lists on seeded pools.
 """
 
 import random
 import time
+from collections import defaultdict
 
 import pytest
 
 from expfilt import coalgebras, linalg
 from expfilt.comodule import (
     Comodule,
+    JordanType,
+    _sparse_columns,
     action_matrices,
     conjugate,
     direct_sum,
@@ -28,7 +37,8 @@ from expfilt.comodule import (
 from expfilt.expdeg import (
     NilpotentMatrix,
     SymbolicNilpotentDomain,
-    _pullback_terms,
+    _generic_exp_images,
+    _pullback_table,
     exp_pullback,
     exponential_degree,
     frobenius_twist,
@@ -45,7 +55,7 @@ from expfilt.ga import (
     restrict_frobenius_ga,
     y_r_family,
 )
-from expfilt.polyring import MultiPoly, monomial, parse_poly
+from expfilt.polyring import MultiPoly, frobenius_images, monomial, monomial_degree, parse_poly
 from expfilt.samplers import (
     random_commuting_tuple,
     random_ga_family,
@@ -53,7 +63,11 @@ from expfilt.samplers import (
     random_un_comodule,
 )
 from expfilt.support import (
+    _psg_images,
+    _times_power,
+    is_free_at,
     pullback_module,
+    require_valid_1psg,
     theta_operator,
     un_psg,
     validate_1psg,
@@ -182,6 +196,140 @@ def oracle_validate_1psg(psi) -> list:
     return out
 
 
+# -- the per-entry table oracles -------------------------------------------------
+
+
+def oracle_entry_images(M: Comodule, images) -> list:
+    """(j, i, {key: coeff}) for every nonzero entry: sum_k c_k image(m_k) mod p.
+
+    ``images(monos)`` gives each distinct monomial's image as (key, coeff)
+    pairs; every entry is summed in full before the caller sees it.
+    """
+    monos, cols = _sparse_columns(M)
+    table = [list(terms) for terms in images(monos)]
+    p = M.field.p
+    out = []
+    for i, col in enumerate(cols):
+        for j, terms in col:
+            acc = defaultdict(int)
+            for k, c in terms:
+                for key, v in table[k]:
+                    acc[key] += c * v
+            out.append((j, i, {key: v % p for key, v in acc.items() if v % p}))
+    return out
+
+
+def oracle_pullback_terms(M: Comodule) -> list:
+    """(j, i, {(T power, b-key): coeff}) for every nonzero entry, summed per entry."""
+    if M.coalgebra.kind != "UNPoly":
+        raise ValueError("exponential filtration needs a comodule over k[U_N]")
+    fld = M.field
+    N = M.coalgebra.N
+    SymbolicNilpotentDomain(fld, N)
+    gens = coalgebras.generator_vars(M.coalgebra)
+
+    def images(monos):
+        coalgebras.require_generators(M.coalgebra, monos)
+        top = max((monomial_degree(m) for m in monos), default=0)
+        W = max(1, ((N - 1) * top).bit_length())
+        pulled = frobenius_images(
+            fld, _generic_exp_images(fld, gens, W), {v: s for s, v in enumerate(gens)},
+            monos, "exponential pullback",
+        )
+        mask = (1 << W) - 1
+        return [[((k & mask, k >> W), c) for k, c in terms.items()] for terms in pulled]
+
+    return oracle_entry_images(M, images)
+
+
+def oracle_table_exp_filtration(M: Comodule, d: int):
+    constraints = defaultdict(list)  # (module row, T power, b-key) -> [(i, c)], i ascending
+    for j, i, pulled in oracle_pullback_terms(M):
+        for (k, rest), c in pulled.items():
+            if k > d:
+                constraints[j, k, rest].append((i, c))
+    rows = linalg.distinct_lines(constraints.values(), M.dim, M.field)
+    return linalg.kernel_of(rows, M.dim, M.field)
+
+
+def oracle_table_exponential_degree(M: Comodule) -> int:
+    return max((k for _, _, pulled in oracle_pullback_terms(M) for k, _ in pulled), default=0)
+
+
+def oracle_table_theta(M: Comodule, psi):
+    """Theta summed per entry, then Theta^p checked by a separate power."""
+    exps = require_valid_1psg(psi)
+    fld = M.field
+    p = fld.p
+    levels = [
+        (p**s, {f"x{i + 1}_{j + 1}": [Ek[i][j] for Ek in E[1:]]
+                for i in range(psi.N) for j in range(i + 1, psi.N)})
+        for s, E in enumerate(exps)
+    ]
+
+    def images(monos):
+        coalgebras.require_generators(M.coalgebra, monos)
+        out = []
+        for m in monos:
+            deg = monomial_degree(m)
+            total = 0
+            for q, shifted in levels:
+                r = q - deg
+                if r < 0:
+                    continue
+                acc = [1]
+                for v, e in m:
+                    acc = _times_power(acc, shifted[v], e, p, r)
+                if r < len(acc):
+                    total += acc[r]
+            out.append([((), total % p)] if total % p else [])
+        return out
+
+    theta = linalg.zeros(M.dim, M.dim)
+    for j, i, value in oracle_entry_images(M, images):
+        theta[j][i] = value.get((), 0)
+    if not linalg.is_zero_matrix(linalg.mat_pow(theta, p, fld), fld):
+        raise ValueError("Theta^p != 0: corrupted input module")
+    return theta
+
+
+def oracle_jordan_type(theta, field) -> JordanType:
+    """Ranks of identity * theta^k for k = 1..p."""
+    n = len(theta)
+    p = field.p
+    power = linalg.identity(n)
+    ranks = [n]
+    for _ in range(p):
+        power = linalg.mat_mul(power, theta, field)
+        ranks.append(linalg.mat_rank(power, n, field))
+    assert ranks[p] == 0
+    parts = []
+    for k in range(1, p + 1):
+        above = ranks[k + 1] if k + 1 <= p else 0
+        parts.extend([k] * ((ranks[k - 1] - ranks[k]) - (ranks[k] - above)))
+    return JordanType(tuple(sorted(parts, reverse=True)))
+
+
+def oracle_table_pullback_module(M: Comodule, psi) -> GaUFamily:
+    exps = require_valid_1psg(psi)
+    fld = M.field
+    P = _psg_images(psi, exps)
+    gens = coalgebras.generator_vars(M.coalgebra)
+
+    def images(monos):
+        coalgebras.require_generators(M.coalgebra, monos)
+        pulled = frobenius_images(
+            fld, [P[v] for v in gens], {v: s for s, v in enumerate(gens)}, monos,
+            "pullback along the subgroup",
+        )
+        return [[((("T", k),) if k else (), c) for k, c in terms.items()] for terms in pulled]
+
+    coaction = [[MultiPoly.zero(fld)] * M.dim for _ in range(M.dim)]
+    for j, i, terms in oracle_entry_images(M, images):
+        coaction[j][i] = MultiPoly(fld, terms)
+    return comodule_to_family(Comodule(fld, coalgebras.ga_poly(), M.dim, coaction))
+
+
 def oracle_radical_quotient_dim(M: Comodule) -> int:
     cols = [
         [A[j][i] for j in range(M.dim)]
@@ -238,15 +386,18 @@ def pool():
 def test_exp_filtration_matches_oracle(pool):
     for label, M, _ in pool:
         e = oracle_exponential_degree(M)
-        assert exponential_degree(M) == e, label
+        assert exponential_degree(M) == oracle_table_exponential_degree(M) == e, label
         for d in range(e + 2):
-            assert module_exp_filtration(M, d) == oracle_module_exp_filtration(M, d), (label, d)
+            want = oracle_module_exp_filtration(M, d)
+            assert oracle_table_exp_filtration(M, d) == want, (label, d)
+            assert module_exp_filtration(M, d) == want, (label, d)
 
 
 def test_mock_trivial_matches_oracle(pool):
     seen = set()
     for label, M, _ in pool:
         verdict = oracle_mock_trivial(M)
+        assert oracle_table_exp_filtration(M, 0).is_full() == verdict, label
         assert mock_trivial_check(M) == verdict, label
         seen.add(verdict)
     assert seen == {True, False}
@@ -255,7 +406,24 @@ def test_mock_trivial_matches_oracle(pool):
 def test_theta_matches_oracle(pool):
     for label, M, psis in pool:
         for psi in psis:
-            assert theta_operator(M, psi) == oracle_theta(M, psi), (label, psi.height)
+            want = oracle_theta(M, psi)
+            assert oracle_table_theta(M, psi) == want, (label, psi.height)
+            assert theta_operator(M, psi) == want, (label, psi.height)
+
+
+def test_jordan_types_match_oracle(pool):
+    heights = set()
+    seen = set()
+    for label, M, psis in pool:
+        for psi in psis:
+            jt = oracle_jordan_type(oracle_table_theta(M, psi), M.field)
+            free, got = is_free_at(M, psi)
+            assert got == jt, (label, psi.height)
+            assert free == jt.is_free(M.field), (label, psi.height)
+            heights.add(psi.height)
+            seen.add(free)
+    assert heights >= {1, 2, 3}
+    assert seen == {True, False}
 
 
 def test_theta_takes_powers_through_every_digit():
@@ -271,7 +439,9 @@ def test_theta_takes_powers_through_every_digit():
 def test_pullback_module_matches_oracle(pool):
     for label, M, psis in pool:
         for psi in psis:
-            assert pullback_module(M, psi) == oracle_pullback_module(M, psi), (label, psi.height)
+            want = oracle_pullback_module(M, psi)
+            assert oracle_table_pullback_module(M, psi) == want, (label, psi.height)
+            assert pullback_module(M, psi) == want, (label, psi.height)
 
 
 @pytest.mark.parametrize("field", [F3, F5], ids=["p=3", "p=5"])
@@ -287,6 +457,7 @@ def test_entry_terms_cancel_before_the_degree_test(field):
     assert module_exp_filtration(M, 1).is_full()
     assert module_exp_filtration(M, 0) == oracle_module_exp_filtration(M, 0)
     assert module_exp_filtration(M, 0).dim == 1
+    assert not mock_trivial_check(M)
 
 
 # -- the packed pullback table on exponents with several base-p digits -------------
@@ -328,6 +499,19 @@ def _signatures(terms) -> list:
     return sorted(sorted(v) for v in occ.values())
 
 
+def _table_entries(M) -> list:
+    """Entry pullbacks sum_mu (A_mu)_{ji} pulled[mu] from the per-monomial table."""
+    acts, pulled, mask = _pullback_table(M)
+    W = mask.bit_length()
+    sums = defaultdict(lambda: defaultdict(int))
+    for act, terms in zip(acts.values(), pulled):
+        for j, i, a in act:
+            for key, c in terms.items():
+                sums[j, i][key & mask, key >> W] += a * c
+    p = M.field.p
+    return [(j, i, {key: v % p for key, v in acc.items() if v % p}) for (j, i), acc in sums.items()]
+
+
 @pytest.mark.parametrize("field", [F3, F5], ids=["p=3", "p=5"])
 def test_pullback_terms_match_exp_pullback(field):
     # the table packs each b-monomial into an int; the oracle keeps it as a
@@ -342,7 +526,7 @@ def test_pullback_terms_match_exp_pullback(field):
                 for pmono, c in pb.terms.items():
                     split[dict(pmono).get("T", 0), tuple(ve for ve in pmono if ve[0] != "T")] = c
                 oracle.append((j, i, split))
-    got = _pullback_terms(M)
+    got = _table_entries(M)
     assert sorted((j, i) for j, i, _ in got) == sorted((j, i) for j, i, _ in oracle)
     assert _signatures(got) == _signatures(oracle)
     e = oracle_exponential_degree(M)
@@ -417,6 +601,9 @@ def test_validate_1psg_matches_oracle():
     for phrase in ("is not p-nilpotent", "do not commute", "is not strictly upper triangular",
                    "is not N x N"):
         assert any(phrase in v for v in seen), phrase
+    # the oracle's two-variable comparison runs after B_s B_t = B_t B_s has
+    # passed, and powers of commuting matrices commute: it never fires
+    assert not any("exponentials of" in v for v in seen)
 
 
 # -- the sparse radical quotient -----------------------------------------------------

@@ -160,6 +160,17 @@ class TestConversions:
         with pytest.raises(ValueError, match=rf"T\^{missing} disagrees"):
             comodule_to_family(M)
 
+    def test_divided_power_above_the_top_degree_rejected(self):
+        # T at (0,1) and (1,2) and nothing else: u_0 = E01 + E12 is a valid
+        # family, but v_2 = u_0^2 / 2 = 2 E02 != 0 while the top T degree is
+        # 1, so T^2 should occur and does not; validate rejects it too
+        M = family_to_comodule(GaUFamily(F3, 3, {}))
+        M.coaction[0][1] = parse_poly("T", F3)
+        M.coaction[1][2] = parse_poly("T", F3)
+        assert "coassociativity violation at basis e_3" in validate(M).summary()
+        with pytest.raises(ValueError, match=r"coefficient of T\^2 disagrees with the divided-power formula"):
+            comodule_to_family(M)
+
     def test_invalid_family_rejected(self):
         a = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
         b = [[0, 0, 0], [0, 0, 1], [0, 0, 0]]

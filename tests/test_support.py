@@ -4,7 +4,7 @@ pullback modules, and per-level kernel-freeness checks."""
 import pytest
 
 from expfilt import linalg
-from expfilt.comodule import jordan_type, trivial_comodule
+from expfilt.comodule import Comodule, jordan_type, trivial_comodule
 from expfilt import coalgebras
 from expfilt.fpcomb import PrimeField
 from expfilt.ga import (
@@ -31,6 +31,7 @@ from expfilt.support import (
     un_psg,
     validate_1psg,
 )
+from expfilt.polyring import MultiPoly, parse_poly
 from expfilt.un import UNContext, ga_as_u2, natural_rep
 
 F2 = PrimeField(2)
@@ -114,6 +115,19 @@ class TestTheta:
         M = frobenius_twist(natural_rep(UNContext(F3, 2)))
         psi = un_psg(F3, 2, [linalg.zeros(2, 2), unit(2, 0, 1)])
         assert theta_operator(M, psi) == unit(2, 0, 1)
+
+    def test_non_nilpotent_theta_is_a_corrupted_module(self):
+        # not a comodule, and not validated: x1_2 above and below the
+        # diagonal pulls back to T in both places, so Theta swaps e_1 and
+        # e_2 and Theta^p = Theta at odd p
+        for fld in (F3, F5):
+            one = MultiPoly.one(fld)
+            x = parse_poly("x1_2", fld)
+            M = Comodule(fld, coalgebras.un_poly(2), 2, [[one, x], [x, one]])
+            psi = un_psg(fld, 2, [unit(2, 0, 1)])
+            for call in (theta_operator, is_free_at, lambda M, psi: support_sample(M, [psi])):
+                with pytest.raises(ValueError, match=r"Theta\^p != 0: corrupted input module"):
+                    call(M, psi)
 
     def test_theta_p_power_vanishes(self):
         rng = rng_from_seed("theta-nilpotent")
