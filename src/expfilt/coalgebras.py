@@ -29,8 +29,14 @@ after every product, which is valid because I (x) C + C (x) I is an ideal.
 Before a monomial is expanded its term count is bounded by the product of
 the per-digit term counts |Delta(x_v)^{d_s}| (exact for Ga, by Lucas'
 theorem); past :data:`fpcomb.DESK_GUARD` the call raises ValueError.
+A table may also be capped by left degree: one more packed field counts the
+left factor's degree and is pruned in the same way, which is how the
+validator's generator pass (see :func:`expfilt.comodule.validate`) skips
+the terms it never reads.
 """
 
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -90,6 +96,7 @@ def mat_poly(N: int) -> CoalgebraId:
     return CoalgebraId("MatPoly", N=N)
 
 
+@lru_cache(maxsize=None)
 def generator_vars(coalg: CoalgebraId) -> tuple:
     if coalg.kind in GA_KINDS:
         return ("T",)
@@ -146,15 +153,28 @@ def reduce_poly(coalg: CoalgebraId, field: PrimeField, f: MultiPoly) -> MultiPol
 
 def is_member(coalg: CoalgebraId, field: PrimeField, f: MultiPoly) -> bool:
     """f lies in the stated coalgebra: known variables, truncation respected."""
+    return all(monomial_members(coalg, field, f.terms))
+
+
+def monomial_members(coalg: CoalgebraId, field: PrimeField, monos) -> list:
+    """For each monomial: its variables are generators and, for a truncated
+    id, every exponent is below p^r."""
     gens = set(generator_vars(coalg))
-    if not f.variables() <= gens:
-        return False
     bound = truncation_bound(coalg, field)
-    if bound is not None:
-        for m in f.terms:
-            if any(e >= bound for _, e in m):
-                return False
-    return True
+    return [
+        all(v in gens and (bound is None or e < bound) for v, e in m) for m in monos
+    ]
+
+
+def monomial_counits(coalg: CoalgebraId, monos) -> list:
+    """The counit of each monomial, which must lie in ``coalg``.
+
+    A monomial is 1 at the identity when all of its variables are, else 0:
+    for Ga and U_N only the empty monomial is 1; for ``MatPoly`` every
+    monomial in the diagonal x_{i,i}.
+    """
+    point = identity_point(coalg)
+    return [int(all(point[v] for v, _ in m)) for m in monos]
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +206,7 @@ def _coproduct_assignment(coalg: CoalgebraId, field: PrimeField) -> dict:
     return out
 
 
-def coproduct_table(coalg: CoalgebraId, field: PrimeField, monos) -> tuple:
+def coproduct_table(coalg: CoalgebraId, field: PrimeField, monos, left_cap=None) -> tuple:
     """(factors, table): Delta of every monomial of ``monos`` in one call.
 
     ``monos`` are canonical monomials in ``generator_vars(coalg)``.
@@ -195,22 +215,33 @@ def coproduct_table(coalg: CoalgebraId, field: PrimeField, monos) -> tuple:
     (unprimed) monomials, each listed once.  The expansion is
     :func:`polyring.frobenius_images`; it raises ValueError when the
     term-count bound of one monomial exceeds :data:`fpcomb.DESK_GUARD`.
+
+    ``left_cap``: keep only the terms whose left factor has total degree at
+    most ``left_cap``.  Left degrees only add under products, so a packed
+    counter field holding the left degree is pruned after every product,
+    with the same offset/guard test as the truncation.
     """
     gens = generator_vars(coalg)
     g = len(gens)
     pos = {v: s for s, v in enumerate(gens)}
     bound = truncation_bound(coalg, field)
     # Each generator's coproduct has left and right degree at most 1, so every
-    # exponent of every term of Delta(m) is at most deg(m): fields of W bits
-    # never carry, and their top bit stays clear for the truncation test.
+    # exponent of every term of Delta(m), and its left degree, is at most
+    # deg(m): fields of W bits never carry, and their top bit stays clear for
+    # the pruning tests.
     top = max((sum(e for _, e in m) for m in monos), default=0)
     W = top.bit_length() + 1
     half = W * g  # left exponents in the low g fields, right in the high g
-    reduce = bound is not None and bound <= top
-    if reduce:
+    count_left = left_cap is not None and left_cap < top
+    offset = guard = 0
+    if bound is not None and bound <= top:
         # a field f >= bound sets its top bit once 2^(W-1) - bound is added to it
         offset = sum((2 ** (W - 1) - bound) << (W * k) for k in range(2 * g))
         guard = sum(1 << (W * k + W - 1) for k in range(2 * g))
+    if count_left:
+        # field 2g counts the left degree; > left_cap sets its top bit
+        offset += (2 ** (W - 1) - left_cap - 1) << (2 * half)
+        guard += 1 << (2 * half + W - 1)
 
     def packed(image):
         """A generator's coproduct keyed by packed exponent vectors."""
@@ -218,33 +249,32 @@ def coproduct_table(coalg: CoalgebraId, field: PrimeField, monos) -> tuple:
         for m, c in image.terms.items():
             k = 0
             for name, e in m:
-                k += e << (W * pos[name[:-1]] + half if is_primed(name) else W * pos[name])
+                if is_primed(name):
+                    k += e << (W * pos[name[:-1]] + half)
+                else:
+                    k += e << (W * pos[name])
+                    if count_left:
+                        k += e << (2 * half)
             out[k] = c
         return out
 
     images = _coproduct_assignment(coalg, field)
     expanded = frobenius_images(
         field, [packed(images[v]) for v in gens], pos, monos, "coproduct",
-        prune=(offset, guard) if reduce else None, cap=bound,
+        prune=(offset, guard) if guard else None, cap=bound,
     )
 
-    fmask = (1 << W) - 1
     half_mask = (1 << half) - 1
-    factor_ids = {}
-    factors = []
-    table = []
-
-    def factor(h):
-        k = factor_ids.get(h)
-        if k is None:
-            k = factor_ids[h] = len(factors)
-            factors.append(tuple(
-                (v, (h >> (W * s)) & fmask) for s, v in enumerate(gens) if (h >> (W * s)) & fmask
-            ))
-        return k
-
-    for terms in expanded:
-        table.append([(factor(k & half_mask), factor(k >> half), c) for k, c in terms.items()])
+    ids = defaultdict(itertools.count().__next__)  # packed factor -> id, in first-use order
+    table = [
+        [(ids[k & half_mask], ids[(k >> half) & half_mask], c) for k, c in terms.items()]
+        for terms in expanded
+    ]
+    fmask = (1 << W) - 1
+    factors = [
+        tuple((v, (h >> (W * s)) & fmask) for s, v in enumerate(gens) if (h >> (W * s)) & fmask)
+        for h in ids
+    ]
     return factors, table
 
 
@@ -274,10 +304,6 @@ def coproduct(coalg: CoalgebraId, field: PrimeField, f: MultiPoly) -> TensorPoly
             tm = _tensor_monomial(factors[a], factors[b], pos)
             terms[tm] = terms.get(tm, 0) + c * dc
     return TensorPoly(MultiPoly(field, terms))
-
-
-def counit(coalg: CoalgebraId, field: PrimeField, f: MultiPoly) -> int:
-    return f.eval_at(identity_point(coalg))
 
 
 def convolve(coalg: CoalgebraId, field: PrimeField, phi: dict, psi: dict, domain) -> dict:

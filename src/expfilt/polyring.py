@@ -481,31 +481,35 @@ def frobenius_images(field: PrimeField, images: list, pos: dict, monos, what: st
     image(m') image(x_v^e) through a memo that lives for the one call, so
     monomials sharing a prefix share its expansion.  ``cap``: exponents
     >= cap map to zero.  ``prune = (offset, mask)``: a term whose
-    key + offset meets mask is dropped after every product (a truncation
-    ideal).  Before a monomial is expanded its term count is bounded by the
+    key + offset meets mask is dropped after every product past the digit
+    powers (a truncation ideal, or a bound that only grows under products).
+    Before a monomial is expanded its term count is bounded by the
     product of the per-digit counts |images[v]^{d_t}|; past
     :data:`fpcomb.DESK_GUARD` the call raises ValueError naming ``what``.
     """
     p = field.p
     offset, mask = prune or (0, 0)
 
-    def mul(a, b):
+    def mul(a, b, pruned=True):
         out = {}
         for ka, ca in a.items():
             for kb, cb in b.items():
                 k = ka + kb
                 out[k] = out.get(k, 0) + ca * cb
-        if prune is None:
+        if prune is None or not pruned:
             return {k: c % p for k, c in out.items() if c % p}
         return {k: c % p for k, c in out.items() if c % p and not (k + offset) & mask}
 
     digit_memo = {}
 
     def digit_power(s, d):
-        """images[s]^d for a digit 0 < d < p."""
+        """images[s]^d for a digit 0 < d < p, unpruned, so the guard's count
+        does not depend on ``prune``."""
         key = (s, d)
         if key not in digit_memo:
-            digit_memo[key] = images[s] if d == 1 else mul(digit_power(s, d - 1), images[s])
+            digit_memo[key] = (
+                images[s] if d == 1 else mul(digit_power(s, d - 1), images[s], pruned=False)
+            )
         return digit_memo[key]
 
     def power_count(s, e):
@@ -521,14 +525,16 @@ def frobenius_images(field: PrimeField, images: list, pos: dict, monos, what: st
     power_memo = {}
 
     def power(s, e):
+        """images[s]^e for e > 0: the power of e without its top digit d p^t,
+        times Frob^t(images[s]^d), so exponents share their lower digits."""
         key = (s, e)
         if key not in power_memo:
-            acc = {0: 1}
-            for t, d in enumerate(digits(e, p)):
-                if d:
-                    q = p**t
-                    acc = mul(acc, {k * q: c for k, c in digit_power(s, d).items()})
-            power_memo[key] = acc
+            q = 1
+            while q * p <= e:
+                q *= p
+            d, low = divmod(e, q)
+            top = {k * q: c for k, c in digit_power(s, d).items()}
+            power_memo[key] = mul(power(s, low) if low else {0: 1}, top)
         return power_memo[key]
 
     memo = {(): {0: 1}}
@@ -536,7 +542,8 @@ def frobenius_images(field: PrimeField, images: list, pos: dict, monos, what: st
     def image(m):
         if m not in memo:
             v, e = m[-1]
-            memo[m] = mul(image(m[:-1]), power(pos[v], e))
+            part = power(pos[v], e)
+            memo[m] = mul(image(m[:-1]), part) if len(m) > 1 else part
         return memo[m]
 
     out = []

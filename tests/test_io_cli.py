@@ -1,22 +1,26 @@
 """Module/report file formats and the command-line surface."""
 
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expfilt import coalgebras
 from expfilt.cli import main
 from expfilt.comodule import trivial_comodule
 from expfilt.fpcomb import PrimeField
-from expfilt.ga import y_r_family
+from expfilt.ga import regular_comodule, regular_trunc_comodule, y_r_family
 from expfilt.io import (
     ModuleFileError,
     canonical_dumps,
     module_to_doc,
     parse_module,
 )
-from expfilt.un import UNContext, natural_rep
+from expfilt.un import UNContext, natural_rep, restrict_frobenius_un, sym_square_rep
 
 F3 = PrimeField(3)
 
@@ -340,3 +344,146 @@ class TestCli:
         path = module_file(restrict_frobenius_ga(regular_comodule(F3, 3), 1))
         assert main(["support", path, "--samples", "3"]) == 2
         assert "non-truncated" in capsys.readouterr().err
+
+
+# -- fuzzing mutated canonical module files through the CLI ------------------
+
+_FUZZ_BASES = {
+    "natural U_3": lambda: natural_rep(UNContext(F3, 3)),
+    "Sym^2 U_3 at level 1": lambda: restrict_frobenius_un(sym_square_rep(UNContext(F3, 3)), 1),
+    "regular Ga dim 5": lambda: regular_comodule(F3, 5),
+    "regular Ga_(1) p=2": lambda: regular_trunc_comodule(PrimeField(2), 1),
+    "Y_1 family": lambda: y_r_family(F3, 1),
+}
+
+# non-constant terms (adding them keeps the counit law; the generator
+# p-powers break coassociativity off the primitive places), and strings that
+# are constants, foreign or primed variables, malformed, or past the guard
+_TERMS = [
+    "T", "T^3", "T^9", "2*T^2", "x1_2", "x1_2^3", "x2_3", "x2_3^9", "x1_3", "x1_3^3",
+    "x1_2*x2_3", "2*x1_2^2",
+]
+_JUNK = [
+    "0", "1", "2", "b1_2", "T'", "x9_9", "x1_1", "", "+", "x1_2^", "T^-1", "2*", "((",
+    "T^99999999999999999999",
+]
+_ADD = st.tuples(st.just("add"), st.integers(0, 6), st.integers(0, 6),
+                 st.lists(st.sampled_from(_TERMS), min_size=1, max_size=3))
+
+_EDITS = st.one_of(
+    _ADD,
+    _ADD,
+    _ADD,
+    st.tuples(st.just("entry"), st.integers(0, 6), st.integers(0, 6),
+              st.lists(st.sampled_from(_TERMS + _JUNK), min_size=1, max_size=3)),
+    st.tuples(st.just("swap"), *[st.integers(0, 6)] * 4),
+    st.tuples(st.just("p"), st.sampled_from([2, 3, 4, 5, 0, -3, 1, "3", "three", None, 2.5, [3]])),
+    st.tuples(st.just("dim"), st.sampled_from([0, 1, 2, 3, 9, -1, "2", None])),
+    st.tuples(st.just("group"), st.sampled_from([
+        {"kind": "Ga"}, {"kind": "GaTrunc", "r": 1}, {"kind": "GaTrunc", "r": 0},
+        {"kind": "UN", "N": 3}, {"kind": "UN", "N": 1}, {"kind": "UNTrunc", "N": 3, "r": 1},
+        {"kind": "UN"}, {"kind": "Mat", "N": 2}, {"kind": 5}, "Ga", None,
+    ])),
+    st.tuples(st.just("drop"),
+              st.sampled_from(["p", "group", "module", "dim", "coaction", "u_mats"])),
+    st.tuples(st.just("row"), st.integers(0, 6), st.sampled_from(["drop", "extend", "scalar"])),
+    st.tuples(st.just("u"), st.sampled_from(["0", "1", "7", "-1", "x"]), st.integers(-1, 3)),
+    st.tuples(st.just("raw"),
+              st.sampled_from(["", "{not json", "[]", "null", "{}", '"module"', "3"])),
+)
+
+_COMMANDS = [
+    ["expdeg"],
+    ["filt", "--kind", "degree", "--d", "1"],
+    ["filt", "--kind", "exp", "--d", "1"],
+    ["frobcheck", "--r", "1"],
+]
+
+
+def _apply_edit(doc, text, edit):
+    """One edit of a module document; returns (doc, raw text or None)."""
+    kind = edit[0]
+    module = doc.get("module") if isinstance(doc, dict) else None
+    rows = module.get("coaction") if isinstance(module, dict) else None
+    if kind == "raw":
+        return doc, edit[1]
+    if not isinstance(doc, dict):
+        return doc, text
+    if kind in ("add", "entry") and isinstance(rows, list) and rows:
+        _, j, i, terms = edit
+        row = rows[j % len(rows)]
+        if isinstance(row, list) and row:
+            old = row[i % len(row)]
+            keep = [old] if kind == "add" and isinstance(old, str) else []
+            row[i % len(row)] = " + ".join(keep + terms)
+    elif kind == "swap" and isinstance(rows, list) and rows:
+        _, j, i, k, l = edit
+        a, b = rows[j % len(rows)], rows[k % len(rows)]
+        if isinstance(a, list) and isinstance(b, list) and a and b:
+            a[i % len(a)], b[l % len(b)] = b[l % len(b)], a[i % len(a)]
+    elif kind in ("p", "group"):
+        doc[kind] = edit[1]
+    elif kind == "dim" and isinstance(module, dict):
+        module["dim"] = edit[1]
+    elif kind == "drop":
+        for holder in (doc, module):
+            if isinstance(holder, dict):
+                holder.pop(edit[1], None)
+    elif kind == "row" and isinstance(rows, list) and rows:
+        k = edit[1] % len(rows)
+        if edit[2] == "drop":
+            del rows[k]
+        elif edit[2] == "extend" and isinstance(rows[k], list):
+            rows[k].append("0")
+        else:
+            rows[k] = "1"
+    elif kind == "u" and isinstance(module, dict) and isinstance(module.get("u_mats"), dict):
+        mats = module["u_mats"]
+        if edit[2] < 0 or not mats:
+            mats[edit[1]] = [[0]]
+        else:
+            mat = mats[sorted(mats)[0]]
+            mat[edit[2] % len(mat)] = [edit[2]] * (len(mat) + edit[2] % 2)
+    return doc, text
+
+
+class TestCliFuzz:
+    @given(
+        base=st.sampled_from(sorted(_FUZZ_BASES)),
+        edits=st.lists(_EDITS, min_size=1, max_size=3),
+        command=st.sampled_from(_COMMANDS),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_mutated_module_files_never_trace_back(self, tmp_path_factory, base, edits, command):
+        doc = module_to_doc(_FUZZ_BASES[base]())
+        text = None
+        for edit in edits:
+            doc, text = _apply_edit(doc, text, edit)
+        path = tmp_path_factory.mktemp("fuzz") / "module.json"
+        path.write_text(canonical_dumps(doc) if text is None else text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command[0], str(path)] + command[1:])
+        assert code in (0, 2, 3), (code, err.getvalue())
+        if code == 2:
+            assert err.getvalue().startswith("error:") or "usage" in err.getvalue()
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize(
+        "entry, summary",
+        [
+            # x1_3^3 is not primitive: components (0,1) and (0,2) disagree
+            ("x1_2 + x1_3^3", "coassociativity violation at basis e_2; "
+                              "coassociativity violation at basis e_3"),
+            # x2_3 is primitive, but x2_3 (x) x2_3 is left over in (0,2)
+            ("x1_2 + x2_3", "coassociativity violation at basis e_3"),
+        ],
+    )
+    def test_coassociativity_violations_are_listed(self, tmp_path, capsys, entry, summary):
+        doc = natural_u3_doc()
+        doc["module"]["coaction"][0][1] = entry
+        path = tmp_path / "broken.json"
+        path.write_text(canonical_dumps(doc), encoding="utf-8")
+        assert main(["expdeg", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: comodule law violation: {summary}\n"

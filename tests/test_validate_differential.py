@@ -18,15 +18,18 @@ from expfilt import coalgebras
 from expfilt.comodule import (
     Comodule,
     ValidationReport,
+    _coassociativity,
+    _sparse_columns,
     action_matrices,
     action_matrix,
     conjugate,
     direct_sum,
+    trivial_comodule,
     validate,
 )
 from expfilt.fpcomb import PrimeField
 from expfilt.ga import family_to_comodule, regular_comodule, regular_trunc_comodule
-from expfilt.polyring import MultiPoly, monomial, tensor
+from expfilt.polyring import MultiPoly, monomial, monomial_degree, tensor
 from expfilt.samplers import random_ga_family, random_invertible, random_un_comodule
 from expfilt.un import (
     UNContext,
@@ -36,6 +39,7 @@ from expfilt.un import (
     sym_square_rep,
     sym_square_rep_gl,
 )
+from test_coproduct_differential import _pool as coproduct_pool
 from test_coproduct_differential import oracle_coproduct
 
 
@@ -256,3 +260,188 @@ def test_action_matrices_match_per_monomial(pool, mutants):
         want = {m: action_matrix(M, m) for m in M.occurring_monomials()}
         got = action_matrices(M)
         assert list(got.items()) == list(want.items()), label
+
+
+# -- the generator-only pass -------------------------------------------------
+#
+# For Ga and U_N kinds ``validate`` first compares only the keys whose left
+# factor is x_v^(p^r), on a Delta table capped by left degree, and reruns the
+# full comparison only when that pass finds a violation.  The tests below hold
+# the generator-only verdict to the full one on counit-preserving mutants,
+# the capped table to the full table cut by left degree, and MatPoly (where
+# the generator theorem fails) to the oracle.
+
+
+def _passes(M: Comodule) -> tuple:
+    """(generator-only verdict, full verdict) of the coassociativity loop."""
+    monos, cols = _sparse_columns(M)
+    return not _coassociativity(M, monos, cols, True), not _coassociativity(M, monos, cols, False)
+
+
+def _fuzz_bases(F: PrimeField, rng: random.Random) -> list:
+    """Small valid comodules over GaPoly, GaTrunc, UNPoly and UNTrunc."""
+    ctx = UNContext(F, 3)
+    return [
+        trivial_comodule(F, coalgebras.ga_poly(), 3),
+        regular_comodule(F, F.p + 2),
+        family_to_comodule(random_ga_family(F, 3, rng, max_support=2)),
+        trivial_comodule(F, coalgebras.ga_trunc(2), 3),
+        regular_trunc_comodule(F, 1),
+        trivial_comodule(F, coalgebras.un_poly(3), 3),
+        natural_rep(ctx),
+        random_un_comodule(F, 3, rng, max_pieces=1),
+        trivial_comodule(F, coalgebras.un_trunc(3, 2), 3),
+        restrict_frobenius_un(natural_rep(ctx), 1),
+        restrict_frobenius_un(sym_square_rep(ctx), 1),
+    ]
+
+
+def _member_monomial(M: Comodule, rng: random.Random):
+    """A random non-constant monomial of M's coalgebra; half of the draws
+    are one generator to a p-power, x_v^(p^r)."""
+    p = M.field.p
+    gens = coalgebras.generator_vars(M.coalgebra)
+    bound = coalgebras.truncation_bound(M.coalgebra, M.field) or p**3
+    if rng.random() < 0.5:
+        powers = [p**r for r in range(4) if p**r < bound]
+        return monomial({rng.choice(gens): rng.choice(powers)})
+    k = rng.randrange(1, min(3, len(gens)) + 1)
+    return monomial({v: rng.randrange(1, min(bound, 2 * p + 1)) for v in rng.sample(gens, k)})
+
+
+def _counit_preserving_mutant(M: Comodule, rng: random.Random) -> Comodule:
+    """One to three edits that keep every entry's value at the identity:
+    add c m for a non-constant monomial m, or rescale or move a non-constant
+    term (the counit of a non-constant Ga or U_N monomial is 0)."""
+    fld = M.field
+    n = M.dim
+    coaction = [list(row) for row in M.coaction]
+    for _ in range(rng.randrange(1, 4)):
+        j, i = rng.randrange(n), rng.randrange(n)
+        terms = dict(coaction[j][i].terms)
+        movable = [m for m in terms if m != ()]
+        c = rng.randrange(1, fld.p)
+        kind = rng.random()
+        if kind < 0.6 or not movable:
+            m = _member_monomial(M, rng)
+            terms[m] = (terms.get(m, 0) + c) % fld.p
+        elif kind < 0.8:
+            m = rng.choice(movable)
+            terms[m] = terms[m] * c % fld.p
+        else:
+            m = rng.choice(movable)
+            moved = terms.pop(m)
+            k, l = rng.randrange(n), rng.randrange(n)
+            coaction[j][i] = MultiPoly(fld, terms)
+            terms = dict(coaction[k][l].terms)
+            terms[m] = (terms.get(m, 0) + moved) % fld.p
+            j, i = k, l
+        coaction[j][i] = MultiPoly(fld, terms)
+    return Comodule(fld, M.coalgebra, n, coaction)
+
+
+def test_generator_pass_decides_counit_preserving_mutants():
+    seen = {"ok": 0, "violated": 0}
+    kinds = set()
+    count = 0
+    for p in (2, 3, 5):
+        F = PrimeField(p)
+        rng = random.Random(f"validate-differential/generators/{p}")
+        for M in _fuzz_bases(F, rng):
+            for _ in range(64):
+                X = _counit_preserving_mutant(M, rng)
+                rep = validate(X)
+                assert all(v["law"] == "coassociativity" for v in rep.violations)
+                generators_ok, full_ok = _passes(X)
+                assert generators_ok == full_ok == rep.ok, (p, str(M.coalgebra), X.coaction)
+                seen["ok" if full_ok else "violated"] += 1
+                kinds.add(X.coalgebra.kind)
+                count += 1
+    assert count >= 2000
+    assert kinds == {"GaPoly", "GaTrunc", "UNPoly", "UNTrunc"}
+    # both verdicts occur often enough for the agreement to mean something
+    assert min(seen.values()) >= 100, seen
+
+
+def test_generator_pass_rejects_a_non_primitive_p_power():
+    # x1_3^p is not primitive, so it cannot sit above a trivial summand; the
+    # rejection lists every disagreeing component of the full comparison
+    for p in (2, 3, 5):
+        F = PrimeField(p)
+        M = trivial_comodule(F, coalgebras.un_poly(3), 2)
+        M = _with_entry(M, 0, 1, MultiPoly.variable(F, "x1_3", p))
+        assert _passes(M) == (False, False)
+        rep = _assert_same(f"x1_3^{p} above a trivial summand", M)
+        assert [v["detail"] for v in rep.violations] == ["component (0,1) disagrees"]
+        # x1_2^p is primitive: the same place is a valid comodule
+        M = _with_entry(M, 0, 1, MultiPoly.variable(F, "x1_2", p))
+        assert _passes(M) == (True, True)
+        assert _assert_same(f"x1_2^{p} above a trivial summand", M).ok
+
+
+def _cut(factors, terms, cap=None) -> dict:
+    """{(left, right): coeff} of one table row, left degree <= cap."""
+    return {
+        (factors[a], factors[b]): c
+        for a, b, c in terms
+        if cap is None or monomial_degree(factors[a]) <= cap
+    }
+
+
+def test_left_capped_table_is_the_full_table_cut():
+    cases = 0
+    for label, M in coproduct_pool():
+        monos = M.occurring_monomials()
+        p = M.field.p
+        top = M.max_entry_degree()
+        full_factors, full = coalgebras.coproduct_table(M.coalgebra, M.field, monos)
+        for cap in sorted({0, 1, 2, p, p * p, top // 2, top - 1, top, top + 1} - {-1}):
+            factors, table = coalgebras.coproduct_table(M.coalgebra, M.field, monos, left_cap=cap)
+            for k in range(len(monos)):
+                assert _cut(factors, table[k]) == _cut(full_factors, full[k], cap), (label, cap)
+            cases += 1
+    assert cases >= 100
+
+
+def test_left_cap_keeps_the_guard():
+    # the term-count bound is read off uncapped digit powers, so the cap
+    # never lets a monomial past the desk-scale guard
+    F = PrimeField(3)
+    huge = monomial({"T": 3**19 - 1})
+    with pytest.raises(ValueError, match="guard"):
+        coalgebras.coproduct_table(coalgebras.ga_poly(), F, [huge], left_cap=3**18)
+    # below p the cap is 1 and would cut the digit powers themselves:
+    # |Delta(x1_3)^40| |Delta(x1_4)^40| = 861 * 12341 terms, over the guard
+    F = PrimeField(97)
+    wide = monomial({"x1_3": 40, "x1_4": 40})
+    with pytest.raises(ValueError, match="guard"):
+        coalgebras.coproduct_table(coalgebras.un_poly(4), F, [wide], left_cap=1)
+
+
+def test_matpoly_keeps_the_full_comparison():
+    F = PrimeField(3)
+    # x1_1 x2_2 has value 1 at the identity, but it is not grouplike in k[M_2];
+    # no key of its coassociativity diff has a one-variable left factor, so
+    # the generator pass alone would accept it
+    f = MultiPoly(F, {monomial({"x1_1": 1, "x2_2": 1}): 1})
+    M = Comodule(F, coalgebras.mat_poly(2), 1, [[f]])
+    assert _passes(M) == (True, False)
+    rep = _assert_same("x1_1 x2_2 over M_2", M)
+    assert [v["law"] for v in rep.violations] == ["coassociativity"]
+
+
+def test_matpoly_mutants_validate_like_oracle():
+    laws = set()
+    for p in (2, 3):
+        F = PrimeField(p)
+        rng = random.Random(f"validate-differential/matpoly/{p}")
+        for M in (natural_rep_gl(F, 2), natural_rep_gl(F, 3), sym_square_rep_gl(F, 2)):
+            gens = coalgebras.generator_vars(M.coalgebra)
+            for _ in range(12):
+                j, i = rng.randrange(M.dim), rng.randrange(M.dim)
+                picked = rng.sample(gens, rng.randrange(1, 3))
+                m = monomial({v: rng.randrange(1, 3) for v in picked})
+                X = _with_entry(M, j, i, M.coaction[j][i] + MultiPoly(F, {m: rng.randrange(1, p)}))
+                rep = _assert_same(f"{M} / + {m} at ({j},{i})", X)
+                laws.update(v["law"] for v in rep.violations)
+    assert laws == {"counit", "coassociativity"}
