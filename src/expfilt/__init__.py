@@ -5,7 +5,6 @@ p-nilpotent matrices, Jordan-type freeness tests at 1-parameter subgroups, and
 mock-triviality / Frobenius-kernel freeness checks.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .coalgebras import CoalgebraId, ga_poly, ga_trunc, mat_poly, un_poly, un_trunc
 from .comodule import (
     CoalgebraSubspace,
@@ -78,5 +77,8 @@ from .un import (
 )
 
 __version__ = "0.1.0"
+
+# The F_p kernels have one implementation, ``_kernels.pure``.
+KERNEL_BACKEND = "pure"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,31 +1,10 @@
-"""Backend selection for the F_p kernels.
+"""The F_p kernels: dense linear algebra and batched Lucas binomials.
 
-The compiled Cython extension is used when available; otherwise the pure-Python
-implementation.  ``python -m expfilt.bench`` compares the two.
+The implementation lives in ``pure``; ``rank`` and ``nullspace`` are built on
+its ``rref``.
 """
 
-from . import pure as _pure
-
-try:
-    from . import _core as _impl
-
-    BACKEND = "compiled"
-except ImportError:  # extension not built
-    _impl = _pure
-    BACKEND = "pure"
-
-binom_mod = _impl.binom_mod
-lucas_row = _impl.lucas_row
-rref = _impl.rref
-matmul = _impl.matmul
-
-
-def backends():
-    """Available backend modules keyed by name ('pure' is always present)."""
-    out = {"pure": _pure}
-    if BACKEND == "compiled":
-        out["compiled"] = _impl
-    return out
+from .pure import binom_mod, lucas_row, matmul, rref
 
 
 def rank(rows, ncols, p):

@@ -1,7 +1,6 @@
 """Pure-Python kernels: dense linear algebra over F_p and batched Lucas binomials.
 
-Same contract as the compiled backend in ``_core.pyx``.  Matrices are lists of
-row lists of ints; entries need not be pre-reduced mod p.
+Matrices are lists of row lists of ints; entries need not be pre-reduced mod p.
 """
 
 from functools import lru_cache

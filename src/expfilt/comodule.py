@@ -285,12 +285,6 @@ def validate(M: Comodule) -> ValidationReport:
     return ValidationReport(not violations, violations)
 
 
-def require_valid(M: Comodule):
-    rep = validate(M)
-    if not rep.ok:
-        raise ValueError(f"comodule law violation: {rep.summary()}")
-
-
 # -- dual-functional actions -------------------------------------------------
 
 

@@ -41,9 +41,6 @@ class PrimeField:
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
 
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:

@@ -144,11 +144,6 @@ def _nonzero_v(U: GaUFamily) -> dict:
     return out
 
 
-def u_degree_bound(U: GaUFamily) -> int:
-    """Largest j with a possibly nonzero v_j: sum over support of (p-1) p^s."""
-    return sum((U.field.p - 1) * U.field.p**s for s in U.support())
-
-
 def family_to_comodule(U: GaUFamily) -> Comodule:
     """Coaction f_{ji} = sum_k (v_k)_{ji} T^k; finite by finite support."""
     require_valid_family(U)

@@ -39,19 +39,36 @@ class ModuleFileError(ValueError):
     """Malformed or law-violating module file."""
 
 
+def _field(obj: dict, key: str, what: str = "field"):
+    try:
+        return obj[key]
+    except KeyError:
+        raise ModuleFileError(f"missing {what} {key!r}") from None
+
+
+def _as_int(value, what: str) -> int:
+    """``int(value)``, so numeric strings such as "3" are accepted."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ModuleFileError(f"{what} must be an integer") from exc
+
+
+def _int_field(obj: dict, key: str, what: str = "field") -> int:
+    return _as_int(_field(obj, key, what), f"{what} {key!r}")
+
+
 def _coalgebra_from_group(group: dict) -> coalgebras.CoalgebraId:
     kind = group.get("kind")
-    try:
-        if kind == "Ga":
-            return coalgebras.ga_poly()
-        if kind == "GaTrunc":
-            return coalgebras.ga_trunc(int(group["r"]))
-        if kind == "UN":
-            return coalgebras.un_poly(int(group["N"]))
-        if kind == "UNTrunc":
-            return coalgebras.un_trunc(int(group["N"]), int(group["r"]))
-    except (KeyError, TypeError) as exc:
-        raise ModuleFileError(f"group {kind!r}: missing or malformed field {exc}") from exc
+    what = f"group {kind!r} field"
+    if kind == "Ga":
+        return coalgebras.ga_poly()
+    if kind == "GaTrunc":
+        return coalgebras.ga_trunc(_int_field(group, "r", what))
+    if kind == "UN":
+        return coalgebras.un_poly(_int_field(group, "N", what))
+    if kind == "UNTrunc":
+        return coalgebras.un_trunc(_int_field(group, "N", what), _int_field(group, "r", what))
     raise ModuleFileError(f"unknown group kind {kind!r}")
 
 
@@ -77,12 +94,11 @@ def _require_matrix(value, what: str, entry_type):
 
 def parse_module(doc: dict, check: bool = True):
     """Parse a module-file document into a Comodule or GaUFamily."""
-    try:
-        p = int(doc["p"])
-        group = doc["group"]
-        module = doc["module"]
-    except (KeyError, TypeError) as exc:
-        raise ModuleFileError(f"missing field: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ModuleFileError("module file must be a JSON object")
+    p = _int_field(doc, "p")
+    group = _field(doc, "group")
+    module = _field(doc, "module")
     if not isinstance(group, dict) or not isinstance(module, dict):
         raise ModuleFileError("group and module must be JSON objects")
     field = PrimeField(p)
@@ -94,16 +110,13 @@ def parse_module(doc: dict, check: bool = True):
         mats = {}
         dim = None
         for key, mat in module["u_mats"].items():
-            s = int(key)
+            s = _as_int(key, f"u_mats index {key!r}")
             if s < 0:
                 raise ModuleFileError("u_mats indices must be nonnegative")
             _require_matrix(mat, "u_mats matrix", int)
             mats[s] = [[v % p for v in row] for row in mat]
             dim = len(mats[s]) if dim is None else dim
-        try:
-            dim = int(module.get("dim", dim if dim is not None else 0))
-        except TypeError as exc:
-            raise ModuleFileError(f"malformed field 'dim': {exc}") from exc
+        dim = _as_int(module.get("dim", dim if dim is not None else 0), "field 'dim'")
         fam = GaUFamily(field, dim, mats)
         if any(len(m) != dim or any(len(r) != dim for r in m) for m in mats.values()):
             raise ModuleFileError("u_mats rows must be dim x dim")
@@ -111,11 +124,8 @@ def parse_module(doc: dict, check: bool = True):
             require_valid_family(fam)
         return fam
     coalg = _coalgebra_from_group(group)
-    try:
-        dim = int(module["dim"])
-        rows = module["coaction"]
-    except (KeyError, TypeError) as exc:
-        raise ModuleFileError(f"missing or malformed field: {exc}") from exc
+    dim = _int_field(module, "dim")
+    rows = _field(module, "coaction")
     _require_matrix(rows, "coaction", str)
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ModuleFileError("coaction matrix must be dim x dim")

@@ -18,17 +18,6 @@ def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def unit_matrix(n: int, i: int, j: int, c: int = 1) -> Matrix:
-    """c times the elementary matrix E_{ij} (row i, column j), 0-indexed."""
-    out = zeros(n, n)
-    out[i][j] = c
-    return out
-
-
-def mat_copy(a: Matrix) -> Matrix:
-    return [list(r) for r in a]
-
-
 def mat_mod(a: Matrix, field: PrimeField) -> Matrix:
     p = field.p
     return [[v % p for v in r] for r in a]
@@ -65,10 +54,6 @@ def mat_pow(a: Matrix, e: int, field: PrimeField) -> Matrix:
 def mat_vec(a: Matrix, v: list, field: PrimeField) -> list:
     p = field.p
     return [sum(c * x for c, x in zip(row, v)) % p for row in a]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
 
 
 def is_zero_matrix(a: Matrix, field: PrimeField) -> bool:
@@ -173,12 +158,6 @@ class Subspace:
 
     def __hash__(self):
         return hash((self.field, self.ambient, self.rows))
-
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        return Subspace.from_vectors(
-            self.field, self.ambient, list(self.rows) + list(other.rows)
-        )
 
     def annihilator_rows(self) -> list:
         """Basis of {w : row . w = 0 for all basis rows} (the perp space)."""

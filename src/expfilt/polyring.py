@@ -146,9 +146,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(m == _ONE for m in self.terms)
-
     def constant_value(self) -> int:
         """The constant coefficient (not an error for non-constant polys)."""
         return self.terms.get(_ONE, 0)

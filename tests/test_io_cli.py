@@ -286,6 +286,49 @@ class TestCli:
         err = capsys.readouterr().err
         assert any(line.startswith("error:") for line in err.splitlines())
 
+    _COACTION = '"module": {"dim": 1, "coaction": [["1"]]}'
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("null", "module file must be a JSON object"),
+            ("3", "module file must be a JSON object"),
+            ("[]", "module file must be a JSON object"),
+            ('{"group": {"kind": "Ga"}, ' + _COACTION + "}", "missing field 'p'"),
+            ('{"p": null, "group": {"kind": "Ga"}, ' + _COACTION + "}",
+             "field 'p' must be an integer"),
+            ('{"p": "x", "group": {"kind": "Ga"}, ' + _COACTION + "}",
+             "field 'p' must be an integer"),
+            ('{"p": Infinity, "group": {"kind": "Ga"}, ' + _COACTION + "}",
+             "field 'p' must be an integer"),
+            ('{"p": 3, "group": {"kind": "Ga"}, "module": {"dim": null, "coaction": [["1"]]}}',
+             "field 'dim' must be an integer"),
+            ('{"p": 3, "group": {"kind": "Ga"}, "module": {"coaction": [["1"]]}}',
+             "missing field 'dim'"),
+            ('{"p": 3, "group": {"kind": "Ga"}, "module": {"dim": null, "u_mats": {"0": [[0]]}}}',
+             "field 'dim' must be an integer"),
+            ('{"p": 3, "group": {"kind": "Ga"}, "module": {"u_mats": {"a": [[0]]}}}',
+             "u_mats index 'a' must be an integer"),
+            ('{"p": 3, "group": {"kind": "GaTrunc", "r": null}, ' + _COACTION + "}",
+             "group 'GaTrunc' field 'r' must be an integer"),
+            ('{"p": 3, "group": {"kind": "UN"}, ' + _COACTION + "}",
+             "missing group 'UN' field 'N'"),
+        ],
+        ids=["null", "int", "list", "no-p", "p-null", "p-word", "p-infinity", "dim-null",
+             "no-dim", "u-dim-null", "u-index-word", "r-null", "no-N"],
+    )
+    def test_malformed_document_names_the_field(self, tmp_path, capsys, text, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["expdeg", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_numeric_strings_are_accepted_as_integers(self, tmp_path, capsys):
+        path = tmp_path / "strings.json"
+        path.write_text('{"p": "3", "group": {"kind": "Ga"}, '
+                        '"module": {"dim": "1", "coaction": [["1"]]}}', encoding="utf-8")
+        assert main(["expdeg", str(path)]) == 0
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -468,6 +511,8 @@ class TestCliFuzz:
         assert code in (0, 2, 3), (code, err.getvalue())
         if code == 2:
             assert err.getvalue().startswith("error:") or "usage" in err.getvalue()
+        for internal in ("NoneType", "not subscriptable", "int() argument"):
+            assert internal not in err.getvalue()
         assert time.perf_counter() - start < 5.0
 
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Sparse polynomial arithmetic, substitution, evaluation, and the text grammar."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -208,6 +209,39 @@ class TestGrammar:
         f = parse_poly("T + x1_2 + T^2", F3)
         g = parse_poly("x1_2 + T^2 + T", F3)
         assert format_poly(f) == format_poly(g) == "T^2 + T + x1_2"
+
+    @given(
+        seed=st.integers(0, 10**6),
+        p=st.sampled_from([2, 3, 5]),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "delete", "duplicate"]),
+                st.integers(0, 10**4),
+                st.sampled_from("+-*^_'0123456789Tx"),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_mutated_format_strings_raise_or_roundtrip(self, seed, p, edits):
+        field = PrimeField(p)
+        text = format_poly(random_poly(random.Random(seed), field))
+        for op, pos, ch in edits:
+            if op == "insert":
+                i = pos % (len(text) + 1)
+                text = text[:i] + ch + text[i:]
+            elif text:
+                i = pos % len(text)
+                text = text[: i + 1] + text[i:] if op == "duplicate" else text[:i] + text[i + 1 :]
+        start = time.perf_counter()
+        try:
+            f = parse_poly(text, field)
+        except ValueError:
+            f = None
+        if f is not None:
+            assert parse_poly(format_poly(f), field) == f, text
+        assert time.perf_counter() - start < 1.0
 
 
 class TestTensorPoly:
