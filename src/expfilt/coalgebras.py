@@ -26,9 +26,12 @@ the packed key).  A monomial m = m' x_v^{e_v}, x_v its last variable, expands
 as Delta(m') Delta(x_v^{e_v}) through a memo that lives for the one call, so
 monomials sharing a prefix share its expansion.  Truncated ids are reduced
 after every product, which is valid because I (x) C + C (x) I is an ideal.
-Before a monomial is expanded its term count is bounded by the product of
-the per-digit term counts |Delta(x_v)^{d_s}| (exact for Ga, by Lucas'
-theorem); past :data:`fpcomb.DESK_GUARD` the call raises ValueError.
+Before anything is expanded a monomial's term count is bounded by the
+product over its digits d_s of C(n_v + d_s - 1, d_s), n_v the number of
+terms of Delta(x_v).  Each term of Delta(x_v) has a variable of its own
+and d_s < p keeps every multinomial coefficient nonzero, so this is the
+exact count of Delta(x_v)^{d_s} before truncation.  Past
+:data:`fpcomb.DESK_GUARD` the call raises ValueError.
 A table may also be capped by left degree: one more packed field counts the
 left factor's degree and is pruned in the same way, which is how the
 validator's generator pass (see :func:`expfilt.comodule.validate`) skips

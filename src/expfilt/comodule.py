@@ -1,18 +1,26 @@
 """Finite-dimensional right comodules over a named coordinate coalgebra.
 
-A comodule of dimension n stores an n x n coaction matrix of polynomials,
-column i giving Delta(e_i) = sum_j e_j (x) f_{ji}.  On top of that sit the
-comodule-law validator, dual-functional actions, coideal preimages, radical
-quotients, the local-algebra freeness test, and Jordan types of p-nilpotent
-operators.
+A comodule of dimension n is stored as one form of its coaction, the
+per-monomial action table ``acts``.  The coaction is sum_mu mu A_mu over the
+occurring coalgebra monomials mu, A_mu the action matrix of mu's dual
+functional, and ``acts[mu]`` lists the nonzero entries (j, i, c) of A_mu,
+A_mu[j][i] = c in [1, p), in (j, i) order; a monomial that acts as zero has
+no key.  The polynomial matrix f_{ji} = sum_mu A_mu[j][i] mu, column i
+giving Delta(e_i) = sum_j e_j (x) f_{ji}, is a read-only view
+(``Comodule.coaction``, tuples of ``MultiPoly``) rebuilt on each access.
+The constructor ``Comodule(field, coalgebra, dim, matrix)`` is the one place
+where polynomial entries become ``acts``; builders write ``acts`` directly
+(:meth:`Comodule.of_acts`, with :func:`acts_from_sums` when they accumulate
+coefficients).  On top of that sit the comodule-law validator,
+dual-functional actions, coideal preimages, radical quotients, the
+local-algebra freeness test, and Jordan types of p-nilpotent operators.
 
-The validator and ``action_matrices`` read the coaction through one sparse
-pass (:func:`_sparse_columns`): every distinct coalgebra monomial is interned
-to an integer id and each nonzero entry f_{ji} becomes a list of (id, coeff)
-pairs, filed under its column i.  Membership is then decided once per
-distinct monomial, the counit is evaluated once per distinct monomial and
-summed over the nonzero pattern, and coassociativity compares integer-keyed
-coefficient tables against a Delta table built by one
+The validator reads the table column-major (:func:`_sparse_columns`): every
+occurring monomial gets an integer id and each nonzero entry f_{ji} becomes
+a list of (id, coeff) pairs, filed under its column i.  Membership is then
+decided once per distinct monomial, the counit is evaluated once per
+distinct monomial and summed over the nonzero pattern, and coassociativity
+compares integer-keyed coefficient tables against a Delta table built by one
 :func:`coalgebras.coproduct_table` call (Frobenius digits, a per-call memo
 over monomial prefixes, the desk-scale term guard), so no ``MultiPoly``
 arithmetic runs inside the index-triple loop.  For Ga and U_N kinds the
@@ -20,17 +28,13 @@ comparison first runs on the keys whose left factor is a generator to a
 p-power only, which decides the verdict (the generator theorem in
 :func:`validate`); ``MatPoly`` and rejected coactions take the full table.
 
-The transforms read the module as its per-monomial actions: the action
-matrix A_mu of the dual functional of an occurring monomial mu, held as its
-nonzero (j, i, c) entries (:func:`_actions`).  Since the coaction is
-sum_mu mu A_mu, any linear image of its entries is sum_mu image(mu) A_mu;
-the exponential layer and Theta accumulate such sums (see
-:mod:`expfilt.expdeg` and :mod:`expfilt.support`).  A coideal preimage for a
-monomial-spanned B, given as a membership test, is the kernel of the rows of
-A_mu for every mu outside B; stability and restriction apply A_mu to the
-basis rows of a subspace and compare with its pivot coordinates; a quotient
-is P A_mu on the kept columns; base change by g is g A_mu g^{-1}.  Only the
-output entries are built as ``MultiPoly``.
+Since the coaction is sum_mu mu A_mu, any linear image of its entries is
+sum_mu image(mu) A_mu; the exponential layer and Theta accumulate such sums
+(see :mod:`expfilt.expdeg` and :mod:`expfilt.support`).  A coideal preimage
+for a monomial-spanned B, given as a membership test, is the kernel of the
+rows of A_mu for every mu outside B; stability and restriction apply A_mu to
+the basis rows of a subspace and compare with its pivot coordinates; a
+quotient is P A_mu on the kept columns; base change by g is g A_mu g^{-1}.
 """
 
 import itertools
@@ -44,43 +48,69 @@ from .linalg import Matrix, Subspace
 from .polyring import Monomial, MultiPoly, monomial_degree, monomial_sort_key
 
 
-@dataclass
+@dataclass(init=False, repr=False)
 class Comodule:
+    """A right comodule, stored as its action table ``acts`` (see the module docstring)."""
+
     field: PrimeField
     coalgebra: CoalgebraId
     dim: int
-    coaction: list  # coaction[j][i] = f_{ji}, a MultiPoly in the coalgebra
+    acts: dict  # {monomial mu: [(j, i, c), ...]}, the nonzero A_mu[j][i] = c in (j, i) order
 
-    def entry(self, j: int, i: int) -> MultiPoly:
-        return self.coaction[j][i]
+    def __init__(self, field: PrimeField, coalgebra: CoalgebraId, dim: int, matrix):
+        """The comodule whose coaction matrix has entries matrix[j][i] = f_{ji}."""
+        if len(matrix) != dim or any(len(row) != dim for row in matrix):
+            raise ValueError("coaction matrix is not dim x dim")
+        acts = defaultdict(list)
+        for j, row in enumerate(matrix):
+            for i, f in enumerate(row):
+                for m, c in f.terms.items():
+                    acts[m].append((j, i, c))
+        self.field, self.coalgebra, self.dim, self.acts = field, coalgebra, dim, dict(acts)
 
-    def column(self, i: int) -> list:
-        return [self.coaction[j][i] for j in range(self.dim)]
+    @classmethod
+    def of_acts(cls, field: PrimeField, coalgebra: CoalgebraId, dim: int, acts: dict) -> "Comodule":
+        """The comodule with action table ``acts``, taken as it is (no copy, no check)."""
+        M = cls.__new__(cls)
+        M.field, M.coalgebra, M.dim, M.acts = field, coalgebra, dim, acts
+        return M
+
+    @property
+    def coaction(self) -> tuple:
+        """coaction[j][i] = f_{ji} as ``MultiPoly``: a view, rebuilt on each access."""
+        n = self.dim
+        terms = [[{} for _ in range(n)] for _ in range(n)]
+        for m, act in self.acts.items():
+            for j, i, c in act:
+                terms[j][i][m] = c
+        fld = self.field
+        zero = MultiPoly.zero(fld)
+        return tuple(tuple(MultiPoly(fld, t) if t else zero for t in row) for row in terms)
 
     def occurring_monomials(self) -> list:
         """All coalgebra monomials appearing in the coaction, sorted."""
-        seen = set()
-        for row in self.coaction:
-            for f in row:
-                seen.update(f.terms)
-        return sorted(seen, key=monomial_sort_key)
+        return sorted(self.acts, key=monomial_sort_key)
 
     def max_entry_degree(self) -> int:
         """Top total degree over the distinct monomials of the coaction."""
-        return max(
-            map(monomial_degree, {m for row in self.coaction for f in row for m in f.terms}),
-            default=0,
-        )
+        return max(map(monomial_degree, self.acts), default=0)
 
     def __repr__(self):
         return f"Comodule(dim {self.dim} over {self.coalgebra}, F_{self.field.p})"
 
 
+def acts_from_sums(sums: dict, p: int) -> dict:
+    """``acts`` from {mu: {(j, i): coefficient}}, reduced mod p, zeros dropped."""
+    acts = {}
+    for m, entries in sums.items():
+        act = sorted((j, i, c % p) for (j, i), c in entries.items() if c % p)
+        if act:
+            acts[m] = act
+    return acts
+
+
 def trivial_comodule(field: PrimeField, coalg: CoalgebraId, dim: int) -> Comodule:
-    one = MultiPoly.one(field)
-    zero = MultiPoly.zero(field)
-    coaction = [[one if i == j else zero for i in range(dim)] for j in range(dim)]
-    return Comodule(field, coalg, dim, coaction)
+    return Comodule.of_acts(field, coalg, dim, {(): [(j, j, 1) for j in range(dim)]} if dim else {})
 
 
 @dataclass
@@ -100,36 +130,17 @@ class ValidationReport:
 
 
 def _sparse_columns(M: Comodule):
-    """One pass over the coaction: interned monomials and nonzero columns.
+    """The column-major read of ``acts``: interned monomials and nonzero columns.
 
     Returns ``(monos, cols)``: ``monos[k]`` is the monomial with id k, in
-    order of first occurrence, and ``cols[i]`` lists ``(j, [(id, coeff),
-    ...])`` for every nonzero f_{ji}, j ascending.
+    ``acts`` order, and ``cols[i]`` lists ``(j, [(id, coeff), ...])`` for
+    every nonzero f_{ji}, j ascending.
     """
-    ids = defaultdict(itertools.count().__next__)  # a new monomial gets the next id
-    cols = [[] for _ in range(M.dim)]
-    for j, row in enumerate(M.coaction):
-        for i, f in enumerate(row):
-            if f.terms:
-                cols[i].append((j, [(ids[m], c) for m, c in f.terms.items()]))
-    return list(ids), cols
-
-
-def _actions(M: Comodule) -> dict:
-    """Per-monomial actions: {occurring monomial: its nonzero (j, i, c)}.
-
-    (j, i, c) means A[j][i] = c for the action matrix A of the monomial's
-    dual functional; monomials come in first-occurrence order and their
-    entries row by row, i ascending within a row.
-    """
-    acts = defaultdict(list)
-    for j, entries in enumerate(M.coaction):
-        for i, f in enumerate(entries):
-            terms = f.terms
-            if terms:  # most entries of a degree piece are zero
-                for m, c in terms.items():
-                    acts[m].append((j, i, c))
-    return acts
+    cols = [defaultdict(list) for _ in range(M.dim)]
+    for k, act in enumerate(M.acts.values()):
+        for j, i, c in act:
+            cols[i][j].append((k, c))
+    return list(M.acts), [sorted(col.items()) for col in cols]
 
 
 def _coproduct_table(M: Comodule, monos: list, left_cap=None, left_ok=None) -> tuple:
@@ -241,11 +252,8 @@ def validate(M: Comodule) -> ValidationReport:
     coaction the generator pass rejects, which keeps the violation list the
     per-component one of the full comparison.
     """
-    n = M.dim
     coalg = M.coalgebra
     fld = M.field
-    if len(M.coaction) != n or any(len(row) != n for row in M.coaction):
-        return ValidationReport(False, [{"law": "shape", "index": -1, "detail": "coaction matrix is not dim x dim"}])
     monos, cols = _sparse_columns(M)
     member = coalgebras.monomial_members(coalg, fld, monos)
     if not all(member):
@@ -290,7 +298,10 @@ def validate(M: Comodule) -> ValidationReport:
 
 def action_matrix(M: Comodule, mono: Monomial) -> Matrix:
     """Matrix of the dual-basis functional of one monomial: A[j][i] = coeff."""
-    return [[M.coaction[j][i].coeff(mono) for i in range(M.dim)] for j in range(M.dim)]
+    A = linalg.zeros(M.dim, M.dim)
+    for j, i, c in M.acts.get(mono, ()):
+        A[j][i] = c
+    return A
 
 
 def dual_action(M: Comodule, functional: dict) -> Matrix:
@@ -300,36 +311,21 @@ def dual_action(M: Comodule, functional: dict) -> Matrix:
     stated coalgebra are rejected.
     """
     fld = M.field
-    p = fld.p
     if not all(coalgebras.monomial_members(M.coalgebra, fld, functional)):
         raise ValueError(f"functional supported outside {M.coalgebra}")
     out = linalg.zeros(M.dim, M.dim)
     for mono, c in functional.items():
-        c %= p
-        if c == 0:
-            continue
-        A = action_matrix(M, mono)
-        for j in range(M.dim):
-            for i in range(M.dim):
-                if A[j][i]:
-                    out[j][i] = (out[j][i] + c * A[j][i]) % p
-    return out
+        for j, i, a in M.acts.get(mono, ()):
+            out[j][i] += c * a
+    return linalg.mat_mod(out, fld)
 
 
 def action_matrices(M: Comodule) -> dict:
     """{occurring monomial: action matrix}; all other duals act as zero.
 
-    Keys come in ``occurring_monomials`` order; all matrices are filled in
-    one pass over the nonzero entries.
+    Keys come in ``occurring_monomials`` order.
     """
-    monos, cols = _sparse_columns(M)
-    mats = [linalg.zeros(M.dim, M.dim) for _ in monos]
-    for i, col in enumerate(cols):
-        for j, terms in col:
-            for k, c in terms:
-                mats[k][j][i] = c
-    order = sorted(range(len(monos)), key=lambda k: monomial_sort_key(monos[k]))
-    return {monos[k]: mats[k] for k in order}
+    return {m: action_matrix(M, m) for m in M.occurring_monomials()}
 
 
 # -- subspaces of a coalgebra piece ------------------------------------------
@@ -390,7 +386,7 @@ def coideal_preimage(M: Comodule, inside) -> Subspace:
     :func:`is_coaction_stable`).
     """
     rows = []
-    for m, act in _actions(M).items():
+    for m, act in M.acts.items():
         if inside(m):
             continue
         for _, row in itertools.groupby(act, key=lambda e: e[0]):  # row j of A_mu
@@ -460,13 +456,12 @@ def restrict_to_subspace(M: Comodule, S: Subspace) -> Comodule:
     if found is None:
         raise ValueError("subspace is not coaction-stable")
     monos, images = found
-    k = S.dim
-    terms = [[{} for _ in range(k)] for _ in range(k)]
+    sums = defaultdict(dict)
     for a, at_pivots in enumerate(images):
         for mono_id, coeffs in at_pivots.items():
             for b, v in coeffs.items():
-                terms[b][a][monos[mono_id]] = v
-    return Comodule(M.field, M.coalgebra, k, [[MultiPoly(M.field, t) for t in row] for row in terms])
+                sums[monos[mono_id]][b, a] = v
+    return Comodule.of_acts(M.field, M.coalgebra, S.dim, acts_from_sums(sums, M.field.p))
 
 
 def quotient_by_subspace(M: Comodule, S: Subspace) -> Comodule:
@@ -481,7 +476,6 @@ def quotient_by_subspace(M: Comodule, S: Subspace) -> Comodule:
     p = fld.p
     pivset = set(S.pivots)
     keep = [i for i in range(M.dim) if i not in pivset]
-    k = len(keep)
     # proj[l]: e_l in the quotient coordinates, as (index, coeff) pairs
     proj = [[] for _ in range(M.dim)]
     for idx, i in enumerate(keep):
@@ -497,19 +491,18 @@ def quotient_by_subspace(M: Comodule, S: Subspace) -> Comodule:
                 out[b] += c * v
         return out
 
-    terms = [[{} for _ in range(k)] for _ in range(k)]
+    sums = defaultdict(dict)
     for a, i in enumerate(keep):
         for mono_id, w in _images(cols, {i: 1}).items():
             for b, v in project(w).items():
-                terms[b][a][monos[mono_id]] = v
-    Q = Comodule(fld, M.coalgebra, k, [[MultiPoly(fld, t) for t in row] for row in terms])
+                sums[monos[mono_id]][b, a] = v
     # well-definedness: Delta must kill S in the quotient coordinates
     for row in S.rows:
         s = {i: c for i, c in enumerate(row) if c}
         for w in _images(cols, s).values():
             if any(v % p for v in project(w).values()):
                 raise ValueError("subspace is not coaction-stable")
-    return Q
+    return Comodule.of_acts(fld, M.coalgebra, len(keep), acts_from_sums(sums, p))
 
 
 def direct_sum(modules) -> Comodule:
@@ -520,16 +513,13 @@ def direct_sum(modules) -> Comodule:
     coalg = modules[0].coalgebra
     if any(m.field != fld or m.coalgebra != coalg for m in modules):
         raise ValueError("direct sum needs a common field and coalgebra")
-    n = sum(m.dim for m in modules)
-    zero = MultiPoly.zero(fld)
-    coaction = [[zero for _ in range(n)] for _ in range(n)]
+    acts = defaultdict(list)
     off = 0
     for m in modules:
-        for j in range(m.dim):
-            for i in range(m.dim):
-                coaction[off + j][off + i] = m.coaction[j][i]
+        for mono, act in m.acts.items():
+            acts[mono].extend((j + off, i + off, c) for j, i, c in act)
         off += m.dim
-    return Comodule(fld, coalg, n, coaction)
+    return Comodule.of_acts(fld, coalg, off, dict(acts))
 
 
 def conjugate(M: Comodule, g: Matrix) -> Comodule:
@@ -540,8 +530,8 @@ def conjugate(M: Comodule, g: Matrix) -> Comodule:
     fld = M.field
     p = fld.p
     ginv = linalg.mat_inverse(g, fld)
-    terms = [[{} for _ in range(n)] for _ in range(n)]
-    for mono, act in _actions(M).items():
+    acts = {}
+    for mono, act in M.acts.items():
         ag = {}  # j -> row j of A_mu g^{-1}, unreduced
         for j, i, c in act:
             row = ag.get(j)
@@ -549,17 +539,17 @@ def conjugate(M: Comodule, g: Matrix) -> Comodule:
                 ag[j] = [c * x for x in ginv[i]]
             else:
                 ag[j] = [a + c * x for a, x in zip(row, ginv[i])]
+        out = []
         for r, grow in enumerate(g):
             acc = [0] * n
             for j, row in ag.items():
                 c = grow[j] % p
                 if c:
                     acc = [a + c * x for a, x in zip(acc, row)]
-            for q, v in enumerate(acc):
-                v %= p
-                if v:
-                    terms[r][q][mono] = v
-    return Comodule(fld, M.coalgebra, n, [[MultiPoly(fld, t) for t in row] for row in terms])
+            out.extend((r, q, v % p) for q, v in enumerate(acc) if v % p)
+        if out:
+            acts[mono] = out
+    return Comodule.of_acts(fld, M.coalgebra, n, acts)
 
 
 # -- radical quotients and local freeness -------------------------------------
@@ -571,12 +561,12 @@ def radical_quotient_dim(M: Comodule) -> int:
     rad(A) is spanned by the dual-basis functionals of non-identity monomials;
     only monomials occurring in the coaction can act nonzero, so rad(A).M is
     spanned by the nonzero columns of their action matrices, read sparsely
-    from :func:`_actions` and kept once per line.
+    from ``acts`` and kept once per line.
     """
     if not M.coalgebra.is_truncated():
         raise ValueError("radical quotient needs a truncated (finite) coalgebra")
     columns = []
-    for mono, act in _actions(M).items():
+    for mono, act in M.acts.items():
         if mono == ():
             continue
         col = defaultdict(list)  # column i of A_mu, rows ascending

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import coalgebras, linalg
-from .comodule import CoalgebraSubspace, Comodule, _actions
+from .comodule import CoalgebraSubspace, Comodule
 from .fpcomb import PrimeField, digit_sums
 from .ga import GaUFamily, derived_v
 from .linalg import Matrix, Subspace
@@ -307,7 +307,7 @@ def _generic_exp_images(field: PrimeField, gens: tuple, W: int) -> list:
 def _pullback_table(M: Comodule) -> tuple:
     """(acts, pulled, mask): the per-monomial actions and their pullbacks.
 
-    ``acts`` is :func:`~expfilt.comodule._actions` of M; ``pulled[k]`` is
+    ``acts`` is ``M.acts``; ``pulled[k]`` is
     the pullback of its k-th monomial along exp of the generic B, as
     {packed key: coeff} with the T power in ``key & mask`` and the
     b-monomial in the bits above (see :func:`_generic_exp_images`), all
@@ -321,7 +321,7 @@ def _pullback_table(M: Comodule) -> tuple:
     N = M.coalgebra.N
     SymbolicNilpotentDomain(fld, N)  # raises unless N <= p
     gens = coalgebras.generator_vars(M.coalgebra)
-    acts = _actions(M)
+    acts = M.acts
     monos = list(acts)
     coalgebras.require_generators(M.coalgebra, monos)
     # a term of the pullback of m has T exponent <= (N-1) deg m and b
@@ -377,11 +377,7 @@ def exponential_degree(M) -> int:
     if isinstance(M, GaUFamily):
         return ga_exponential_degree(M)
     if M.coalgebra.kind == "GaPoly":
-        best = 0
-        for row in M.coaction:
-            for f in row:
-                best = max(best, f.degree_in("T"))
-        return best
+        return max((e for m in M.acts for v, e in m if v == "T"), default=0)
     acts, pulled, mask = _pullback_table(M)
     p = M.field.p
     by_power = defaultdict(list)  # T power -> [(A_mu entries, key, coeff)]
@@ -433,14 +429,18 @@ def ga_exponential_degree(U: GaUFamily) -> int:
 
 
 def frobenius_twist(M: Comodule) -> Comodule:
-    """Replace every coaction entry by its p-th power (coefficients fixed)."""
-    coaction = [[f.frobenius() for f in row] for row in M.coaction]
-    if M.coalgebra.is_truncated():
-        coaction = [
-            [coalgebras.reduce_poly(M.coalgebra, M.field, f) for f in row]
-            for row in coaction
-        ]
-    return Comodule(M.field, M.coalgebra, M.dim, coaction)
+    """Replace every coaction entry by its p-th power (coefficients fixed).
+
+    The action of mu moves to mu^p, dropped past a truncation bound.
+    """
+    p = M.field.p
+    bound = coalgebras.truncation_bound(M.coalgebra, M.field)
+    acts = {}
+    for m, act in M.acts.items():
+        twisted = tuple((v, e * p) for v, e in m)
+        if bound is None or all(e < bound for _, e in twisted):
+            acts[twisted] = act
+    return Comodule.of_acts(M.field, M.coalgebra, M.dim, acts)
 
 
 def relate_inclusions_check(ctx: UNContext, d: int, e: int, Dmax: int) -> dict:

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from . import coalgebras, linalg
-from .comodule import Comodule, action_matrix, coideal_preimage, degree_below
+from .comodule import Comodule, action_matrices, coideal_preimage, degree_below
 from .fpcomb import PrimeField, binom_mod, binom_row_mod, digit_dominates, digit_sums, digits
 from .linalg import Matrix, Subspace
 from .polyring import MultiPoly, monomial
@@ -148,20 +148,12 @@ def family_to_comodule(U: GaUFamily) -> Comodule:
     """Coaction f_{ji} = sum_k (v_k)_{ji} T^k; finite by finite support."""
     require_valid_family(U)
     fld = U.field
-    n = U.dim
-    supp = U.support()
-    coaction = [[{} for _ in range(n)] for _ in range(n)]
-    for k in digit_sums(fld, supp):
-        mat = derived_v(U, k)
-        if linalg.is_zero_matrix(mat, fld) and k != 0:
-            continue
-        mono = monomial({"T": k})
-        for j in range(n):
-            for i in range(n):
-                if mat[j][i]:
-                    coaction[j][i][mono] = mat[j][i]
-    polys = [[MultiPoly(fld, coaction[j][i]) for i in range(n)] for j in range(n)]
-    return Comodule(fld, coalgebras.ga_poly(), n, polys)
+    acts = {}
+    for k in digit_sums(fld, U.support()):
+        act = [(j, i, c) for j, row in enumerate(derived_v(U, k)) for i, c in enumerate(row) if c]
+        if act:
+            acts[monomial({"T": k})] = act
+    return Comodule.of_acts(fld, coalgebras.ga_poly(), U.dim, acts)
 
 
 def comodule_to_family(M: Comodule) -> GaUFamily:
@@ -173,16 +165,14 @@ def comodule_to_family(M: Comodule) -> GaUFamily:
     if M.coalgebra.kind != "GaPoly":
         raise ValueError("comodule_to_family needs a comodule over k[Ga]")
     fld = M.field
-    if any(not f.variables() <= {"T"} for row in M.coaction for f in row):
+    if any(v != "T" for m in M.acts for v, _ in m):
         raise ValueError("coaction entries must be polynomials in T")
-    degrees = {m[0][1] if m else 0 for row in M.coaction for f in row for m in f.terms}
-    maxdeg = max(degrees, default=0)
+    mats = {(m[0][1] if m else 0): A for m, A in action_matrices(M).items()}  # T power -> A
     u_mats = {}
     s = 0
-    while fld.p**s <= maxdeg:
-        mat = action_matrix(M, monomial({"T": fld.p**s}))
-        if not linalg.is_zero_matrix(mat, fld):
-            u_mats[s] = mat
+    while fld.p**s <= max(mats, default=0):
+        if fld.p**s in mats:
+            u_mats[s] = mats[fld.p**s]
         s += 1
     fam = GaUFamily(fld, M.dim, u_mats)
     bad = validate_family(fam)
@@ -194,10 +184,10 @@ def comodule_to_family(M: Comodule) -> GaUFamily:
     # disagree
     nonzero = _nonzero_v(fam)
     zero = linalg.zeros(M.dim, M.dim)
-    for j in sorted(degrees.union(nonzero)):
-        if not linalg.mat_equal(action_matrix(M, monomial({"T": j})), nonzero.get(j, zero), fld):
+    for j in sorted(mats.keys() | nonzero.keys()):
+        if not linalg.mat_equal(mats.get(j, zero), nonzero.get(j, zero), fld):
             raise ValueError(f"coefficient of T^{j} disagrees with the divided-power formula")
-    if not linalg.mat_equal(action_matrix(M, ()), linalg.identity(M.dim), fld):
+    if not linalg.mat_equal(mats.get(0, zero), linalg.identity(M.dim), fld):
         raise ValueError("coefficient of T^0 is not the identity")
     return fam
 
@@ -210,17 +200,12 @@ def regular_comodule(field: PrimeField, D: int) -> Comodule:
     if D < 1:
         raise ValueError("D must be >= 1")
     rows = [binom_row_mod(n, field) for n in range(D)]
-    coaction = []
-    for l in range(D):
-        row = []
-        for n in range(D):
-            if l > n:
-                row.append(MultiPoly.zero(field))
-            else:
-                row.append(MultiPoly.variable(field, "T", n - l, rows[n][n - l]) if n > l
-                           else MultiPoly.constant(field, 1))
-        coaction.append(row)
-    return Comodule(field, coalgebras.ga_poly(), D, coaction)
+    acts = {}
+    for k in range(D):  # f_{l,l+k} = C(l+k, k) T^k
+        act = [(l, l + k, rows[l + k][k]) for l in range(D - k) if rows[l + k][k]]
+        if act:
+            acts[monomial({"T": k})] = act
+    return Comodule.of_acts(field, coalgebras.ga_poly(), D, acts)
 
 
 def regular_trunc_comodule(field: PrimeField, r: int) -> Comodule:
@@ -245,26 +230,14 @@ def generated_submodule(M: Comodule, S) -> Subspace:
     """Row space of {v_j(s) : s in S, j occurring}."""
     if M.coalgebra.kind != "GaPoly":
         raise ValueError("generated_submodule needs a comodule over k[Ga]")
-    fld = M.field
-    n = M.dim
     vectors = []
     for s in S:
-        # g_l = sum_i s_i f_{li}; then v_j(s)[l] = coeff of T^j in g_l
-        gs = []
-        degs = set()
-        for l in range(n):
-            acc = MultiPoly.zero(fld)
-            for i, c in enumerate(s):
-                if c % fld.p:
-                    acc = acc + M.coaction[l][i].scale(c)
-            by_power = {}
-            for mono, coef in acc.terms.items():
-                by_power[mono[0][1] if mono else 0] = coef
-            gs.append(by_power)
-            degs.update(by_power)
-        for j in sorted(degs):
-            vectors.append([gs[l].get(j, 0) for l in range(n)])
-    return Subspace.from_vectors(fld, n, vectors)
+        for act in M.acts.values():  # v_j(s) = A_{T^j} s
+            v = [0] * M.dim
+            for l, i, c in act:
+                v[l] += c * s[i]
+            vectors.append(v)
+    return Subspace.from_vectors(M.field, M.dim, vectors)
 
 
 def carries_basis(n: int, field: PrimeField) -> list:
@@ -287,10 +260,8 @@ def restrict_frobenius_ga(M: Comodule, r: int) -> Comodule:
     if r < 1:
         raise ValueError("r must be >= 1")
     bound = M.field.p**r
-    coaction = [
-        [f.drop_high_exponents(bound) for f in row] for row in M.coaction
-    ]
-    return Comodule(M.field, coalgebras.ga_trunc(r), M.dim, coaction)
+    acts = {m: act for m, act in M.acts.items() if all(e < bound for _, e in m)}
+    return Comodule.of_acts(M.field, coalgebras.ga_trunc(r), M.dim, acts)
 
 
 def section_frobenius_ga(M: Comodule) -> Comodule:
@@ -303,7 +274,7 @@ def section_frobenius_ga(M: Comodule) -> Comodule:
     """
     if M.coalgebra.kind != "GaTrunc":
         raise ValueError("section_frobenius_ga needs a comodule over a truncation of k[Ga]")
-    return Comodule(M.field, coalgebras.ga_poly(), M.dim, [list(row) for row in M.coaction])
+    return Comodule.of_acts(M.field, coalgebras.ga_poly(), M.dim, M.acts)
 
 
 def retract_iso_check(r: int, field: PrimeField, correspondence=None) -> dict:

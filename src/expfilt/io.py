@@ -9,13 +9,15 @@ A module file is a UTF-8 JSON document::
 
 Coaction matrices are row-major (entry [j][i] is the coefficient of e_j in
 Delta(e_i)); polystrings follow the polynomial text grammar.  The u_mats form
-is only meaningful for kind "Ga".  :func:`parse_module` parses each distinct
-coaction string once per call and shares the (immutable) polynomial between
-the entries that spell it; with ``check`` it validates the comodule laws,
+is only meaningful for kind "Ga".  Integer fields are JSON integers or
+decimal strings; floats and booleans are rejected.  :func:`parse_module`
+parses each distinct coaction string once per call, and the ``Comodule``
+constructor turns the parsed matrix into the module's per-monomial action
+table in one pass; with ``check`` it validates the comodule laws,
 whose Delta table expands every distinct monomial once through base-p
-Frobenius digits and a per-call prefix memo, and rejects a monomial whose
-coproduct would exceed the desk-scale term guard (``ValueError``, exit code
-2 in the CLI).  Canonical serialization sorts keys and
+Frobenius digits and a per-call prefix memo, and rejects, before expanding
+it, a monomial whose coproduct's term bound exceeds the desk-scale guard
+(``ValueError``, exit code 2 in the CLI).  Canonical serialization sorts keys and
 uses two-space indentation, so serialize(parse(file)) is byte-identical for
 canonical files.
 
@@ -47,7 +49,9 @@ def _field(obj: dict, key: str, what: str = "field"):
 
 
 def _as_int(value, what: str) -> int:
-    """``int(value)``, so numeric strings such as "3" are accepted."""
+    """A JSON integer, or a decimal string such as "3"; floats and booleans are rejected."""
+    if isinstance(value, (bool, float)):
+        raise ModuleFileError(f"{what} must be an integer")
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -85,10 +89,10 @@ def _group_from_coalgebra(coalg: coalgebras.CoalgebraId) -> dict:
 
 
 def _require_matrix(value, what: str, entry_type):
-    """Reject anything but a list of lists whose entries are ``entry_type``."""
+    """Reject anything but a list of lists whose entries are ``entry_type`` (not bool)."""
     if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
         raise ModuleFileError(f"{what} must be a list of lists")
-    if not all(isinstance(v, entry_type) for row in value for v in row):
+    if not all(isinstance(v, entry_type) and not isinstance(v, bool) for row in value for v in row):
         raise ModuleFileError(f"{what} entries must be {entry_type.__name__}")
 
 
@@ -130,7 +134,7 @@ def parse_module(doc: dict, check: bool = True):
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ModuleFileError("coaction matrix must be dim x dim")
     # one parse per distinct string, in first-occurrence order so the first
-    # malformed string is the one reported; MultiPoly is immutable, so entries share
+    # malformed string is the one reported
     parsed = {t: parse_poly(t, field) for t in dict.fromkeys(t for row in rows for t in row)}
     coaction = [[parsed[t] for t in row] for row in rows]
     M = Comodule(field, coalg, dim, coaction)

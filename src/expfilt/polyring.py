@@ -11,6 +11,7 @@ Text grammar (CLI and file formats): terms separated by "+", each term
 coefficients reduced mod p.  "-" starting a term negates it.
 """
 
+import math
 import re
 from typing import Mapping
 
@@ -480,9 +481,10 @@ def frobenius_images(field: PrimeField, images: list, pos: dict, monos, what: st
     >= cap map to zero.  ``prune = (offset, mask)``: a term whose
     key + offset meets mask is dropped after every product past the digit
     powers (a truncation ideal, or a bound that only grows under products).
-    Before a monomial is expanded its term count is bounded by the
-    product of the per-digit counts |images[v]^{d_t}|; past
-    :data:`fpcomb.DESK_GUARD` the call raises ValueError naming ``what``.
+    Before anything is expanded a monomial's term count is bounded by the
+    product over its digits d of C(n + d - 1, d), the number of degree-d
+    monomials in the n terms of the image; past :data:`fpcomb.DESK_GUARD`
+    the call raises ValueError naming ``what``.
     """
     p = field.p
     offset, mask = prune or (0, 0)
@@ -500,8 +502,7 @@ def frobenius_images(field: PrimeField, images: list, pos: dict, monos, what: st
     digit_memo = {}
 
     def digit_power(s, d):
-        """images[s]^d for a digit 0 < d < p, unpruned, so the guard's count
-        does not depend on ``prune``."""
+        """images[s]^d for a digit 0 < d < p, unpruned."""
         key = (s, d)
         if key not in digit_memo:
             digit_memo[key] = (
@@ -513,10 +514,11 @@ def frobenius_images(field: PrimeField, images: list, pos: dict, monos, what: st
         """Term-count bound of the image of x_s^e; 0 when the cap kills it."""
         if cap is not None and e >= cap:
             return 0
+        n = len(images[s])
         count = 1
         for d in digits(e, p):
             if d:
-                count *= len(digit_power(s, d))
+                count *= math.comb(n + d - 1, d)
         return count
 
     power_memo = {}

@@ -29,7 +29,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from . import coalgebras, linalg
-from .comodule import Comodule, FreenessVerdict, _actions, jordan_type, local_freeness
+from .comodule import Comodule, FreenessVerdict, acts_from_sums, jordan_type, local_freeness
 from .fpcomb import DESK_GUARD, PrimeField, digits
 from .ga import (
     GaUFamily,
@@ -211,10 +211,9 @@ def _theta(M, psi: OneParamSubgroup) -> Matrix:
                 for i in range(psi.N) for j in range(i + 1, psi.N)})
         for s, E in enumerate(exps)
     ]
-    acts = _actions(M)
-    coalgebras.require_generators(M.coalgebra, acts)
+    coalgebras.require_generators(M.coalgebra, M.acts)
     theta = linalg.zeros(M.dim, M.dim)
-    for m, act in acts.items():
+    for m, act in M.acts.items():
         deg = monomial_degree(m)
         total = 0  # theta_mu
         for q, shifted in levels:
@@ -306,48 +305,38 @@ def pullback_module(M, psi: OneParamSubgroup) -> GaUFamily:
     x_{i,j} -> (i, j) entry of psi in one
     :func:`~expfilt.polyring.frobenius_images` call, on T exponents as keys:
     a power x^e is expanded by the base-p digits of e, and its term count is
-    bounded by the desk-scale guard before it is expanded.  The pulled-back
-    coaction is sum_mu pullback(mu) A_mu over the occurring monomials.
+    bounded by the desk-scale guard before it is expanded; over k[Ga] each
+    T^e maps to (sum_s lambda_s T^{p^s})^e.  The pulled-back coaction is
+    sum_mu pullback(mu) A_mu over the occurring monomials.
     """
     exps = require_valid_1psg(psi)
     if isinstance(M, GaUFamily):
         if psi.kind != "Ga":
             raise ValueError("a GaUFamily pairs with a Ga-form subgroup")
         M = family_to_comodule(M)
+    fld = M.field
     if M.coalgebra.kind == "GaPoly":
         if psi.kind != "Ga":
             raise ValueError("a k[Ga]-comodule pairs with a Ga-form subgroup")
-        fld = M.field
-        image = MultiPoly.zero(fld)
-        for s, lam in enumerate(psi.lambdas):
-            if lam:
-                image = image + MultiPoly.variable(fld, "T", fld.p**s, lam)
-        assignment = {"T": image}
-        coaction = [[f.substitute(assignment) for f in row] for row in M.coaction]
-        comp = Comodule(fld, coalgebras.ga_poly(), M.dim, coaction)
-        return comodule_to_family(comp)
-    if M.coalgebra.kind != "UNPoly" or psi.kind != "UN" or psi.N != M.coalgebra.N:
-        raise ValueError("module and subgroup live over different groups")
-    fld = M.field
-    P = _psg_images(psi, exps)
-    gens = coalgebras.generator_vars(M.coalgebra)
-    acts = _actions(M)
-    monos = list(acts)
-    coalgebras.require_generators(M.coalgebra, monos)
-    pulled = frobenius_images(
-        fld, [P[v] for v in gens], {v: s for s, v in enumerate(gens)}, monos,
-        "pullback along the subgroup",
-    )
-    entries = defaultdict(lambda: defaultdict(int))  # (j, i) -> {T power: coeff}
-    for act, terms in zip(acts.values(), pulled):
-        for j, i, a in act:
-            entry = entries[j, i]
-            for k, c in terms.items():
-                entry[k] += a * c
-    coaction = [[MultiPoly.zero(fld)] * M.dim for _ in range(M.dim)]
-    for (j, i), entry in entries.items():
-        coaction[j][i] = MultiPoly(fld, {(("T", k),) if k else (): c for k, c in entry.items()})
-    comp = Comodule(fld, coalgebras.ga_poly(), M.dim, coaction)
+        coalgebras.require_generators(M.coalgebra, M.acts)
+        image = MultiPoly(fld, {(("T", fld.p**s),): lam for s, lam in enumerate(psi.lambdas)})
+        pulled = [(image ** (m[0][1] if m else 0)).terms for m in M.acts]
+    else:
+        if M.coalgebra.kind != "UNPoly" or psi.kind != "UN" or psi.N != M.coalgebra.N:
+            raise ValueError("module and subgroup live over different groups")
+        coalgebras.require_generators(M.coalgebra, M.acts)
+        P = _psg_images(psi, exps)
+        gens = coalgebras.generator_vars(M.coalgebra)
+        images = frobenius_images(fld, [P[v] for v in gens], {v: s for s, v in enumerate(gens)},
+                                  M.acts, "pullback along the subgroup")
+        pulled = [{(("T", k),) if k else (): c for k, c in terms.items()} for terms in images]
+    sums = defaultdict(lambda: defaultdict(int))  # T^k -> {(j, i): coeff}
+    for act, terms in zip(M.acts.values(), pulled):
+        for k, c in terms.items():
+            entries = sums[k]
+            for j, i, a in act:
+                entries[j, i] += a * c
+    comp = Comodule.of_acts(fld, coalgebras.ga_poly(), M.dim, acts_from_sums(sums, fld.p))
     return comodule_to_family(comp)
 
 

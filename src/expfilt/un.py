@@ -8,14 +8,15 @@ restriction from the N x N matrix coalgebra).
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 from . import coalgebras
 from .coalgebras import CoalgebraId, coproduct
-from .comodule import Comodule, coideal_preimage, degree_below
+from .comodule import Comodule, acts_from_sums, coideal_preimage, degree_below
 from .fpcomb import DESK_GUARD, PrimeField
 from .linalg import Subspace
-from .polyring import MultiPoly, TensorPoly, monomial, prime_var
+from .polyring import MultiPoly, TensorPoly, _merge_monomials, monomial, prime_var
 
 
 @dataclass(frozen=True)
@@ -173,21 +174,23 @@ def degree_piece_comodule(ctx: UNContext, d: int) -> Comodule:
     """k[U_N]_{<d} as a comodule over k[U_N] on its monomial basis.
 
     Both coproduct legs of a degree < d function have degree < d, so the
-    expansion of the left leg in the monomial basis always succeeds.
+    expansion of the left leg in the monomial basis always succeeds.  One
+    :func:`coalgebras.coproduct_table` call gives Delta of every basis
+    monomial; a term c basis[row] (x) mu of Delta(basis[col]) is the entry
+    (row, col, c) of A_mu.
     """
     fld = ctx.field
     basis = degree_piece(ctx, d)
     idx = {m: k for k, m in enumerate(basis)}
-    n = len(basis)
-    coaction = [[MultiPoly.zero(fld) for _ in range(n)] for _ in range(n)]
-    for col, mono in enumerate(basis):
-        delta = coproduct(ctx.coalgebra, fld, MultiPoly.from_monomial(fld, mono))
-        for (left, right), c in delta.factor_pairs():
-            if left not in idx:
+    factors, table = coalgebras.coproduct_table(ctx.coalgebra, fld, basis)
+    sums = defaultdict(dict)
+    for col, terms in enumerate(table):
+        for a, b, c in terms:
+            row = idx.get(factors[a])
+            if row is None:
                 raise ValueError("coproduct leaves the degree piece")
-            row = idx[left]
-            coaction[row][col] = coaction[row][col] + MultiPoly.from_monomial(fld, right, c)
-    return Comodule(fld, ctx.coalgebra, n, coaction)
+            sums[factors[b]][row, col] = c
+    return Comodule.of_acts(fld, ctx.coalgebra, len(basis), acts_from_sums(sums, fld.p))
 
 
 # -- standard comodules ---------------------------------------------------------
@@ -195,54 +198,37 @@ def degree_piece_comodule(ctx: UNContext, d: int) -> Comodule:
 
 def natural_rep(ctx: UNContext) -> Comodule:
     """Column vectors: Delta(e_i) = e_i(x)1 + sum_{j<i} e_j(x)x_{j,i}."""
-    fld = ctx.field
     N = ctx.N
-    coaction = []
-    for j in range(1, N + 1):
-        row = []
-        for i in range(1, N + 1):
-            if j == i:
-                row.append(MultiPoly.one(fld))
-            elif j < i:
-                row.append(MultiPoly.variable(fld, f"x{j}_{i}"))
-            else:
-                row.append(MultiPoly.zero(fld))
-        coaction.append(row)
-    return Comodule(fld, ctx.coalgebra, N, coaction)
-
-
-def _sym2_pairs(N: int) -> list:
-    return [(a, b) for a in range(1, N + 1) for b in range(a, N + 1)]
+    acts = {(): [(j, j, 1) for j in range(N)]}
+    for j in range(N):
+        for i in range(j + 1, N):
+            acts[monomial({f"x{j + 1}_{i + 1}": 1})] = [(j, i, 1)]
+    return Comodule.of_acts(ctx.field, ctx.coalgebra, N, acts)
 
 
 def sym_square_rep(ctx: UNContext) -> Comodule:
     """Symmetric square of the natural comodule on the monomial basis e_a e_b."""
-    nat = natural_rep(ctx)
-    return _sym_square_of(nat)
+    return _sym_square_of(natural_rep(ctx))
 
 
 def _sym_square_of(M: Comodule) -> Comodule:
-    fld = M.field
-    N = M.dim
-    pairs = _sym2_pairs(N)
+    """Delta(e_i e_j) = sum_{a,b} e_a e_b f_{ai} f_{bj}, on the basis e_a e_b, a <= b.
+
+    Every pair of entries (a, i, c) of A_mu and (b, j, c') of A_nu adds
+    c c' mu nu to the entry (e_a e_b, e_i e_j).
+    """
+    pairs = [(a, b) for a in range(M.dim) for b in range(a, M.dim)]
     idx = {ab: k for k, ab in enumerate(pairs)}
-    n2 = len(pairs)
-    coaction = [[MultiPoly.zero(fld) for _ in range(n2)] for _ in range(n2)]
-    for (i, j) in pairs:
-        col = idx[(i, j)]
-        for a in range(1, N + 1):
-            fai = M.coaction[a - 1][i - 1]
-            if fai.is_zero():
-                continue
-            for b in range(a, N + 1):
-                fbj = M.coaction[b - 1][j - 1]
-                term = fai * fbj
-                if a != b:
-                    term = term + M.coaction[b - 1][i - 1] * M.coaction[a - 1][j - 1]
-                if not term.is_zero():
-                    row = idx[(a, b)]
-                    coaction[row][col] = coaction[row][col] + term
-    return Comodule(fld, M.coalgebra, n2, coaction)
+    cols = defaultdict(list)  # column i -> [(mu, a, c)] over the entries (a, i, c) of A_mu
+    for mu, act in M.acts.items():
+        for a, i, c in act:
+            cols[i].append((mu, a, c))
+    sums = defaultdict(lambda: defaultdict(int))
+    for col, (i, j) in enumerate(pairs):
+        for mu, a, c in cols[i]:
+            for nu, b, cc in cols[j]:
+                sums[_merge_monomials(mu, nu)][idx[min(a, b), max(a, b)], col] += c * cc
+    return Comodule.of_acts(M.field, M.coalgebra, len(pairs), acts_from_sums(sums, M.field.p))
 
 
 # -- restrictions ----------------------------------------------------------------
@@ -278,14 +264,15 @@ def restrict_along(M: Comodule, substitution: dict, target: CoalgebraId,
             rhs = coalgebras.coproduct(target, fld, substitution[v]).poly
             if lhs != rhs:
                 raise ValueError(f"substitution is not a coalgebra map at {v}")
-    coaction = [
-        [f.substitute(substitution) for f in row] for row in M.coaction
-    ]
-    if target.is_truncated():
-        coaction = [
-            [coalgebras.reduce_poly(target, fld, f) for f in row] for row in coaction
-        ]
-    return Comodule(fld, target, M.dim, coaction)
+    sums = defaultdict(lambda: defaultdict(int))
+    for mu, act in M.acts.items():  # the image of f_{ji} is sum_mu A_mu[j][i] sigma(mu)
+        image = MultiPoly.from_monomial(fld, mu).substitute(substitution)
+        image = coalgebras.reduce_poly(target, fld, image)
+        for nu, c in image.terms.items():
+            entries = sums[nu]
+            for j, i, a in act:
+                entries[j, i] += a * c
+    return Comodule.of_acts(fld, target, M.dim, acts_from_sums(sums, fld.p))
 
 
 def restrict_frobenius_un(M: Comodule, r: int) -> Comodule:
@@ -295,9 +282,8 @@ def restrict_frobenius_un(M: Comodule, r: int) -> Comodule:
     if r < 1:
         raise ValueError("r must be >= 1")
     bound = M.field.p**r
-    target = coalgebras.un_trunc(M.coalgebra.N, r)
-    coaction = [[f.drop_high_exponents(bound) for f in row] for row in M.coaction]
-    return Comodule(M.field, target, M.dim, coaction)
+    acts = {m: act for m, act in M.acts.items() if all(e < bound for _, e in m)}
+    return Comodule.of_acts(M.field, coalgebras.un_trunc(M.coalgebra.N, r), M.dim, acts)
 
 
 def ga_as_u2(M: Comodule) -> Comodule:
@@ -335,11 +321,8 @@ def restrict_mat_to_un(M: Comodule) -> Comodule:
 
 def natural_rep_gl(field: PrimeField, N: int) -> Comodule:
     """The natural N-dimensional comodule over k[M_N]: f_{ji} = x_{j,i}."""
-    coaction = [
-        [MultiPoly.variable(field, f"x{j}_{i}") for i in range(1, N + 1)]
-        for j in range(1, N + 1)
-    ]
-    return Comodule(field, coalgebras.mat_poly(N), N, coaction)
+    acts = {monomial({f"x{j + 1}_{i + 1}": 1}): [(j, i, 1)] for j in range(N) for i in range(N)}
+    return Comodule.of_acts(field, coalgebras.mat_poly(N), N, acts)
 
 
 def sym_square_rep_gl(field: PrimeField, N: int) -> Comodule:

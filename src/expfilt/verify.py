@@ -344,7 +344,7 @@ def suite_schur(seed=0, p=None, N=None):
                 ctx = UNContext(fld, NN)
                 restricted = restrict_mat_to_un(build_gl(fld, NN))
                 direct = build_direct(ctx)
-                same = restricted.coaction == direct.coaction
+                same = restricted == direct
                 deg = exponential_degree(restricted)
                 d = homog_degree[name]
                 ok = (

@@ -8,6 +8,7 @@ import pytest
 from expfilt import coalgebras, linalg
 from expfilt.coalgebras import convolve, ga_trunc
 from expfilt.comodule import (
+    Comodule,
     coideal_preimage,
     conjugate,
     direct_sum,
@@ -39,6 +40,14 @@ F3 = PrimeField(3)
 F5 = PrimeField(5)
 
 
+def with_entries(M, entries):
+    """M with the coaction entries {(j, i): f} replaced, built through the constructor."""
+    matrix = [list(row) for row in M.coaction]
+    for (j, i), f in entries.items():
+        matrix[j][i] = f
+    return Comodule(M.field, M.coalgebra, M.dim, matrix)
+
+
 def span(field, dim, indices):
     vecs = []
     for i in indices:
@@ -56,26 +65,40 @@ class TestValidate:
         assert validate(natural_rep(UNContext(F3, 3))).ok
 
     def test_corrupted_counit_pinpointed(self):
-        M = natural_rep(UNContext(F3, 3))
-        M.coaction[0][1] = parse_poly("x1_2 + 1", F3)
+        M = with_entries(natural_rep(UNContext(F3, 3)), {(0, 1): parse_poly("x1_2 + 1", F3)})
         rep = validate(M)
         assert not rep.ok
         assert any(v["law"] == "counit" and v["index"] == 1 for v in rep.violations)
 
     def test_broken_coassociativity_detected(self):
-        M = natural_rep(UNContext(F3, 3))
         # x1_3 -> x2_3 keeps the counit but breaks coassociativity
-        M.coaction[0][2] = parse_poly("x2_3", F3)
+        M = with_entries(natural_rep(UNContext(F3, 3)), {(0, 2): parse_poly("x2_3", F3)})
         rep = validate(M)
         assert not rep.ok
         assert any(v["law"] == "coassociativity" for v in rep.violations)
 
     def test_membership_enforced(self):
-        M = trivial_comodule(F3, ga_trunc(1), 1)
-        M.coaction[0][0] = parse_poly("1 + T^3", F3)  # T^3 = 0 in the truncation
+        # T^3 = 0 in the truncation
+        M = with_entries(trivial_comodule(F3, ga_trunc(1), 1), {(0, 0): parse_poly("1 + T^3", F3)})
         rep = validate(M)
         assert not rep.ok
         assert rep.violations[0]["law"] == "membership"
+
+
+class TestStoredForm:
+    def test_coaction_view_is_read_only(self):
+        M = natural_rep(UNContext(F3, 3))
+        with pytest.raises(TypeError):
+            M.coaction[0][1] = parse_poly("x1_2 + 1", F3)
+        assert M.coaction[0][1] == parse_poly("x1_2", F3)
+
+    def test_builders_keep_the_stored_form(self):
+        # the matrix constructor lists each A_mu's nonzero entries in (j, i)
+        # order; every builder that writes the table directly must agree
+        from test_io_cli import _golden_modules
+
+        for label, M in _golden_modules().items():
+            assert Comodule(M.field, M.coalgebra, M.dim, M.coaction) == M, label
 
 
 class TestDualAction:

@@ -52,6 +52,7 @@ from test_validate_differential import _pool
 
 
 def oracle_coideal_preimage(M: Comodule, B: CoalgebraSubspace) -> Subspace:
+    coaction = M.coaction  # a view rebuilt on each access: read it once
     fld = M.field
     n = M.dim
     ambient = set(M.occurring_monomials())
@@ -64,7 +65,7 @@ def oracle_coideal_preimage(M: Comodule, B: CoalgebraSubspace) -> Subspace:
         cols = []
         for i in range(n):
             v = [0] * len(ambient)
-            for m, c in M.coaction[j][i].terms.items():
+            for m, c in coaction[j][i].terms.items():
                 v[index[m]] = c
             cols.append(Bext.reduce(v))
         for k in range(len(ambient)):
@@ -84,6 +85,7 @@ def oracle_is_coaction_stable(M: Comodule, S: Subspace) -> bool:
 
 
 def oracle_restrict(M: Comodule, S: Subspace) -> Comodule:
+    coaction = M.coaction  # a view rebuilt on each access: read it once
     fld = M.field
     k = S.dim
     images = []
@@ -93,7 +95,7 @@ def oracle_restrict(M: Comodule, S: Subspace) -> Comodule:
             acc = MultiPoly.zero(fld)
             for i, c in enumerate(S.rows[a]):
                 if c:
-                    acc = acc + M.coaction[l][i].scale(c)
+                    acc = acc + coaction[l][i].scale(c)
             col.append(acc)
         images.append(col)
     new_coaction = [[images[a][S.pivots[b]] for a in range(k)] for b in range(k)]
@@ -110,6 +112,7 @@ def oracle_restrict(M: Comodule, S: Subspace) -> Comodule:
 
 
 def oracle_quotient(M: Comodule, S: Subspace) -> Comodule:
+    coaction = M.coaction  # a view rebuilt on each access: read it once
     fld = M.field
     pivset = set(S.pivots)
     keep = [i for i in range(M.dim) if i not in pivset]
@@ -123,7 +126,7 @@ def oracle_quotient(M: Comodule, S: Subspace) -> Comodule:
     new_coaction = [[MultiPoly.zero(fld) for _ in range(k)] for _ in range(k)]
     for a_idx, a in enumerate(keep):
         for l in range(M.dim):
-            f = M.coaction[l][a]
+            f = coaction[l][a]
             if f.is_zero():
                 continue
             for b_idx in range(k):
@@ -139,13 +142,14 @@ def oracle_quotient(M: Comodule, S: Subspace) -> Comodule:
                     for l in range(M.dim):
                         cc = proj[l][b_idx]
                         if cc:
-                            acc = acc + M.coaction[l][i].scale(c * cc)
+                            acc = acc + coaction[l][i].scale(c * cc)
             if not acc.is_zero():
                 raise ValueError("subspace is not coaction-stable")
     return Q
 
 
 def oracle_conjugate(M: Comodule, g) -> Comodule:
+    coaction = M.coaction  # a view rebuilt on each access: read it once
     fld = M.field
     ginv = linalg.mat_inverse(g, fld)
     n = M.dim
@@ -155,7 +159,7 @@ def oracle_conjugate(M: Comodule, g) -> Comodule:
             acc = MultiPoly.zero(fld)
             for t in range(n):
                 if g[j][t]:
-                    acc = acc + M.coaction[t][i].scale(g[j][t])
+                    acc = acc + coaction[t][i].scale(g[j][t])
             gf[j][i] = acc
     out = [[None] * n for _ in range(n)]
     for j in range(n):

@@ -123,6 +123,7 @@ def oracle_mock_trivial(M: Comodule) -> bool:
 
 
 def oracle_theta(M: Comodule, psi):
+    coaction = M.coaction  # a view rebuilt on each access: read it once
     fld = M.field
     n = M.dim
     theta = linalg.zeros(n, n)
@@ -132,7 +133,7 @@ def oracle_theta(M: Comodule, psi):
         target = monomial({"T": fld.p**s})
         for j in range(n):
             for i in range(n):
-                f = M.coaction[j][i]
+                f = coaction[j][i]
                 if not f.is_zero():
                     theta[j][i] = (theta[j][i] + f.substitute(assignment).coeff(target)) % fld.p
     return theta

@@ -27,6 +27,7 @@ from expfilt.ga import (
 from expfilt.linalg import Subspace
 from expfilt.polyring import parse_poly
 from expfilt.samplers import random_ga_family, rng_from_seed
+from test_comodule import with_entries
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -139,8 +140,8 @@ class TestConversions:
             assert family_to_comodule(back).coaction == M.coaction
 
     def test_non_comodule_input_rejected(self):
-        M = family_to_comodule(y_r_family(F3, 1))
-        M.coaction[1][0] = parse_poly("T^2", F3)  # not of divided-power shape
+        # not of divided-power shape
+        M = with_entries(family_to_comodule(y_r_family(F3, 1)), {(1, 0): parse_poly("T^2", F3)})
         with pytest.raises(ValueError):
             comodule_to_family(M)
 
@@ -153,10 +154,11 @@ class TestConversions:
         # both families are valid (u_0 = E01 + E12 and u_1 = E02, or
         # u_0 = u_1 = E01 + E12), but T^missing, whose coefficient should be
         # v_2 = u_0^2 / 2 or v_4 = u_0 u_1, does not occur at all
-        M = family_to_comodule(GaUFamily(F3, 3, {}))
-        M.coaction[0][1] = parse_poly(upper, F3)
-        M.coaction[1][2] = parse_poly(upper, F3)
-        M.coaction[0][2] = parse_poly(corner, F3)
+        M = with_entries(family_to_comodule(GaUFamily(F3, 3, {})), {
+            (0, 1): parse_poly(upper, F3),
+            (1, 2): parse_poly(upper, F3),
+            (0, 2): parse_poly(corner, F3),
+        })
         with pytest.raises(ValueError, match=rf"T\^{missing} disagrees"):
             comodule_to_family(M)
 
@@ -164,9 +166,10 @@ class TestConversions:
         # T at (0,1) and (1,2) and nothing else: u_0 = E01 + E12 is a valid
         # family, but v_2 = u_0^2 / 2 = 2 E02 != 0 while the top T degree is
         # 1, so T^2 should occur and does not; validate rejects it too
-        M = family_to_comodule(GaUFamily(F3, 3, {}))
-        M.coaction[0][1] = parse_poly("T", F3)
-        M.coaction[1][2] = parse_poly("T", F3)
+        M = with_entries(family_to_comodule(GaUFamily(F3, 3, {})), {
+            (0, 1): parse_poly("T", F3),
+            (1, 2): parse_poly("T", F3),
+        })
         assert "coassociativity violation at basis e_3" in validate(M).summary()
         with pytest.raises(ValueError, match=r"coefficient of T\^2 disagrees with the divided-power formula"):
             comodule_to_family(M)

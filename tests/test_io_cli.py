@@ -1,7 +1,9 @@
 """Module/report file formats and the command-line surface."""
 
+import hashlib
 import io
 import json
+import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -29,6 +31,59 @@ def natural_u3_doc():
     return module_to_doc(natural_rep(UNContext(F3, 3)))
 
 
+def _golden_modules() -> dict:
+    """One module from every builder that writes the action table, by label."""
+    from expfilt.comodule import conjugate, direct_sum, quotient_by_subspace, restrict_to_subspace
+    from expfilt.expdeg import frobenius_twist
+    from expfilt.ga import family_to_comodule, restrict_frobenius_ga
+    from expfilt.samplers import random_invertible
+    from expfilt.un import (
+        degree_filtration_un,
+        degree_piece_comodule,
+        restrict_mat_to_un,
+        sym_square_rep_gl,
+    )
+
+    F5 = PrimeField(5)
+    ctx = UNContext(F3, 3)
+    pieces = [natural_rep(ctx), sym_square_rep(ctx), trivial_comodule(F3, ctx.coalgebra, 1)]
+    summed = direct_sum(pieces)
+    C = conjugate(summed, random_invertible(F3, summed.dim, random.Random(2017)))
+    S = degree_filtration_un(C, 2)  # dim 7 of 10
+    return {
+        "natural U_3 p=3": natural_rep(ctx),
+        "sym square U_3 p=3": sym_square_rep(ctx),
+        "degree piece U_4 p=5 d=4": degree_piece_comodule(UNContext(F5, 4), 4),
+        "regular F_3 D=27": regular_comodule(F3, 27),
+        "conjugated sum": C,
+        "restricted": restrict_to_subspace(C, S),
+        "quotient": quotient_by_subspace(C, S),
+        "y_3 family F_5": family_to_comodule(y_r_family(F5, 3)),
+        "frobenius kernel of sym square": restrict_frobenius_un(sym_square_rep(ctx), 1),
+        "frobenius twist of natural": frobenius_twist(natural_rep(ctx)),
+        "regular F_3 D=27 mod T^9": restrict_frobenius_ga(regular_comodule(F3, 27), 2),
+        "sym square GL_3 on U_3": restrict_mat_to_un(sym_square_rep_gl(F3, 3)),
+    }
+
+
+# sha256 of canonical_dumps(module_to_doc(M)), taken when every comodule still
+# stored a polynomial matrix: the action-table builders write the same bytes
+GOLDEN_SHA256 = {
+    "natural U_3 p=3": "07d49721e8ee1e350322cbb7677c4f7a9b4f5c02cac30e5bc108429d16e6a587",
+    "sym square U_3 p=3": "940d2f8559465661cd7c52c3bd757aea3a5750b55b7050223df61e199a5e92f9",
+    "degree piece U_4 p=5 d=4": "d84d349de1c5c86e3b0e78c9366fa05d608e2da8f53cffe25e057d6ad0b6d9c9",
+    "regular F_3 D=27": "ed90acfdab65afd7c0d70239231e3caa03add97aec4b9dd67c51677f5b08b119",
+    "conjugated sum": "7374883324ac80dc56ff2a54f6f0bccce42feeadb991e018888e45a80eb1975d",
+    "restricted": "d1d79bd1e853d3cf7bcd7fb676c8ed300e874a2d1961e563b3785f8092803b70",
+    "quotient": "7a3fd0bfb9c1f692b09fe866e12a70b83eca783dbf8646f5b68ac98d4ce197bf",
+    "y_3 family F_5": "e4eaea848b44923c55ce47299dc2a29f8a5c05574e06ef878711e5750a85474d",
+    "frobenius kernel of sym square": "856f7459a2d2cd35ddb61abe249826aead3e78dab448c6041ec95d494eaff50a",
+    "frobenius twist of natural": "00bb3b7d69c70bfff999e8ea2cb709803259625e63441c6c50dc87012ac3c259",
+    "regular F_3 D=27 mod T^9": "c72b08aa6ac963c0f619d31c8bbbd545ddf0e6e6052a54fcdd90e6665019bf5a",
+    "sym square GL_3 on U_3": "940d2f8559465661cd7c52c3bd757aea3a5750b55b7050223df61e199a5e92f9",
+}
+
+
 class TestModuleFile:
     def test_roundtrip_comodule(self):
         doc = natural_u3_doc()
@@ -46,6 +101,13 @@ class TestModuleFile:
         text = canonical_dumps(doc)
         again = canonical_dumps(module_to_doc(parse_module(json.loads(text))))
         assert text == again
+
+    def test_golden_serialization(self):
+        modules = _golden_modules()
+        assert modules.keys() == GOLDEN_SHA256.keys()
+        for label, M in modules.items():
+            text = canonical_dumps(module_to_doc(M))
+            assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[label], label
 
     def test_validation_failures_rejected(self):
         doc = natural_u3_doc()
@@ -313,9 +375,25 @@ class TestCli:
              "group 'GaTrunc' field 'r' must be an integer"),
             ('{"p": 3, "group": {"kind": "UN"}, ' + _COACTION + "}",
              "missing group 'UN' field 'N'"),
+            ('{"p": 3.7, "group": {"kind": "Ga"}, ' + _COACTION + "}",
+             "field 'p' must be an integer"),
+            ('{"p": 3.0, "group": {"kind": "Ga"}, ' + _COACTION + "}",
+             "field 'p' must be an integer"),
+            ('{"p": 3, "group": {"kind": "UN", "N": 2.9}, ' + _COACTION + "}",
+             "group 'UN' field 'N' must be an integer"),
+            ('{"p": 3, "group": {"kind": "Ga"}, "module": {"dim": 2.5, "coaction": [["1"]]}}',
+             "field 'dim' must be an integer"),
+            ('{"p": true, "group": {"kind": "Ga"}, ' + _COACTION + "}",
+             "field 'p' must be an integer"),
+            ('{"p": 3, "group": {"kind": "GaTrunc", "r": false}, ' + _COACTION + "}",
+             "group 'GaTrunc' field 'r' must be an integer"),
+            ('{"p": 3, "group": {"kind": "Ga"}, '
+             '"module": {"u_mats": {"0": [[false, false], [true, false]]}}}',
+             "u_mats matrix entries must be int"),
         ],
         ids=["null", "int", "list", "no-p", "p-null", "p-word", "p-infinity", "dim-null",
-             "no-dim", "u-dim-null", "u-index-word", "r-null", "no-N"],
+             "no-dim", "u-dim-null", "u-index-word", "r-null", "no-N", "p-float",
+             "p-float-integral", "N-float", "dim-float", "p-bool", "r-bool", "u-mats-bool"],
     )
     def test_malformed_document_names_the_field(self, tmp_path, capsys, text, message):
         path = tmp_path / "malformed.json"
@@ -367,6 +445,19 @@ class TestCli:
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert any(line.startswith("error:") and reason in line for line in err.splitlines())
+
+    def test_huge_un_exponent_exits_2_fast(self, tmp_path, capsys):
+        # Delta(x1_5)^96 at p = 97: C(5 + 95, 96) = C(100, 4) terms, over the
+        # guard, which counts them before anything is expanded
+        path = tmp_path / "huge.json"
+        doc = {"p": 97, "group": {"kind": "UN", "N": 5},
+               "module": {"dim": 2, "coaction": [["1", "x1_5^96"], ["0", "1"]]}}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["expdeg", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert any(line.startswith("error:") and "guard" in line for line in err.splitlines())
 
     @pytest.mark.parametrize("d", [50, 10**9], ids=["d=50", "d=1e9"])
     @pytest.mark.parametrize("kind", ["natural U_3", "regular Ga dim 2"])
