@@ -4,7 +4,7 @@ A comodule of dimension n is stored as one form of its coaction, the
 per-monomial action table ``acts``.  The coaction is sum_mu mu A_mu over the
 occurring coalgebra monomials mu, A_mu the action matrix of mu's dual
 functional, and ``acts[mu]`` lists the nonzero entries (j, i, c) of A_mu,
-A_mu[j][i] = c in [1, p), in (j, i) order; a monomial that acts as zero has
+A_mu[j][i] = c in [1, p), in any order; a monomial that acts as zero has
 no key.  The polynomial matrix f_{ji} = sum_mu A_mu[j][i] mu, column i
 giving Delta(e_i) = sum_j e_j (x) f_{ji}, is a read-only view
 (``Comodule.coaction``, tuples of ``MultiPoly``) rebuilt on each access.
@@ -37,7 +37,6 @@ the basis rows of a subspace and compare with its pivot coordinates; a
 quotient is P A_mu on the kept columns; base change by g is g A_mu g^{-1}.
 """
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 
@@ -48,14 +47,14 @@ from .linalg import Matrix, Subspace
 from .polyring import Monomial, MultiPoly, monomial_degree, monomial_sort_key
 
 
-@dataclass(init=False, repr=False)
+@dataclass(init=False, repr=False, eq=False)
 class Comodule:
     """A right comodule, stored as its action table ``acts`` (see the module docstring)."""
 
     field: PrimeField
     coalgebra: CoalgebraId
     dim: int
-    acts: dict  # {monomial mu: [(j, i, c), ...]}, the nonzero A_mu[j][i] = c in (j, i) order
+    acts: dict  # {monomial mu: [(j, i, c), ...]}, the nonzero A_mu[j][i] = c in any order
 
     def __init__(self, field: PrimeField, coalgebra: CoalgebraId, dim: int, matrix):
         """The comodule whose coaction matrix has entries matrix[j][i] = f_{ji}."""
@@ -87,6 +86,16 @@ class Comodule:
         zero = MultiPoly.zero(fld)
         return tuple(tuple(MultiPoly(fld, t) if t else zero for t in row) for row in terms)
 
+    def __eq__(self, other):
+        """Same field, coalgebra, dimension and action table, entries in any order."""
+        if not isinstance(other, Comodule):
+            return NotImplemented
+        return (
+            (self.field, self.coalgebra, self.dim) == (other.field, other.coalgebra, other.dim)
+            and self.acts.keys() == other.acts.keys()
+            and all(sorted(act) == sorted(other.acts[m]) for m, act in self.acts.items())
+        )
+
     def occurring_monomials(self) -> list:
         """All coalgebra monomials appearing in the coaction, sorted."""
         return sorted(self.acts, key=monomial_sort_key)
@@ -103,7 +112,7 @@ def acts_from_sums(sums: dict, p: int) -> dict:
     """``acts`` from {mu: {(j, i): coefficient}}, reduced mod p, zeros dropped."""
     acts = {}
     for m, entries in sums.items():
-        act = sorted((j, i, c % p) for (j, i), c in entries.items() if c % p)
+        act = [(j, i, c % p) for (j, i), c in entries.items() if c % p]
         if act:
             acts[m] = act
     return acts
@@ -389,8 +398,10 @@ def coideal_preimage(M: Comodule, inside) -> Subspace:
     for m, act in M.acts.items():
         if inside(m):
             continue
-        for _, row in itertools.groupby(act, key=lambda e: e[0]):  # row j of A_mu
-            rows.append([(i, c) for _, i, c in row])
+        by_row = defaultdict(list)  # row j of A_mu
+        for j, i, c in act:
+            by_row[j].append((i, c))
+        rows.extend(by_row.values())
     return linalg.kernel_of(linalg.distinct_lines(rows, M.dim, M.field), M.dim, M.field)
 
 
@@ -569,7 +580,7 @@ def radical_quotient_dim(M: Comodule) -> int:
     for mono, act in M.acts.items():
         if mono == ():
             continue
-        col = defaultdict(list)  # column i of A_mu, rows ascending
+        col = defaultdict(list)  # column i of A_mu
         for j, i, c in act:
             col[i].append((j, c))
         columns.extend(col.values())

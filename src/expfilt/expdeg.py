@@ -358,7 +358,7 @@ def module_exp_filtration(M: Comodule, d: int) -> Subspace:
                 constraints[j, key][i] += a * c
     rows = []
     for row in constraints.values():
-        line = [(i, v % p) for i, v in sorted(row.items()) if v % p]
+        line = [(i, v % p) for i, v in row.items() if v % p]
         if line:
             rows.append(line)
     return linalg.kernel_of(linalg.distinct_lines(rows, M.dim, M.field), M.dim, M.field)

@@ -180,14 +180,15 @@ class Subspace:
 def distinct_lines(rows, ncols: int, field: PrimeField) -> list:
     """Dense rows, one for each line spanned by a nonzero sparse row.
 
-    Each of ``rows`` lists (column, coeff) pairs, columns ascending and
-    coefficients nonzero in [1, p).  It is scaled to lead with 1, so rows
-    that are scalar multiples of one another are kept once; their span and
-    kernel are unchanged.
+    Each of ``rows`` lists (column, coeff) pairs, columns distinct and
+    coefficients nonzero in [1, p), in any order.  It is sorted by column
+    and scaled to lead with 1, so rows that are scalar multiples of one
+    another are kept once; their span and kernel are unchanged.
     """
     p = field.p
     lines = set()
     for row in rows:
+        row = sorted(row)
         inv = pow(row[0][1], p - 2, p)
         lines.add(tuple((i, c * inv % p) for i, c in row))
     dense = []

@@ -172,9 +172,6 @@ class MultiPoly:
                 out.add(v)
         return out
 
-    def coeff(self, mono: Monomial) -> int:
-        return self.terms.get(mono, 0)
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: monomial_sort_key(kv[0]))
 
@@ -258,15 +255,6 @@ class MultiPoly:
             base = base * base if e > 1 else base
             e >>= 1
         return result
-
-    def frobenius(self) -> "MultiPoly":
-        """p-th power; a ring endomorphism in characteristic p."""
-        p = self.field.p
-        terms = {}
-        for m, c in self.terms.items():
-            mp = tuple((v, e * p) for v, e in m)
-            terms[mp] = c  # c^p = c in F_p
-        return MultiPoly(self.field, terms)
 
     # -- structural operations ---------------------------------------------
 
@@ -482,9 +470,10 @@ def frobenius_images(field: PrimeField, images: list, pos: dict, monos, what: st
     key + offset meets mask is dropped after every product past the digit
     powers (a truncation ideal, or a bound that only grows under products).
     Before anything is expanded a monomial's term count is bounded by the
-    product over its digits d of C(n + d - 1, d), the number of degree-d
-    monomials in the n terms of the image; past :data:`fpcomb.DESK_GUARD`
-    the call raises ValueError naming ``what``.
+    product over its digits d of the smaller of C(n + d - 1, d), the number
+    of degree-d monomials in the n terms of the image, and d (max - min) + 1,
+    the number of ints the sum of d of its keys can take; past
+    :data:`fpcomb.DESK_GUARD` the call raises ValueError naming ``what``.
     """
     p = field.p
     offset, mask = prune or (0, 0)
@@ -515,10 +504,11 @@ def frobenius_images(field: PrimeField, images: list, pos: dict, monos, what: st
         if cap is not None and e >= cap:
             return 0
         n = len(images[s])
+        span = max(images[s], default=0) - min(images[s], default=0)
         count = 1
         for d in digits(e, p):
             if d:
-                count *= math.comb(n + d - 1, d)
+                count *= min(math.comb(n + d - 1, d), d * span + 1)
         return count
 
     power_memo = {}

@@ -93,12 +93,33 @@ class TestStoredForm:
         assert M.coaction[0][1] == parse_poly("x1_2", F3)
 
     def test_builders_keep_the_stored_form(self):
-        # the matrix constructor lists each A_mu's nonzero entries in (j, i)
-        # order; every builder that writes the table directly must agree
+        # every builder that writes the table directly gives the table the
+        # matrix constructor reads off its view
         from test_io_cli import _golden_modules
 
         for label, M in _golden_modules().items():
             assert Comodule(M.field, M.coalgebra, M.dim, M.coaction) == M, label
+
+    def test_entry_order_is_not_significant(self):
+        # column-major entries split the rows of each A_mu: the module, its
+        # verdict, coideal preimages and radical quotient stay the same
+        from expfilt.samplers import random_invertible
+        from expfilt.un import restrict_frobenius_un, sym_square_rep
+
+        ctx = UNContext(F3, 3)
+        S = sym_square_rep(ctx)
+        M = conjugate(direct_sum([S, natural_rep(ctx)]), random_invertible(F3, 9, random.Random(3)))
+        for M in (M, restrict_frobenius_un(M, 1)):
+            C = Comodule.of_acts(M.field, M.coalgebra, M.dim, {
+                m: sorted(act, key=lambda e: (e[1], e[0])) for m, act in M.acts.items()
+            })
+            assert C == M and validate(C).ok
+            assert C.coaction == M.coaction
+            for d in (1, 2, 3):
+                below = degree_below(M.coalgebra, d)
+                assert coideal_preimage(C, below) == coideal_preimage(M, below)
+            if M.coalgebra.is_truncated():
+                assert radical_quotient_dim(C) == radical_quotient_dim(M)
 
 
 class TestDualAction:

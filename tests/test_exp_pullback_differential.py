@@ -135,7 +135,7 @@ def oracle_theta(M: Comodule, psi):
             for i in range(n):
                 f = coaction[j][i]
                 if not f.is_zero():
-                    theta[j][i] = (theta[j][i] + f.substitute(assignment).coeff(target)) % fld.p
+                    theta[j][i] = (theta[j][i] + f.substitute(assignment).terms.get(target, 0)) % fld.p
     return theta
 
 
@@ -559,6 +559,35 @@ def test_subgroup_pullback_guard_rejects_before_expanding():
     with pytest.raises(ValueError, match="guard"):
         pullback_module(M, un_psg(F3, 2, [e12, e12]))
     assert time.perf_counter() - start < 1.0
+
+
+def test_subgroup_pullback_guard_counts_colliding_terms():
+    # along (B, B), B = E12 + E23 + E13, at p = 97 x1_3 pulls back to the 5
+    # T powers 1, 2, 97, 98, 194.  C(5 + 95, 96) = 3.9M bounds x1_3^96 past
+    # the guard, but its T powers lie in [96, 96 * 194], so it is expanded
+    F97 = PrimeField(97)
+    B = [[0, 1, 1], [0, 0, 1], [0, 0, 0]]
+    psi = un_psg(F97, 3, [B, B])
+    P = _psg_images(psi, require_valid_1psg(psi))
+    assert len(P["x1_3"]) == 5
+    gens = coalgebras.generator_vars(coalgebras.un_poly(3))
+    (got,) = frobenius_images(F97, [P[v] for v in gens], {v: s for s, v in enumerate(gens)},
+                              [(("x1_3", 96),)], "pullback along the subgroup")
+    want = {0: 1}
+    for _ in range(96):
+        prod = defaultdict(int)
+        for a, ca in want.items():
+            for b, cb in P["x1_3"].items():
+                prod[a + b] += ca * cb
+        want = {k: c % 97 for k, c in prod.items() if c % 97}
+    assert got == want
+    # the module is no comodule: the pullback gets past the guard and fails
+    # the divided-power check of the family instead
+    one = MultiPoly.one(F97)
+    M = Comodule(F97, coalgebras.un_poly(3), 2,
+                 [[one, parse_poly("x1_3^96", F97)], [MultiPoly.zero(F97), one]])
+    with pytest.raises(ValueError, match="divided-power"):
+        pullback_module(M, psi)
 
 
 # -- the 1-psg validator -----------------------------------------------------------

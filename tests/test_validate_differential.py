@@ -29,7 +29,7 @@ from expfilt.comodule import (
 )
 from expfilt.fpcomb import PrimeField
 from expfilt.ga import family_to_comodule, regular_comodule, regular_trunc_comodule
-from expfilt.polyring import MultiPoly, monomial, monomial_degree, tensor
+from expfilt.polyring import MultiPoly, monomial, monomial_degree, monomial_sort_key, tensor
 from expfilt.samplers import random_ga_family, random_invertible, random_un_comodule
 from expfilt.un import (
     UNContext,
@@ -257,10 +257,17 @@ def test_shape_violation_unchanged():
 
 
 def test_action_matrices_match_per_monomial(pool, mutants):
+    # read A_mu[j][i] off the polynomial view, not the stored table
     for label, M in pool + mutants:
-        want = {m: action_matrix(M, m) for m in M.occurring_monomials()}
-        got = action_matrices(M)
-        assert list(got.items()) == list(want.items()), label
+        coaction = M.coaction
+        monos = sorted({m for row in coaction for f in row for m in f.terms}, key=monomial_sort_key)
+        want = {
+            m: [[coaction[j][i].terms.get(m, 0) for i in range(M.dim)] for j in range(M.dim)]
+            for m in monos
+        }
+        assert list(action_matrices(M).items()) == list(want.items()), label
+        for m in monos:
+            assert action_matrix(M, m) == want[m], label
 
 
 # -- the generator-only pass -------------------------------------------------
