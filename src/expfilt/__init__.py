@@ -33,7 +33,6 @@ from .expdeg import (
     mock_trivial_check,
     module_exp_filtration,
     relate_inclusions_check,
-    truncated_exp,
 )
 from .fpcomb import PrimeField, binom_mod, carries_in_addition, digit_dominates
 from .ga import (

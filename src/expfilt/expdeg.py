@@ -19,31 +19,34 @@ constraint rows, and ``exponential_degree`` sums one T power at a time from
 the top down.  The sums are exact, so cancellation between the terms of one
 entry is kept.
 
-The module-level pullbacks run on integer tables, not ``MultiPoly``: a term
+Every pullback here runs on integer tables, not ``MultiPoly``: a term
 T^k prod b_{a,b}^{e_ab} is one int with k in its lowest bit field and each
 e_ab in a field of its own, so multiplying terms adds keys.  The image of
 x_{i,j} is a sum over paths i < a_1 < ... < j (one b per step, T^k/k! for k
-steps).  The coefficients lie in F_p, so Frobenius is one integer multiply
+steps); along a numeric B it is sum_k (B^k/k!)_{i,j} T^k on T exponents as
+keys.  The coefficients lie in F_p, so Frobenius is one integer multiply
 of a key by p, and the digit rule x^e = prod_s Frob^s(x^{d_s}) for the
 base-p digits e = sum_s d_s p^s expands a power from the p - 1 digit powers
 of each image (:func:`~expfilt.polyring.frobenius_images`, shared with the
-coproduct table, with a per-call memo and the desk-scale term bound).  A
-term of the pullback of m has T exponent at most (N-1) deg m and b exponents
-at most deg m, so fields of ((N-1) max deg).bit_length() bits never carry.
-``exp_pullback`` remains the per-polynomial route.
+coproduct table and the subgroup pullbacks of :mod:`expfilt.support`, with
+a per-call memo and the desk-scale term bound).  A term of the pullback of
+m has T exponent at most (N-1) deg m and b exponents at most deg m, so
+fields of ((N-1) max deg).bit_length() bits never carry.  The module
+tables, the filtration pieces of k[U_N], the comparison check and
+``exp_pullback`` (one polynomial, unpacked into (T, b) monomials) all read
+such a table.
 """
 
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import coalgebras, linalg
 from .comodule import CoalgebraSubspace, Comodule
 from .fpcomb import PrimeField, digit_sums
 from .ga import GaUFamily, derived_v
 from .linalg import Matrix, Subspace
-from .polyring import Monomial, MultiPoly, frobenius_images, monomial_degree
+from .polyring import MultiPoly, frobenius_images, monomial_degree
 from .un import UNContext, degree_piece
 
 # An exponential pullback is a MultiPoly in T with coefficients in the
@@ -94,74 +97,53 @@ class SymbolicNilpotentDomain:
         )
 
 
-def truncated_exp(B: NilpotentMatrix) -> list:
-    """exp_B(T) as an N x N matrix of polynomials in T."""
-    fld = B.field
-    N = B.N
-    out = [[MultiPoly.zero(fld) for _ in range(N)] for _ in range(N)]
-    power = linalg.identity(N)
-    for k in range(fld.p):
-        c = fld.inv_factorial(k)
-        for i in range(N):
-            for j in range(N):
-                v = power[i][j] * c % fld.p
-                if v:
-                    term = (
-                        MultiPoly.variable(fld, "T", k, v) if k else MultiPoly.constant(fld, v)
-                    )
-                    out[i][j] = out[i][j] + term
-        power = linalg.mat_mul(power, B.entries, fld)
-        if linalg.is_zero_matrix(power, fld):
-            break
+def _generic_exp_images(field: PrimeField, gens: tuple, W: int) -> list:
+    """Packed image of each generator x_{i,j} under exp of the generic B.
+
+    (exp_B(T))_{i,j} = sum over paths i = a_0 < a_1 < ... < a_k = j of
+    T^k/k! b_{a_0 a_1} ... b_{a_{k-1} a_k}.  A key holds the T exponent in
+    its lowest W-bit field and b_{a,b} in field 1 + (position of x_{a,b}).
+    """
+    shift = {}
+    for s, v in enumerate(gens):
+        a, b = v[1:].split("_")
+        shift[int(a), int(b)] = W * (s + 1)
+    out = []
+    for a, b in shift:
+        terms = {}
+        stack = [(a, 0, 0)]  # (vertex, path length, packed b-monomial)
+        while stack:
+            u, k, key = stack.pop()
+            if u == b:
+                terms[key + k] = field.inv_factorial(k)
+                continue
+            for w in range(u + 1, b + 1):
+                stack.append((w, k + 1, key + (1 << shift[u, w])))
+        out.append(terms)
     return out
 
 
-@lru_cache(maxsize=None)
-def _symbolic_exp(field: PrimeField, N: int) -> tuple:
-    """exp of the generic strictly upper triangular matrix, entries in b and T."""
-    zero = MultiPoly.zero(field)
-    B = [[zero for _ in range(N)] for _ in range(N)]
-    for i in range(N):
-        for j in range(i + 1, N):
-            B[i][j] = MultiPoly.variable(field, f"b{i + 1}_{j + 1}")
-    out = [[zero for _ in range(N)] for _ in range(N)]
-    power = [[MultiPoly.one(field) if i == j else zero for j in range(N)] for i in range(N)]
-    t = MultiPoly.variable(field, "T")
-    tpow = MultiPoly.one(field)
-    for k in range(field.p):
-        c = field.inv_factorial(k)
-        for i in range(N):
-            for j in range(N):
-                if not power[i][j].is_zero():
-                    out[i][j] = out[i][j] + power[i][j].scale(c) * tpow
-        if k + 1 >= N:
-            break  # B^N = 0 for strictly upper triangular B
-        new = [[zero for _ in range(N)] for _ in range(N)]
-        for i in range(N):
-            for j in range(N):
-                acc = zero
-                for s in range(N):
-                    if not power[i][s].is_zero() and not B[s][j].is_zero():
-                        acc = acc + power[i][s] * B[s][j]
-                new[i][j] = acc
-        power = new
-        tpow = tpow * t
-    return tuple(tuple(row) for row in out)
+def _generic_pullbacks(field: PrimeField, coalg, monos) -> tuple:
+    """(pulled, mask): each monomial of k[U_N] pulled back along exp of the
+    generic B, from one :func:`~expfilt.polyring.frobenius_images` call.
 
-
-def exp_assignment(B) -> dict:
-    """x_{i,j} -> (exp_B(T))_{i,j} for every entry of the N x N matrix.
-
-    ``B`` is a :class:`NilpotentMatrix` (entries polynomials in T) or a
-    :class:`SymbolicNilpotentDomain` (entries in T and the b-variables).
+    ``pulled[k]`` is {packed key: coeff} for ``monos[k]``, with the T power
+    in ``key & mask`` and the b-monomial in the W-bit fields above it (see
+    :func:`_generic_exp_images`).  A term of the pullback of m has T
+    exponent <= (N-1) deg m and b exponents <= deg m, so the fields never
+    carry.  Raises unless N <= p or when a monomial leaves the generators.
     """
-    if isinstance(B, SymbolicNilpotentDomain):
-        exp_matrix = _symbolic_exp(B.field, B.N)
-    elif isinstance(B, NilpotentMatrix):
-        exp_matrix = truncated_exp(B)
-    else:
-        raise TypeError("B must be a NilpotentMatrix or a SymbolicNilpotentDomain")
-    return {f"x{i + 1}_{j + 1}": exp_matrix[i][j] for i in range(B.N) for j in range(B.N)}
+    N = coalg.N
+    SymbolicNilpotentDomain(field, N)  # raises unless N <= p
+    coalgebras.require_generators(coalg, monos)
+    gens = coalgebras.generator_vars(coalg)
+    top = max((monomial_degree(m) for m in monos), default=0)
+    W = max(1, ((N - 1) * top).bit_length())
+    pulled = frobenius_images(
+        field, _generic_exp_images(field, gens, W), {v: s for s, v in enumerate(gens)},
+        monos, "exponential pullback",
+    )
+    return pulled, (1 << W) - 1
 
 
 def exp_pullback(f: MultiPoly, B) -> ExpPullback:
@@ -171,22 +153,55 @@ def exp_pullback(f: MultiPoly, B) -> ExpPullback:
     or a :class:`SymbolicNilpotentDomain` (coefficients polynomial in the
     b-variables).  Functions on the full matrix space use the convention that
     absent entries of a triangular exponential are 1 on the diagonal and 0
-    below it.
+    below it.  The images are the divided powers B^k/k! of a numeric B, on
+    T exponents as keys, or the path sums of the generic B; f's monomials
+    are expanded in one :func:`~expfilt.polyring.frobenius_images` call and
+    summed by f's coefficients.
     """
-    for v in f.variables():
-        if not v.startswith("x"):
-            raise ValueError(f"exp_pullback expects matrix coordinates, got {v!r}")
-    return f.substitute(exp_assignment(B))
-
-
-def _split_t_power(pmono: Monomial) -> tuple:
-    """(T exponent, remaining b-monomial) of a canonical pullback monomial.
-
-    T sorts first in the canonical variable order, so it can only lead.
-    """
-    if pmono and pmono[0][0] == "T":
-        return pmono[0][1], pmono[1:]
-    return 0, pmono
+    if not isinstance(B, (NilpotentMatrix, SymbolicNilpotentDomain)):
+        raise TypeError("B must be a NilpotentMatrix or a SymbolicNilpotentDomain")
+    fld = B.field
+    if f.field != fld:
+        raise ValueError(f"mixed fields: F_{f.field.p} and F_{fld.p}")
+    coalgebras.require_generators(coalgebras.mat_poly(B.N), f.terms)
+    if isinstance(B, SymbolicNilpotentDomain):
+        coeffs = defaultdict(int)  # f with x_{i,i} -> 1 and its x_{i>j} terms dropped
+        for m, c in f.terms.items():
+            kept = []
+            for v, e in m:
+                i, j = map(int, v[1:].split("_"))
+                if i > j:
+                    break
+                if i < j:
+                    kept.append((v, e))
+            else:
+                coeffs[tuple(kept)] += c
+        coalg = coalgebras.un_poly(B.N)
+        pulled, mask = _generic_pullbacks(fld, coalg, list(coeffs))
+        b_names = ["b" + v[1:] for v in coalgebras.generator_vars(coalg)]
+    else:
+        names = coalgebras.generator_vars(coalgebras.mat_poly(B.N))
+        E = linalg.divided_powers(B.entries, fld)
+        images = [{k: Ek[i][j] for k, Ek in enumerate(E) if Ek[i][j]}
+                  for i in range(B.N) for j in range(B.N)]
+        coeffs = f.terms
+        pulled = frobenius_images(fld, images, {v: s for s, v in enumerate(names)},
+                                  list(coeffs), "exponential pullback")
+        mask, b_names = -1, []  # a key is the T exponent itself
+    sums = defaultdict(int)
+    for c, terms in zip(coeffs.values(), pulled):
+        for key, v in terms.items():
+            sums[key] += c * v
+    W = mask.bit_length()
+    out = {}
+    for key, v in sums.items():
+        mono = [("T", key & mask)] if key & mask else []
+        for name in b_names:
+            key >>= W
+            if key & mask:
+                mono.append((name, key & mask))
+        out[tuple(mono)] = v
+    return MultiPoly(fld, out)
 
 
 def t_degree(pullback: ExpPullback) -> int:
@@ -216,123 +231,40 @@ def enumerate_nilpotent_upper(field: PrimeField, N: int) -> list:
     return out
 
 
-def coalg_exp_degree_sampled(f: MultiPoly, field: PrimeField, N: int) -> dict:
-    """Max pullback T-degree over the enumerated F_p points with B^p = 0.
-
-    For N > p this is a lower bound only (membership needs all k-bar points);
-    the verdict is labeled accordingly.
-    """
-    best = 0
-    for B in enumerate_nilpotent_upper(field, N):
-        best = max(best, t_degree(exp_pullback(f, B)))
-    return {"degree_lower_bound": best, "label": "sampled: necessary conditions only"}
-
-
-def unipotent_p_points(field: PrimeField, N: int) -> list:
-    """The F_p points g of U_N with g^p = 1, as coordinate dictionaries.
-
-    Sampled consequence of the degree-0 piece: a function with constant
-    pullbacks along every enumerated exponential takes its identity value on
-    each of these points (the exponentials of the enumerated B's sweep them
-    out).  Guarded like :func:`enumerate_nilpotent_upper`.
-    """
-    if N > 4 or field.p > 3:
-        raise ValueError("exhaustive enumeration is guarded to N <= 4, p in {2,3}")
-    slots = [(i, j) for i in range(N) for j in range(i + 1, N)]
-    out = []
-    for values in itertools.product(range(field.p), repeat=len(slots)):
-        g = linalg.identity(N)
-        for (i, j), v in zip(slots, values):
-            g[i][j] = v
-        if linalg.mat_equal(linalg.mat_pow(g, field.p, field), linalg.identity(N), field):
-            out.append(
-                {
-                    f"x{i + 1}_{j + 1}": g[i][j]
-                    for i in range(N)
-                    for j in range(i + 1, N)
-                }
-            )
-    return out
-
-
 def coalg_filtration_piece(ctx: UNContext, d: int, Dmax: int) -> CoalgebraSubspace:
     """Basis of {f of degree <= Dmax : coalg_exp_degree(f) <= d}.
 
     Kernel of the linear map sending f's coefficients to the
-    (b-monomial, T^j)-coefficients for all j > d.
+    (b-monomial, T^j)-coefficients for all j > d, read off one packed
+    pullback table of the degree-piece basis.
     """
     if d < 0 or Dmax < 0:
         raise ValueError("d and Dmax must be nonnegative")
-    domain = SymbolicNilpotentDomain(ctx.field, ctx.N)
     basis = degree_piece(ctx, Dmax + 1)
-    constraints = {}  # (j, b-monomial) -> row over basis coordinates
-    for col, mono in enumerate(basis):
-        pb = exp_pullback(MultiPoly.from_monomial(ctx.field, mono), domain)
-        for pmono, c in pb.terms.items():
-            j, rest = _split_t_power(pmono)
-            if j <= d:
-                continue
-            row = constraints.setdefault((j, rest), [0] * len(basis))
-            row[col] = (row[col] + c) % ctx.field.p
+    pulled, mask = _generic_pullbacks(ctx.field, ctx.coalgebra, basis)
+    constraints = {}  # packed (T^j, b-monomial) key, j > d -> row over basis coordinates
+    for col, terms in enumerate(pulled):
+        for key, c in terms.items():
+            if key & mask > d:
+                constraints.setdefault(key, [0] * len(basis))[col] = c
     kernel = linalg.kernel_of(list(constraints.values()), len(basis), ctx.field)
     return CoalgebraSubspace(ctx.field, ctx.coalgebra, tuple(basis), kernel)
-
-
-def _generic_exp_images(field: PrimeField, gens: tuple, W: int) -> list:
-    """Packed image of each generator x_{i,j} under exp of the generic B.
-
-    (exp_B(T))_{i,j} = sum over paths i = a_0 < a_1 < ... < a_k = j of
-    T^k/k! b_{a_0 a_1} ... b_{a_{k-1} a_k}.  A key holds the T exponent in
-    its lowest W-bit field and b_{a,b} in field 1 + (position of x_{a,b}).
-    """
-    shift = {}
-    for s, v in enumerate(gens):
-        a, b = v[1:].split("_")
-        shift[int(a), int(b)] = W * (s + 1)
-    out = []
-    for a, b in shift:
-        terms = {}
-        stack = [(a, 0, 0)]  # (vertex, path length, packed b-monomial)
-        while stack:
-            u, k, key = stack.pop()
-            if u == b:
-                terms[key + k] = field.inv_factorial(k)
-                continue
-            for w in range(u + 1, b + 1):
-                stack.append((w, k + 1, key + (1 << shift[u, w])))
-        out.append(terms)
-    return out
 
 
 def _pullback_table(M: Comodule) -> tuple:
     """(acts, pulled, mask): the per-monomial actions and their pullbacks.
 
-    ``acts`` is ``M.acts``; ``pulled[k]`` is
-    the pullback of its k-th monomial along exp of the generic B, as
-    {packed key: coeff} with the T power in ``key & mask`` and the
-    b-monomial in the bits above (see :func:`_generic_exp_images`), all
-    from one :func:`~expfilt.polyring.frobenius_images` call.  The
-    coaction is sum_mu mu A_mu, so the pullback of entry f_{ji} is
+    ``acts`` is ``M.acts``; ``pulled[k]`` is the pullback of its k-th
+    monomial along exp of the generic B, as {packed key: coeff} with the T
+    power in ``key & mask`` (see :func:`_generic_pullbacks`).  The coaction
+    is sum_mu mu A_mu, so the pullback of entry f_{ji} is
     sum_mu (A_mu)_{ji} pulled[mu]: callers sum only the terms they need.
     """
     if M.coalgebra.kind != "UNPoly":
         raise ValueError("exponential filtration needs a comodule over k[U_N]")
-    fld = M.field
-    N = M.coalgebra.N
-    SymbolicNilpotentDomain(fld, N)  # raises unless N <= p
-    gens = coalgebras.generator_vars(M.coalgebra)
     acts = M.acts
-    monos = list(acts)
-    coalgebras.require_generators(M.coalgebra, monos)
-    # a term of the pullback of m has T exponent <= (N-1) deg m and b
-    # exponents <= deg m, so W-bit fields never carry
-    top = max((monomial_degree(m) for m in monos), default=0)
-    W = max(1, ((N - 1) * top).bit_length())
-    pulled = frobenius_images(
-        fld, _generic_exp_images(fld, gens, W), {v: s for s, v in enumerate(gens)},
-        monos, "exponential pullback",
-    )
-    return acts, pulled, (1 << W) - 1
+    pulled, mask = _generic_pullbacks(M.field, M.coalgebra, list(acts))
+    return acts, pulled, mask
 
 
 def module_exp_filtration(M: Comodule, d: int) -> Subspace:
@@ -458,11 +390,12 @@ def relate_inclusions_check(ctx: UNContext, d: int, e: int, Dmax: int) -> dict:
         raise ValueError("d and e must be >= 1")
     if e * (ctx.N - 1) >= d:
         raise ValueError(f"precondition e(N-1) < d violated: {e}*({ctx.N}-1) >= {d}")
-    domain = SymbolicNilpotentDomain(ctx.field, ctx.N)
     bound = (p - 1) * (d - 1)
-    for mono in degree_piece(ctx, min(d, Dmax + 1)):
-        f = MultiPoly.from_monomial(ctx.field, mono)
-        if coalg_exp_degree(f, domain) > bound:
+    low = degree_piece(ctx, min(d, Dmax + 1))
+    pulled, mask = _generic_pullbacks(ctx.field, ctx.coalgebra, low)
+    for mono, terms in zip(low, pulled):
+        if max((key & mask for key in terms), default=0) > bound:
+            f = MultiPoly.from_monomial(ctx.field, mono)
             return {"ok": False, "counterexample": str(f), "side": "degree-into-exp"}
     piece = coalg_filtration_piece(ctx, e - 1, Dmax)
     for f in piece.basis_polys():

@@ -117,18 +117,13 @@ def _nonzero_v(U: GaUFamily) -> dict:
 
     v_j = v_{j'} u_s^{j_s}/j_s! for the top place s of j and j' = j without
     that digit.  :func:`~expfilt.fpcomb.digit_sums` (and its guard) yields
-    j' before j, and v_j = 0 once v_{j'} = 0, so no product is formed past
-    a zero one.
+    j' before j, and v_j = 0 once v_{j'} = 0 or u_s^{j_s} = 0, so no product
+    is formed past a zero one.
     """
     fld = U.field
     p = fld.p
-    divided = {}  # s -> [u_s^k / k! for k < p]
-    for s in U.support():
-        powers = [linalg.identity(U.dim)]
-        for k in range(1, p):
-            powers.append(linalg.mat_scale(
-                linalg.mat_mul(powers[-1], U.u(s), fld), fld.inv(k), fld))
-        divided[s] = powers
+    # s -> [u_s^k / k! for k < p], up to the first zero power
+    divided = {s: linalg.divided_powers(U.u(s), fld) for s in U.support()}
     out = {}
     for j in digit_sums(fld, U.support()):
         if j == 0:
@@ -137,7 +132,7 @@ def _nonzero_v(U: GaUFamily) -> dict:
         ds = digits(j, p)
         s, d = len(ds) - 1, ds[-1]
         prev = out.get(j - d * p**s)
-        if prev is not None:
+        if prev is not None and d < len(divided[s]):
             v = linalg.mat_mul(prev, divided[s][d], fld)
             if not linalg.is_zero_matrix(v, fld):
                 out[j] = v

@@ -51,6 +51,21 @@ def mat_pow(a: Matrix, e: int, field: PrimeField) -> Matrix:
     return result
 
 
+def divided_powers(a: Matrix, field: PrimeField) -> list:
+    """[a^k/k! for 0 <= k < p], stopping before the first zero power.
+
+    a^p = 0 exactly when the list is shorter than p or a times its last
+    entry is zero, since (p-1)! is a unit.
+    """
+    out = [identity(len(a))]
+    for k in range(1, field.p):
+        nxt = mat_scale(mat_mul(out[-1], a, field), field.inv(k), field)
+        if is_zero_matrix(nxt, field):
+            break
+        out.append(nxt)
+    return out
+
+
 def mat_vec(a: Matrix, v: list, field: PrimeField) -> list:
     p = field.p
     return [sum(c * x for c, x in zip(row, v)) % p for row in a]

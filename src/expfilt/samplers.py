@@ -8,7 +8,6 @@ comodules are assembled from standard pieces by direct sum, base change, and
 random stable sub/quotient, which keeps every sample a validated comodule.
 """
 
-import itertools
 import random
 
 from . import linalg
@@ -20,6 +19,7 @@ from .comodule import (
     restrict_to_subspace,
     trivial_comodule,
 )
+from .expdeg import enumerate_nilpotent_upper
 from .fpcomb import PrimeField
 from .ga import GaUFamily, regular_trunc_comodule
 from .linalg import Subspace
@@ -136,14 +136,7 @@ def enumerate_1psg_un(field: PrimeField, N: int, height: int) -> list:
     """Exhaustive pool of commuting tuples; guarded to N <= 3, p <= 3, height <= 2."""
     if N > 3 or field.p > 3 or height > 2:
         raise ValueError("exhaustive pool is guarded to N <= 3, p in {2,3}, height <= 2")
-    slots = _upper_slots(N)
-    singles = []
-    for values in itertools.product(range(field.p), repeat=len(slots)):
-        mat = linalg.zeros(N, N)
-        for (i, j), v in zip(slots, values):
-            mat[i][j] = v
-        if linalg.is_zero_matrix(linalg.mat_pow(mat, field.p, field), field):
-            singles.append(mat)
+    singles = [B.entries for B in enumerate_nilpotent_upper(field, N)]
     if height == 1:
         return [un_psg(field, N, [m]) for m in singles]
     out = []

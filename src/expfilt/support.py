@@ -39,7 +39,7 @@ from .ga import (
     restrict_frobenius_ga,
 )
 from .linalg import Matrix
-from .polyring import MultiPoly, frobenius_images, monomial_degree
+from .polyring import frobenius_images, monomial_degree
 from .un import restrict_frobenius_un
 
 _NOT_P_NILPOTENT = "Theta^p != 0: corrupted input module"
@@ -115,14 +115,8 @@ def _divided_powers(psi: OneParamSubgroup) -> tuple:
         if any(B[i][j] for i in range(N) for j in range(i + 1)):
             out.append(f"B_{s} is not strictly upper triangular")
             continue
-        E = []
-        power = linalg.identity(N)  # B^k; B^p after a loop that never breaks
-        for k in range(p):
-            if linalg.is_zero_matrix(power, fld):
-                break
-            E.append(linalg.mat_scale(power, fld.inv_factorial(k), fld))
-            power = linalg.mat_mul(power, B, fld)
-        if not linalg.is_zero_matrix(power, fld):
+        E = linalg.divided_powers(B, fld)
+        if len(E) == p and not linalg.is_zero_matrix(linalg.mat_mul(E[-1], B, fld), fld):
             out.append(f"B_{s} is not p-nilpotent")
             continue
         exps.append(E)
@@ -301,12 +295,12 @@ def _psg_images(psi: OneParamSubgroup, exps: list) -> dict:
 def pullback_module(M, psi: OneParamSubgroup) -> GaUFamily:
     """The restriction of M along psi, as a u-family for the additive group.
 
-    For a k[U_N]-comodule every distinct coaction monomial is mapped through
-    x_{i,j} -> (i, j) entry of psi in one
-    :func:`~expfilt.polyring.frobenius_images` call, on T exponents as keys:
-    a power x^e is expanded by the base-p digits of e, and its term count is
-    bounded by the desk-scale guard before it is expanded; over k[Ga] each
-    T^e maps to (sum_s lambda_s T^{p^s})^e.  The pulled-back coaction is
+    Every distinct coaction monomial is mapped through its generators'
+    images in one :func:`~expfilt.polyring.frobenius_images` call, on T
+    exponents as keys: x_{i,j} -> (i, j) entry of psi for a k[U_N]-comodule,
+    T -> sum_s lambda_s T^{p^s} for a k[Ga]-comodule.  A power x^e is
+    expanded by the base-p digits of e, and its term count is bounded by the
+    desk-scale guard before it is expanded.  The pulled-back coaction is
     sum_mu pullback(mu) A_mu over the occurring monomials.
     """
     exps = require_valid_1psg(psi)
@@ -315,25 +309,23 @@ def pullback_module(M, psi: OneParamSubgroup) -> GaUFamily:
             raise ValueError("a GaUFamily pairs with a Ga-form subgroup")
         M = family_to_comodule(M)
     fld = M.field
+    gens = coalgebras.generator_vars(M.coalgebra)
     if M.coalgebra.kind == "GaPoly":
         if psi.kind != "Ga":
             raise ValueError("a k[Ga]-comodule pairs with a Ga-form subgroup")
-        coalgebras.require_generators(M.coalgebra, M.acts)
-        image = MultiPoly(fld, {(("T", fld.p**s),): lam for s, lam in enumerate(psi.lambdas)})
-        pulled = [(image ** (m[0][1] if m else 0)).terms for m in M.acts]
+        images = [{fld.p**s: lam for s, lam in enumerate(psi.lambdas) if lam}]
     else:
         if M.coalgebra.kind != "UNPoly" or psi.kind != "UN" or psi.N != M.coalgebra.N:
             raise ValueError("module and subgroup live over different groups")
-        coalgebras.require_generators(M.coalgebra, M.acts)
         P = _psg_images(psi, exps)
-        gens = coalgebras.generator_vars(M.coalgebra)
-        images = frobenius_images(fld, [P[v] for v in gens], {v: s for s, v in enumerate(gens)},
-                                  M.acts, "pullback along the subgroup")
-        pulled = [{(("T", k),) if k else (): c for k, c in terms.items()} for terms in images]
+        images = [P[v] for v in gens]
+    coalgebras.require_generators(M.coalgebra, M.acts)
+    pulled = frobenius_images(fld, images, {v: s for s, v in enumerate(gens)}, M.acts,
+                              "pullback along the subgroup")
     sums = defaultdict(lambda: defaultdict(int))  # T^k -> {(j, i): coeff}
     for act, terms in zip(M.acts.values(), pulled):
         for k, c in terms.items():
-            entries = sums[k]
+            entries = sums[(("T", k),) if k else ()]
             for j, i, a in act:
                 entries[j, i] += a * c
     comp = Comodule.of_acts(fld, coalgebras.ga_poly(), M.dim, acts_from_sums(sums, fld.p))

@@ -1,11 +1,18 @@
 """Differential tests: the pullbacks along 1-parameter subgroups, summed
 over the per-monomial actions, against the routes they replaced.
 
-The ``MultiPoly`` oracles pull every coaction entry back as a whole
-polynomial (one ``exp_pullback`` / ``substitute`` per entry) and read
-degrees, filtration constraints, Theta coefficients and pulled-back
-coactions off those polynomials.  The per-entry table oracles sum each
-nonzero entry's pullback from the integer table of its monomials first
+The substitute oracle is the ``MultiPoly`` route the library no longer
+takes: exp_B(T) built as a matrix of polynomials (the generic B through
+symbolic matrix powers, a numeric B through B^k/k!), assigned to the
+coordinates x_{i,j} and substituted with ``MultiPoly.substitute``, which
+raises every image to its power by repeated squaring.  The library's
+``exp_pullback`` and ``pullback_module`` expand through
+``polyring.frobenius_images`` instead and must give the same polynomials
+and families.  The ``MultiPoly`` oracles pull every coaction entry back as
+a whole polynomial (one substitution per entry) and read degrees,
+filtration constraints, Theta coefficients and pulled-back coactions off
+those polynomials.  The per-entry table oracles sum each nonzero entry's
+pullback from the integer table of its monomials first
 (``oracle_entry_images``) and only then keep the terms they need: the
 constraint rows with T power above d, the largest T power, the Theta
 coefficient, the subgroup pullback; Jordan types come from a chain of
@@ -13,13 +20,14 @@ powers that starts at the identity, after a separate Theta^p check.  The
 1-psg oracle compares the formal exponentials as ``MultiPoly`` matrices in
 T and T'; the radical-quotient oracle spans the columns of dense
 ``action_matrices``.  They are kept here only as the slow reference: the
-library must give identical subspaces, degrees, verdicts, matrices, Jordan
-types, families and violation lists on seeded pools.
+library must give identical polynomials, subspaces, degrees, verdicts,
+matrices, Jordan types, families and violation lists on seeded pools.
 """
 
 import random
 import time
 from collections import defaultdict
+from functools import lru_cache
 
 import pytest
 
@@ -44,7 +52,6 @@ from expfilt.expdeg import (
     frobenius_twist,
     mock_trivial_check,
     module_exp_filtration,
-    truncated_exp,
 )
 from expfilt.fpcomb import PrimeField
 from expfilt.ga import (
@@ -60,11 +67,13 @@ from expfilt.samplers import (
     random_commuting_tuple,
     random_ga_family,
     random_invertible,
+    random_strictly_upper,
     random_un_comodule,
 )
 from expfilt.support import (
     _psg_images,
     _times_power,
+    ga_psg,
     is_free_at,
     pullback_module,
     require_valid_1psg,
@@ -85,12 +94,75 @@ F3 = PrimeField(3)
 F5 = PrimeField(5)
 
 
+# -- the substitute oracle -------------------------------------------------------
+
+
+def oracle_truncated_exp(B: NilpotentMatrix) -> list:
+    """exp_B(T) as an N x N matrix of polynomials in T."""
+    fld = B.field
+    N = B.N
+    out = [[MultiPoly.zero(fld) for _ in range(N)] for _ in range(N)]
+    power = linalg.identity(N)
+    for k in range(fld.p):
+        c = fld.inv_factorial(k)
+        for i in range(N):
+            for j in range(N):
+                v = power[i][j] * c % fld.p
+                if v:
+                    term = (
+                        MultiPoly.variable(fld, "T", k, v) if k else MultiPoly.constant(fld, v)
+                    )
+                    out[i][j] = out[i][j] + term
+        power = linalg.mat_mul(power, B.entries, fld)
+        if linalg.is_zero_matrix(power, fld):
+            break
+    return out
+
+
+@lru_cache(maxsize=None)
+def oracle_symbolic_exp(field: PrimeField, N: int) -> tuple:
+    """exp of the generic strictly upper triangular matrix, entries in b and T."""
+    zero = MultiPoly.zero(field)
+    B = [[zero for _ in range(N)] for _ in range(N)]
+    for i in range(N):
+        for j in range(i + 1, N):
+            B[i][j] = MultiPoly.variable(field, f"b{i + 1}_{j + 1}")
+    out = [[zero for _ in range(N)] for _ in range(N)]
+    power = [[MultiPoly.one(field) if i == j else zero for j in range(N)] for i in range(N)]
+    t = MultiPoly.variable(field, "T")
+    tpow = MultiPoly.one(field)
+    for k in range(field.p):
+        c = field.inv_factorial(k)
+        for i in range(N):
+            for j in range(N):
+                if not power[i][j].is_zero():
+                    out[i][j] = out[i][j] + power[i][j].scale(c) * tpow
+        if k + 1 >= N:
+            break  # B^N = 0 for strictly upper triangular B
+        power = _poly_mat_mul(power, B, field)
+        tpow = tpow * t
+    return tuple(tuple(row) for row in out)
+
+
+def oracle_exp_assignment(B) -> dict:
+    """x_{i,j} -> (exp_B(T))_{i,j} for every entry of the N x N matrix."""
+    if isinstance(B, SymbolicNilpotentDomain):
+        exp_matrix = oracle_symbolic_exp(B.field, B.N)
+    else:
+        exp_matrix = oracle_truncated_exp(B)
+    return {f"x{i + 1}_{j + 1}": exp_matrix[i][j] for i in range(B.N) for j in range(B.N)}
+
+
+def oracle_exp_pullback(f: MultiPoly, B) -> MultiPoly:
+    return f.substitute(oracle_exp_assignment(B))
+
+
 # -- the per-entry oracles ------------------------------------------------------
 
 
 def oracle_entry_pullbacks(M: Comodule) -> list:
     domain = SymbolicNilpotentDomain(M.field, M.coalgebra.N)
-    return [[exp_pullback(f, domain) for f in row] for row in M.coaction]
+    return [[oracle_exp_pullback(f, domain) for f in row] for row in M.coaction]
 
 
 def oracle_module_exp_filtration(M: Comodule, d: int):
@@ -128,7 +200,7 @@ def oracle_theta(M: Comodule, psi):
     n = M.dim
     theta = linalg.zeros(n, n)
     for s in range(psi.height):
-        E = truncated_exp(NilpotentMatrix(fld, psi.N, psi.mat(s)))
+        E = oracle_truncated_exp(NilpotentMatrix(fld, psi.N, psi.mat(s)))
         assignment = {f"x{i + 1}_{j + 1}": E[i][j] for i in range(psi.N) for j in range(psi.N)}
         target = monomial({"T": fld.p**s})
         for j in range(n):
@@ -155,7 +227,7 @@ def oracle_psg_assignment(psi) -> dict:
     prod = [[MultiPoly.one(fld) if i == j else MultiPoly.zero(fld) for j in range(psi.N)]
             for i in range(psi.N)]
     for s in range(psi.height):
-        E = truncated_exp(NilpotentMatrix(fld, psi.N, psi.mat(s)))
+        E = oracle_truncated_exp(NilpotentMatrix(fld, psi.N, psi.mat(s)))
         tp = MultiPoly.variable(fld, "T", fld.p**s)
         prod = _poly_mat_mul(prod, [[f.substitute({"T": tp}) for f in row] for row in E], fld)
     return {f"x{i + 1}_{j + 1}": prod[i][j] for i in range(psi.N) for j in range(psi.N)}
@@ -181,7 +253,7 @@ def oracle_validate_1psg(psi) -> list:
             out.append(f"B_{s} is not strictly upper triangular")
         else:
             try:
-                exps.append(truncated_exp(NilpotentMatrix(fld, N, B)))
+                exps.append(oracle_truncated_exp(NilpotentMatrix(fld, N, B)))
             except ValueError:
                 out.append(f"B_{s} is not p-nilpotent")
     if out:
@@ -445,12 +517,115 @@ def test_pullback_module_matches_oracle(pool):
             assert pullback_module(M, psi) == want, (label, psi.height)
 
 
+# -- exp_pullback and the k[Ga] pullback against the substitute oracle -------------
+
+
+def _exp_pullback_cases():
+    """(label, f, B): 1,080 seeded polynomials in the full-matrix coordinates.
+
+    For p in {2, 3, 5} and N in {2, 3, 4}: 45 along the generic B when
+    N <= p, and 45 each along a fresh numeric strictly upper triangular B and
+    its transpose.  Each f has up to three terms of up to three coordinates
+    (diagonal and below-diagonal ones included) with exponents that have
+    one or two base-p digits.
+    """
+    out = []
+    for p in (2, 3, 5):
+        F = PrimeField(p)
+        rng = random.Random(f"exp-pullback-oracle/{p}")
+        exps = sorted({1, 2, p - 1, p, p + 1, 2 * p - 1})
+
+        def poly(names):
+            terms = {}
+            for _ in range(rng.randrange(1, 4)):
+                chosen = rng.sample(names, rng.randrange(0, 4))
+                terms[monomial({v: rng.choice(exps) for v in chosen})] = rng.randrange(1, p)
+            return MultiPoly(F, terms)
+
+        for N in (2, 3, 4):
+            names = [f"x{i}_{j}" for i in range(1, N + 1) for j in range(1, N + 1)]
+            for k in range(45):
+                if N <= p:
+                    out.append((f"p={p} N={N} generic #{k}", poly(names), SymbolicNilpotentDomain(F, N)))
+                U = random_strictly_upper(F, N, rng)
+                lower = [list(col) for col in zip(*U)]
+                out.append((f"p={p} N={N} upper #{k}", poly(names), NilpotentMatrix(F, N, U)))
+                out.append((f"p={p} N={N} lower #{k}", poly(names), NilpotentMatrix(F, N, lower)))
+    return out
+
+
+def test_exp_pullback_matches_substitute_oracle():
+    cases = _exp_pullback_cases()
+    assert len(cases) >= 1000
+    seen = set()
+    for label, f, B in cases:
+        got = exp_pullback(f, B)
+        assert got == oracle_exp_pullback(f, B), (label, str(f))
+        kind = label.split()[2]
+        for v in f.variables():
+            i, j = map(int, v[1:].split("_"))
+            seen.add((kind, "diagonal" if i == j else "below" if i > j else "above"))
+        seen.add((kind, "nonzero" if not got.is_zero() else "zero"))
+    kinds = ("generic", "upper", "lower")
+    assert seen == {(k, what) for k in kinds
+                    for what in ("diagonal", "below", "above", "nonzero", "zero")}
+
+
+def test_exp_pullback_rejects_foreign_coordinates():
+    for B in (SymbolicNilpotentDomain(F3, 2), NilpotentMatrix(F3, 2, [[0, 1], [0, 0]])):
+        for text in ("x1_3", "T", "b1_2"):
+            with pytest.raises(ValueError, match="foreign variable"):
+                exp_pullback(parse_poly(text, F3), B)
+        with pytest.raises(ValueError, match="mixed fields"):
+            exp_pullback(parse_poly("x1_2", F5), B)
+
+
+def oracle_ga_pullback_module(M: Comodule, lambdas) -> GaUFamily:
+    """T^e -> (sum_s lambda_s T^{p^s})^e by ``MultiPoly`` powers, entry by entry."""
+    fld = M.field
+    image = MultiPoly(fld, {(("T", fld.p**s),): lam for s, lam in enumerate(lambdas)})
+    coaction = [[f.substitute({"T": image}) for f in row] for row in M.coaction]
+    return comodule_to_family(Comodule(fld, coalgebras.ga_poly(), M.dim, coaction))
+
+
+def test_ga_pullback_module_matches_power_oracle():
+    rng = random.Random("ga-pullback-oracle")
+    checked = 0
+    for p in (2, 3, 5):
+        F = PrimeField(p)
+        modules = [regular_comodule(F, p * p), family_to_comodule(y_r_family(F, 2))]
+        modules += [family_to_comodule(random_ga_family(F, rng.randrange(2, 5), rng, max_support=2))
+                    for _ in range(4)]
+        for M in modules:
+            for _ in range(3):
+                lambdas = [rng.randrange(p) for _ in range(rng.randrange(1, 4))]
+                psi = ga_psg(F, lambdas)
+                assert pullback_module(M, psi) == oracle_ga_pullback_module(M, psi.lambdas), (p, lambdas)
+                checked += 1
+    assert checked == 54
+
+
+def test_ga_pullback_guard_rejects_before_expanding():
+    # T pulls back to T + T^3 + T^9 along (1, 1, 1), and its square to 6
+    # terms: nineteen digits 2 bound the pullback of T^(3^19 - 1) by 6^19
+    # terms, past the desk-scale guard.  The module is no comodule; the
+    # guard fires before anything reads it as one.
+    one = MultiPoly.one(F3)
+    M = Comodule(F3, coalgebras.ga_poly(), 2,
+                 [[one, parse_poly(f"T^{3**19 - 1}", F3)], [MultiPoly.zero(F3), one]])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="pullback along the subgroup .* guard"):
+        pullback_module(M, ga_psg(F3, [1, 1, 1]))
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("field", [F3, F5], ids=["p=3", "p=5"])
 def test_entry_terms_cancel_before_the_degree_test(field):
     # x1_3 and x1_2*x2_3 each pull back to degree 2, but the T^2 terms of
     # 2*x1_3 - x1_2*x2_3 cancel: its pullback is 2*b1_3*T
     f = parse_poly("2*x1_3 - x1_2*x2_3", field)
     assert exp_pullback(f, SymbolicNilpotentDomain(field, 3)) == parse_poly("2*b1_3*T", field)
+    assert oracle_exp_pullback(f, SymbolicNilpotentDomain(field, 3)) == parse_poly("2*b1_3*T", field)
     one = MultiPoly.one(field)
     zero = MultiPoly.zero(field)
     M = Comodule(field, coalgebras.un_poly(3), 2, [[one, f], [zero, one]])

@@ -1,7 +1,10 @@
 """Truncated exponentials, exponential pullbacks, the exponential-degree
 filtration, Frobenius twists, comparison checks, and mock triviality."""
 
+import itertools
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -16,7 +19,6 @@ from expfilt.expdeg import (
     NilpotentMatrix,
     SymbolicNilpotentDomain,
     coalg_exp_degree,
-    coalg_exp_degree_sampled,
     coalg_filtration_piece,
     enumerate_nilpotent_upper,
     exp_pullback,
@@ -28,7 +30,7 @@ from expfilt.expdeg import (
     mock_trivial_check,
     module_exp_filtration,
     relate_inclusions_check,
-    truncated_exp,
+    t_degree,
 )
 from expfilt.fpcomb import PrimeField
 from expfilt.ga import family_to_comodule, y_r_family
@@ -36,10 +38,66 @@ from expfilt.linalg import Subspace
 from expfilt.polyring import MultiPoly, parse_poly
 from expfilt.samplers import random_ga_family, random_un_comodule, rng_from_seed
 from expfilt.un import UNContext, ga_as_u2, natural_rep, sym_square_rep
+from test_exp_pullback_differential import oracle_truncated_exp
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def coalg_exp_degree_sampled(f: MultiPoly, field: PrimeField, N: int) -> dict:
+    """Max pullback T-degree over the enumerated F_p points with B^p = 0.
+
+    For N > p this is a lower bound only (membership needs all k-bar points);
+    the verdict is labeled accordingly.
+    """
+    best = 0
+    for B in enumerate_nilpotent_upper(field, N):
+        best = max(best, t_degree(exp_pullback(f, B)))
+    return {"degree_lower_bound": best, "label": "sampled: necessary conditions only"}
+
+
+def unipotent_p_points(field: PrimeField, N: int) -> list:
+    """The F_p points g of U_N with g^p = 1, as coordinate dictionaries.
+
+    Sampled consequence of the degree-0 piece: a function with constant
+    pullbacks along every enumerated exponential takes its identity value on
+    each of these points (the exponentials of the enumerated B's sweep them
+    out).  Guarded like :func:`enumerate_nilpotent_upper`.
+    """
+    if N > 4 or field.p > 3:
+        raise ValueError("exhaustive enumeration is guarded to N <= 4, p in {2,3}")
+    slots = [(i, j) for i in range(N) for j in range(i + 1, N)]
+    out = []
+    for values in itertools.product(range(field.p), repeat=len(slots)):
+        g = linalg.identity(N)
+        for (i, j), v in zip(slots, values):
+            g[i][j] = v
+        if linalg.mat_equal(linalg.mat_pow(g, field.p, field), linalg.identity(N), field):
+            out.append(
+                {
+                    f"x{i + 1}_{j + 1}": g[i][j]
+                    for i in range(N)
+                    for j in range(i + 1, N)
+                }
+            )
+    return out
 
 
 def span(field, dim, indices):
@@ -58,8 +116,11 @@ def unit(n, i, j):
 
 
 class TestTruncatedExp:
+    """exp_B(T) of the substitute oracle that ``exp_pullback`` is compared
+    against in ``test_exp_pullback_differential.py``."""
+
     def test_zero_matrix(self):
-        E = truncated_exp(NilpotentMatrix(F5, 3, linalg.zeros(3, 3)))
+        E = oracle_truncated_exp(NilpotentMatrix(F5, 3, linalg.zeros(3, 3)))
         for i in range(3):
             for j in range(3):
                 assert str(E[i][j]) == ("1" if i == j else "0")
@@ -67,13 +128,13 @@ class TestTruncatedExp:
     def test_square_zero_generator(self):
         for p in (2, 3, 5):
             fld = PrimeField(p)
-            E = truncated_exp(NilpotentMatrix(fld, 2, unit(2, 0, 1)))
+            E = oracle_truncated_exp(NilpotentMatrix(fld, 2, unit(2, 0, 1)))
             assert E[0][1] == parse_poly("T", fld)
             assert E[1][0].is_zero()
 
     def test_regular_nilpotent_p3(self):
         B = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
-        E = truncated_exp(NilpotentMatrix(F3, 3, B))
+        E = oracle_truncated_exp(NilpotentMatrix(F3, 3, B))
         assert E[0][1] == parse_poly("T", F3)
         assert E[1][2] == parse_poly("T", F3)
         assert E[0][2] == parse_poly("2*T^2", F3)  # 1/2 = 2 mod 3
@@ -87,7 +148,7 @@ class TestTruncatedExp:
                 for j in range(i + 1, N):
                     mat[i][j] = rng.randrange(p)
             B = NilpotentMatrix(fld, N, mat)
-            E = truncated_exp(B)
+            E = oracle_truncated_exp(B)
             s_plus_t = parse_poly("T + T'", fld)
             lhs = [[f.substitute({"T": s_plus_t}) if not f.is_zero() else f for f in row] for row in E]
             Et = [[f.rename_variables({"T": "T'"}) for f in row] for row in E]
@@ -109,9 +170,9 @@ class TestTruncatedExp:
         B = [[0, 1, 2], [0, 0, 1], [0, 0, 0]]
         for p in (3, 5):
             fld = PrimeField(p)
-            base = truncated_exp(NilpotentMatrix(fld, 3, B))
+            base = oracle_truncated_exp(NilpotentMatrix(fld, 3, B))
             for alpha in range(p):
-                scaled = truncated_exp(
+                scaled = oracle_truncated_exp(
                     NilpotentMatrix(fld, 3, linalg.mat_scale(B, alpha, fld))
                 )
                 alpha_t = MultiPoly.variable(fld, "T", 1, alpha)
@@ -158,6 +219,13 @@ class TestCoalgExpDegree:
 
     def test_generator(self):
         assert coalg_exp_degree(parse_poly("x1_2", F3), SymbolicNilpotentDomain(F3, 3)) == 1
+
+    def test_high_frobenius_twist_is_fast(self):
+        # x1_3 pulls back to b1_3 T + 2 b1_2 b2_3 T^2 at p = 3, so its
+        # 3^19-th power is the two-term Frobenius twist of degree 2 * 3^19
+        f = parse_poly(f"x1_3^{3**19}", F3)
+        with deadline(1.0):
+            assert coalg_exp_degree(f, SymbolicNilpotentDomain(F3, 3)) == 2 * 3**19
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_cancellation_example(self, p):
@@ -217,7 +285,6 @@ class TestCoalgFiltrationPiece:
         """Sampled consequence: a bounded-degree function whose enumerated
         pullbacks are all constant takes its identity value on every F_p
         point with g^p = 1 (shown here at N = 3 > p = 2)."""
-        from expfilt.expdeg import unipotent_p_points
         from expfilt.polyring import MultiPoly as MP
         from expfilt.un import degree_piece
         from expfilt import linalg as la

@@ -3,7 +3,11 @@
 import hashlib
 import io
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import expfilt
 from expfilt import coalgebras
 from expfilt.cli import main
 from expfilt.comodule import trivial_comodule
@@ -129,6 +134,25 @@ class TestModuleFile:
         doc["group"] = {"kind": "UN", "N": 2}
         with pytest.raises(ModuleFileError):
             parse_module(doc)
+
+
+E12 = [[0, 1], [0, 0]]
+E21 = [[0, 0], [1, 0]]
+
+
+def run_cli_process(args, timeout):
+    """(CompletedProcess, seconds) of the CLI in a fresh interpreter.
+
+    The interpreter is killed after ``timeout`` seconds, which raises
+    ``subprocess.TimeoutExpired``.
+    """
+    src = str(pathlib.Path(expfilt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys; from expfilt.cli import main; sys.exit(main(sys.argv[1:]))"
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          timeout=timeout, env=env)
+    return done, time.perf_counter() - start
 
 
 @pytest.fixture()
@@ -262,6 +286,33 @@ class TestCli:
         assert main(["pullback", str(path), "--psi", json.dumps({"kind": "UN", "mats": mats})]) == 0
         assert time.perf_counter() - start < 1.0
         assert json.loads(capsys.readouterr().out)["module"]["u_mats"] == u_mats
+
+    @pytest.mark.parametrize(
+        "module, lambdas, code, want",
+        [
+            ({"dim": 2, "u_mats": {"19": E21}}, [1, 1], 0, {"19": E21, "20": E21}),
+            ({"dim": 2, "coaction": [["1", f"T^{3**19}"], ["0", "1"]]}, [1, 1, 1], 0,
+             {"19": E12, "20": E12, "21": E12}),
+            ({"dim": 2, "coaction": [["1", f"T^{3**19 - 1}"], ["0", "1"]]}, [1, 1, 1], 2, "guard"),
+        ],
+        ids=["u19-family", "twist-coaction", "over-guard"],
+    )
+    def test_ga_pullback_of_a_high_power_finishes(self, tmp_path, module, lambdas, code, want):
+        # T^(3^19) pulls back along (lambda_s) to sum_s lambda_s T^(3^(19+s)),
+        # one u per level; T^(3^19 - 1) has nineteen digits 2 and is
+        # rejected by the desk-scale guard.  A fresh interpreter, killed at
+        # 10 s, runs each case, so a hang fails the test instead of stalling it.
+        path = tmp_path / "ga.json"
+        path.write_text(json.dumps({"p": 3, "group": {"kind": "Ga"}, "module": module}),
+                        encoding="utf-8")
+        psi = json.dumps({"kind": "Ga", "lambdas": lambdas})
+        done, elapsed = run_cli_process(["pullback", str(path), "--psi", psi], timeout=10)
+        assert done.returncode == code, done.stderr
+        assert elapsed < 2.0
+        if code == 0:
+            assert json.loads(done.stdout)["module"]["u_mats"] == want
+        else:
+            assert done.stderr.startswith("error:") and want in done.stderr
 
     @pytest.mark.parametrize(
         "psi, reason",
