@@ -14,6 +14,7 @@ from .comodule import (
     coideal_preimage,
     degree_below,
     dual_action,
+    generated_submodule,
     jordan_type,
     local_freeness,
     radical_quotient_dim,
@@ -43,7 +44,6 @@ from .ga import (
     derived_v,
     family_to_comodule,
     ga_one_param_theta,
-    generated_submodule,
     regular_comodule,
     restrict_frobenius_ga,
     retract_iso_check,

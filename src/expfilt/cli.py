@@ -10,22 +10,10 @@ import itertools
 import json
 import sys
 
-from .expdeg import (
-    exponential_degree,
-    exponential_height,
-    ga_exp_filtration,
-    module_exp_filtration,
-)
+from .comodule import generated_submodule
+from .expdeg import exponential_degree, exponential_height, ga_exp_filtration, module_exp_filtration
 from .fpcomb import PrimeField
-from .ga import (
-    GaUFamily,
-    carries_basis,
-    comodule_to_family,
-    degree_filtration_ga,
-    family_to_comodule,
-    generated_submodule,
-    regular_comodule,
-)
+from .ga import GaUFamily, carries_basis, degree_filtration_ga, family_to_comodule, regular_comodule
 from .io import (
     ModuleFileError,
     canonical_dumps,
@@ -96,14 +84,11 @@ def cmd_filt(args) -> int:
             space = ga_exp_filtration(obj, args.d)
         else:
             space = degree_filtration_ga(family_to_comodule(obj), args.d)
-    elif obj.coalgebra.kind == "GaPoly":
-        if args.kind == "exp":
-            space = ga_exp_filtration(comodule_to_family(obj), args.d)
-        else:
-            space = degree_filtration_ga(obj, args.d)
-    elif obj.coalgebra.kind == "UNPoly":
+    elif obj.coalgebra.kind in ("GaPoly", "UNPoly"):
         if args.kind == "exp":
             space = module_exp_filtration(obj, args.d)
+        elif obj.coalgebra.kind == "GaPoly":
+            space = degree_filtration_ga(obj, args.d)
         else:
             space = degree_filtration_un(obj, args.d)
     else:

@@ -12,8 +12,9 @@ The constructor ``Comodule(field, coalgebra, dim, matrix)`` is the one place
 where polynomial entries become ``acts``; builders write ``acts`` directly
 (:meth:`Comodule.of_acts`, with :func:`acts_from_sums` when they accumulate
 coefficients).  On top of that sit the comodule-law validator,
-dual-functional actions, coideal preimages, radical quotients, the
-local-algebra freeness test, and Jordan types of p-nilpotent operators.
+dual-functional actions, linear images and row kernels, coideal preimages,
+generated submodules, radical quotients, the local-algebra freeness test,
+and Jordan types of p-nilpotent operators.
 
 The validator reads the table column-major (:func:`_sparse_columns`): every
 occurring monomial gets an integer id and each nonzero entry f_{ji} becomes
@@ -28,13 +29,17 @@ comparison first runs on the keys whose left factor is a generator to a
 p-power only, which decides the verdict (the generator theorem in
 :func:`validate`); ``MatPoly`` and rejected coactions take the full table.
 
-Since the coaction is sum_mu mu A_mu, any linear image of its entries is
-sum_mu image(mu) A_mu; the exponential layer and Theta accumulate such sums
-(see :mod:`expfilt.expdeg` and :mod:`expfilt.support`).  A coideal preimage
-for a monomial-spanned B, given as a membership test, is the kernel of the
-rows of A_mu for every mu outside B; stability and restriction apply A_mu to
-the basis rows of a subspace and compare with its pivot coordinates; a
-quotient is P A_mu on the kept columns; base change by g is g A_mu g^{-1}.
+Since the coaction is sum_mu mu A_mu, any linear read of it (a pullback,
+a substitution, the constraint rows of a filtration) is a sum
+sum_mu image(mu) A_mu, formed in one place, :func:`linear_image` (for a
+scalar functional, :func:`dual_action`); kernels of such tables are taken
+in one place, :func:`row_kernel`, which groups the entries of each matrix
+by row and keeps each line once.  A coideal preimage for a monomial-spanned
+B, given as a membership test, is the row kernel of the A_mu for every mu
+outside B; the submodule generated by vectors s is the span of the A_mu s;
+stability and restriction apply A_mu to the basis rows of a subspace and
+compare with its pivot coordinates; a quotient is P A_mu on the kept
+columns; base change by g is g A_mu g^{-1}.
 """
 
 from collections import defaultdict
@@ -329,6 +334,42 @@ def dual_action(M: Comodule, functional: dict) -> Matrix:
     return linalg.mat_mod(out, fld)
 
 
+def linear_image(acts: dict, images: dict, p: int) -> dict:
+    """sum_mu images[mu] A_mu as an ``acts``-form table {key: [(j, i, c)]}.
+
+    ``images`` maps monomials of ``acts`` to {key: coeff}; the sum is reduced
+    mod p, with zero entries and empty keys dropped.  Any linear read of the
+    coaction sum_mu mu A_mu (a pullback, a filtration's constraint rows, a
+    substitution) is this sum for the images of its monomials.
+    """
+    sums = {}  # key -> {(j, i): unreduced coeff}
+    for mu, terms in images.items():
+        act = acts[mu]
+        for key, c in terms.items():
+            entries = sums.get(key)
+            if entries is None:
+                entries = sums[key] = defaultdict(int)
+            for j, i, a in act:
+                entries[j, i] += c * a
+    return acts_from_sums(sums, p)
+
+
+def row_kernel(tables, ncols: int, field: PrimeField) -> Subspace:
+    """{x : A x = 0 for every listed A}, each A its nonzero entries (j, i, c).
+
+    The entries of A are grouped into its rows by j, c in [1, p); rows that
+    are multiples of one another are kept once, which leaves the kernel as
+    it is.
+    """
+    rows = []
+    for table in tables:
+        by_row = defaultdict(list)
+        for j, i, c in table:
+            by_row[j].append((i, c))
+        rows.extend(by_row.values())
+    return linalg.kernel_of(linalg.distinct_lines(rows, ncols, field), ncols, field)
+
+
 def action_matrices(M: Comodule) -> dict:
     """{occurring monomial: action matrix}; all other duals act as zero.
 
@@ -394,15 +435,7 @@ def coideal_preimage(M: Comodule, inside) -> Subspace:
     kept once.  When B is a right coideal the result is coaction-stable (see
     :func:`is_coaction_stable`).
     """
-    rows = []
-    for m, act in M.acts.items():
-        if inside(m):
-            continue
-        by_row = defaultdict(list)  # row j of A_mu
-        for j, i, c in act:
-            by_row[j].append((i, c))
-        rows.extend(by_row.values())
-    return linalg.kernel_of(linalg.distinct_lines(rows, M.dim, M.field), M.dim, M.field)
+    return row_kernel((act for m, act in M.acts.items() if not inside(m)), M.dim, M.field)
 
 
 def _check_ambient(M: Comodule, S: Subspace):
@@ -473,6 +506,23 @@ def restrict_to_subspace(M: Comodule, S: Subspace) -> Comodule:
             for b, v in coeffs.items():
                 sums[monos[mono_id]][b, a] = v
     return Comodule.of_acts(M.field, M.coalgebra, S.dim, acts_from_sums(sums, M.field.p))
+
+
+def generated_submodule(M: Comodule, S) -> Subspace:
+    """The subcomodule generated by the vectors S: the span of A_mu s, s in S.
+
+    One level suffices: coassociativity gives A_nu A_mu = sum_lambda
+    c^lambda_{nu mu} A_lambda over the coproduct coefficients, so the span
+    is closed under every A_nu, and the counit law puts s in it.
+    """
+    vectors = []
+    for s in S:
+        for act in M.acts.values():
+            v = [0] * M.dim
+            for l, i, c in act:
+                v[l] += c * s[i]
+            vectors.append(v)
+    return Subspace.from_vectors(M.field, M.dim, vectors)
 
 
 def quotient_by_subspace(M: Comodule, S: Subspace) -> Comodule:

@@ -13,11 +13,15 @@ Membership in M_{[d]} is decided through the coefficientwise criterion: all
 T^j-coefficients, j > d, of (1 (x) pullback) Delta_M(m) vanish identically in
 the symbolic entries.  Each call pulls every distinct coaction monomial mu
 back once.  The coaction is sum_mu mu A_mu, A_mu the action matrix of mu's
-dual functional, so the pullback of the entries is sum_mu pullback(mu) A_mu:
-``module_exp_filtration`` sums only the terms with T power above d into its
-constraint rows, and ``exponential_degree`` sums one T power at a time from
-the top down.  The sums are exact, so cancellation between the terms of one
-entry is kept.
+dual functional, so the pullback of the entries is sum_mu pullback(mu) A_mu,
+formed by :func:`~expfilt.comodule.linear_image`.  ``module_exp_filtration``
+passes it only the terms with T power above d and takes the
+:func:`~expfilt.comodule.row_kernel` of the sum; ``coalg_filtration_piece``
+does the same with each basis monomial f acting as its coefficient row;
+``exponential_degree`` sums one T power at a time from the top down.  The
+sums are exact, so cancellation between the terms of one entry is kept.
+Over k[Ga] the filtration is the degree filtration one step up,
+M_{[d]} = M_{<d+1}.
 
 Every pullback here runs on integer tables, not ``MultiPoly``: a term
 T^k prod b_{a,b}^{e_ab} is one int with k in its lowest bit field and each
@@ -42,9 +46,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from . import coalgebras, linalg
-from .comodule import CoalgebraSubspace, Comodule
+from .comodule import CoalgebraSubspace, Comodule, linear_image, row_kernel
 from .fpcomb import PrimeField, digit_sums
-from .ga import GaUFamily, derived_v
+from .ga import GaUFamily, degree_filtration_ga, derived_v
 from .linalg import Matrix, Subspace
 from .polyring import MultiPoly, frobenius_images, monomial_degree
 from .un import UNContext, degree_piece
@@ -226,8 +230,10 @@ def enumerate_nilpotent_upper(field: PrimeField, N: int) -> list:
         mat = linalg.zeros(N, N)
         for (i, j), v in zip(slots, values):
             mat[i][j] = v
-        if linalg.is_zero_matrix(linalg.mat_pow(mat, field.p, field), field):
+        try:
             out.append(NilpotentMatrix(field, N, mat))
+        except ValueError:  # B^p != 0
+            pass
     return out
 
 
@@ -235,20 +241,28 @@ def coalg_filtration_piece(ctx: UNContext, d: int, Dmax: int) -> CoalgebraSubspa
     """Basis of {f of degree <= Dmax : coalg_exp_degree(f) <= d}.
 
     Kernel of the linear map sending f's coefficients to the
-    (b-monomial, T^j)-coefficients for all j > d, read off one packed
-    pullback table of the degree-piece basis.
+    (b-monomial, T^j)-coefficients for all j > d: the row kernel of
+    sum_f high(f) e_f over the degree-piece basis, high(f) the terms of
+    f's pullback with T power above d and e_f the coefficient row of f.
     """
     if d < 0 or Dmax < 0:
         raise ValueError("d and Dmax must be nonnegative")
     basis = degree_piece(ctx, Dmax + 1)
     pulled, mask = _generic_pullbacks(ctx.field, ctx.coalgebra, basis)
-    constraints = {}  # packed (T^j, b-monomial) key, j > d -> row over basis coordinates
-    for col, terms in enumerate(pulled):
-        for key, c in terms.items():
-            if key & mask > d:
-                constraints.setdefault(key, [0] * len(basis))[col] = c
-    kernel = linalg.kernel_of(list(constraints.values()), len(basis), ctx.field)
+    coeffs = {m: [(0, k, 1)] for k, m in enumerate(basis)}  # f -> its coefficient row
+    high = linear_image(coeffs, _above(basis, pulled, mask, d), ctx.field.p)
+    kernel = row_kernel(high.values(), len(basis), ctx.field)
     return CoalgebraSubspace(ctx.field, ctx.coalgebra, tuple(basis), kernel)
+
+
+def _above(monos, pulled, mask, d: int) -> dict:
+    """{mu: the terms of its pullback with T power > d}, for the mu that have some."""
+    out = {}
+    for mu, terms in zip(monos, pulled):
+        high = {key: c for key, c in terms.items() if key & mask > d}
+        if high:
+            out[mu] = high
+    return out
 
 
 def _pullback_table(M: Comodule) -> tuple:
@@ -261,39 +275,26 @@ def _pullback_table(M: Comodule) -> tuple:
     sum_mu (A_mu)_{ji} pulled[mu]: callers sum only the terms they need.
     """
     if M.coalgebra.kind != "UNPoly":
-        raise ValueError("exponential filtration needs a comodule over k[U_N]")
-    acts = M.acts
-    pulled, mask = _generic_pullbacks(M.field, M.coalgebra, list(acts))
-    return acts, pulled, mask
+        raise ValueError("exponential filtration needs a comodule over k[Ga] or k[U_N]")
+    pulled, mask = _generic_pullbacks(M.field, M.coalgebra, list(M.acts))
+    return M.acts, pulled, mask
 
 
 def module_exp_filtration(M: Comodule, d: int) -> Subspace:
     """M_{[d]}: vectors whose coaction pullbacks have no T^j term, j > d.
 
-    Constraint row (j, T^k b) is the T^k b coefficient of the pullbacks of
-    row j of the coaction, summed as sum_mu c A_mu[j] over the pullback
-    terms c T^k b of each monomial mu with k > d; monomials without such
-    terms are skipped.  Rows that are scalar multiples of one another are
-    kept once.
+    Over k[U_N] it is the row kernel of sum_mu high(mu) A_mu, high(mu) the
+    terms T^k b of mu's pullback with k > d: a row per (T^k b, j), each kept
+    once up to scalars.  Over k[Ga] it is the degree filtration M_{<d+1}
+    (see :func:`ga_exp_filtration`).
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
+    if M.coalgebra.kind == "GaPoly":
+        return degree_filtration_ga(M, d + 1)
     acts, pulled, mask = _pullback_table(M)
-    p = M.field.p
-    constraints = defaultdict(lambda: defaultdict(int))  # (row j, key) -> {i: coeff}
-    for act, terms in zip(acts.values(), pulled):
-        high = [(key, c) for key, c in terms.items() if key & mask > d]
-        if not high:
-            continue
-        for j, i, a in act:
-            for key, c in high:
-                constraints[j, key][i] += a * c
-    rows = []
-    for row in constraints.values():
-        line = [(i, v % p) for i, v in row.items() if v % p]
-        if line:
-            rows.append(line)
-    return linalg.kernel_of(linalg.distinct_lines(rows, M.dim, M.field), M.dim, M.field)
+    high = linear_image(acts, _above(acts, pulled, mask, d), M.field.p)
+    return row_kernel(high.values(), M.dim, M.field)
 
 
 def exponential_degree(M) -> int:
@@ -302,28 +303,26 @@ def exponential_degree(M) -> int:
     Equals the largest T-degree among the pullbacks of the coaction entries
     (for the additive group: the largest T-exponent in the coaction).
     Accepts a Comodule over k[Ga] or k[U_N] (N <= p), or a GaUFamily.  Over
-    k[U_N] the T powers of the pullback table are visited from the top
-    down; the first whose (j, i, b) coefficients sum_mu c A_mu[j][i] do not
-    all vanish is the degree.
+    k[U_N] the T powers k of the pullback table are visited from the top
+    down; the first whose image sum_mu (T^k part of mu's pullback) A_mu does
+    not vanish is the degree.
     """
     if isinstance(M, GaUFamily):
         return ga_exponential_degree(M)
     if M.coalgebra.kind == "GaPoly":
         return max((e for m in M.acts for v, e in m if v == "T"), default=0)
     acts, pulled, mask = _pullback_table(M)
-    p = M.field.p
-    by_power = defaultdict(list)  # T power -> [(A_mu entries, key, coeff)]
-    for act, terms in zip(acts.values(), pulled):
+    by_power = defaultdict(list)  # T power -> [(mu, key, coeff)]
+    for mu, terms in zip(acts, pulled):
         for key, c in terms.items():
-            by_power[key & mask].append((act, key, c))
+            by_power[key & mask].append((mu, key, c))
     for k in sorted(by_power, reverse=True):
         if k == 0:
             break
-        acc = defaultdict(int)
-        for act, key, c in by_power[k]:
-            for j, i, a in act:
-                acc[j, i, key] += a * c
-        if any(v % p for v in acc.values()):
+        images = defaultdict(dict)  # mu -> the T^k part of its pullback
+        for mu, key, c in by_power[k]:
+            images[mu][key] = c
+        if linear_image(acts, images, M.field.p):
             return k
     return 0
 

@@ -1,6 +1,6 @@
 """Structures specific to the additive group: the divided-power family u_s/v_j,
-rationality checks, the degree filtration, generated submodules, the carries
-basis, Frobenius-kernel restriction and the coalgebra splitting.
+rationality checks, the degree filtration, the carries basis, Frobenius-kernel
+restriction and the coalgebra splitting.
 
 A module is primarily a :class:`GaUFamily` (the matrices of the generators
 u_s); the coaction form Delta(m) = sum_j v_j(m) (x) T^j is derived on demand,
@@ -12,6 +12,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import coalgebras, linalg
 from .comodule import Comodule, action_matrices, coideal_preimage, degree_below
+from .comodule import generated_submodule  # noqa: F401 (re-exported)
 from .fpcomb import PrimeField, binom_mod, binom_row_mod, digit_dominates, digit_sums, digits
 from .linalg import Matrix, Subspace
 from .polyring import MultiPoly, monomial
@@ -219,20 +220,6 @@ def degree_filtration_ga(M: Comodule, d: int) -> Subspace:
     if d < 1:
         raise ValueError("d must be >= 1")
     return coideal_preimage(M, degree_below(M.coalgebra, d))
-
-
-def generated_submodule(M: Comodule, S) -> Subspace:
-    """Row space of {v_j(s) : s in S, j occurring}."""
-    if M.coalgebra.kind != "GaPoly":
-        raise ValueError("generated_submodule needs a comodule over k[Ga]")
-    vectors = []
-    for s in S:
-        for act in M.acts.values():  # v_j(s) = A_{T^j} s
-            v = [0] * M.dim
-            for l, i, c in act:
-                v[l] += c * s[i]
-            vectors.append(v)
-    return Subspace.from_vectors(M.field, M.dim, vectors)
 
 
 def carries_basis(n: int, field: PrimeField) -> list:

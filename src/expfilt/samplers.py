@@ -15,6 +15,7 @@ from .comodule import (
     Comodule,
     conjugate,
     direct_sum,
+    generated_submodule,
     quotient_by_subspace,
     restrict_to_subspace,
     trivial_comodule,
@@ -192,29 +193,10 @@ def random_un_comodule(field: PrimeField, N: int, rng: random.Random,
 
 def _random_stable_subquotient(M: Comodule, rng: random.Random) -> Comodule:
     """A generated submodule or its quotient, at a random vector."""
-    from .comodule import action_matrices
-
-    fld = M.field
-    vec = [rng.randrange(fld.p) for _ in range(M.dim)]
+    vec = [rng.randrange(M.field.p) for _ in range(M.dim)]
     if not any(vec):
         vec[rng.randrange(M.dim)] = 1
-    mats = list(action_matrices(M).values())
-    span = [vec]
-    frontier = [vec]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for A in mats:
-                img = linalg.mat_vec(A, v, fld)
-                if any(img):
-                    S = Subspace.from_vectors(fld, M.dim, span)
-                    if not S.contains(img):
-                        span.append(img)
-                        nxt.append(img)
-        frontier = nxt
-    S = Subspace.from_vectors(fld, M.dim, span)
-    if S.dim == 0:
-        return M
+    S = generated_submodule(M, [vec])
     if S.dim < M.dim and rng.random() < 0.5:
         return quotient_by_subspace(M, S)
     return restrict_to_subspace(M, S)

@@ -9,11 +9,13 @@ the support of psi exactly when Theta does not act freely, i.e. when its
 Jordan type has a block of size < p.
 
 A UN tuple is held as its divided powers B_s^k/k! (k < p), integer matrices
-computed once per call; exp_{B_s}(T) = sum_k (B_s^k/k!) T^k.  Pullbacks
-along psi are polynomials in the one variable T, computed once per
-occurring monomial mu and summed over the action matrices A_mu of the
-monomials' dual functionals (the coaction is sum_mu mu A_mu).  Theta is
-sum_mu theta_mu A_mu: theta_mu multiplies the entries' coefficient lists
+computed once per call; exp_{B_s}(T) = sum_k (B_s^k/k!) T^k.  The coaction
+is sum_mu mu A_mu, A_mu the action matrix of mu's dual functional.  The
+pullback along psi is sum_mu pullback(mu) A_mu, each pullback(mu) a
+polynomial in the one variable T computed once per occurring monomial and
+summed by :func:`~expfilt.comodule.linear_image`.  Theta is
+sum_mu theta_mu A_mu, the :func:`~expfilt.comodule.dual_action` of the
+scalars theta_mu: theta_mu multiplies the entries' coefficient lists
 truncated at degree p^s, and since every entry x_{i<j} of exp_{B_s}(T) has
 zero constant term, the pullback of a monomial m has no term below
 T^{deg m}, so level s is skipped when deg m > p^s.  The pullback along the
@@ -25,11 +27,10 @@ the work grows with the number of digits of e, not with e.  The freeness
 test reads Theta^p = 0 and the Jordan type off one chain of powers.
 """
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from . import coalgebras, linalg
-from .comodule import Comodule, FreenessVerdict, acts_from_sums, jordan_type, local_freeness
+from .comodule import Comodule, FreenessVerdict, dual_action, jordan_type, linear_image, local_freeness
 from .fpcomb import DESK_GUARD, PrimeField, digits
 from .ga import (
     GaUFamily,
@@ -206,8 +207,8 @@ def _theta(M, psi: OneParamSubgroup) -> Matrix:
         for s, E in enumerate(exps)
     ]
     coalgebras.require_generators(M.coalgebra, M.acts)
-    theta = linalg.zeros(M.dim, M.dim)
-    for m, act in M.acts.items():
+    thetas = {}  # mu -> theta_mu, nonzero
+    for m in M.acts:
         deg = monomial_degree(m)
         total = 0  # theta_mu
         for q, shifted in levels:
@@ -221,9 +222,8 @@ def _theta(M, psi: OneParamSubgroup) -> Matrix:
                 total += acc[r]
         total %= p
         if total:
-            for j, i, c in act:
-                theta[j][i] += total * c
-    return linalg.mat_mod(theta, M.field)
+            thetas[m] = total
+    return dual_action(M, thetas)
 
 
 def theta_operator(M, psi: OneParamSubgroup) -> Matrix:
@@ -301,7 +301,7 @@ def pullback_module(M, psi: OneParamSubgroup) -> GaUFamily:
     T -> sum_s lambda_s T^{p^s} for a k[Ga]-comodule.  A power x^e is
     expanded by the base-p digits of e, and its term count is bounded by the
     desk-scale guard before it is expanded.  The pulled-back coaction is
-    sum_mu pullback(mu) A_mu over the occurring monomials.
+    sum_mu pullback(mu) A_mu (:func:`~expfilt.comodule.linear_image`).
     """
     exps = require_valid_1psg(psi)
     if isinstance(M, GaUFamily):
@@ -322,14 +322,9 @@ def pullback_module(M, psi: OneParamSubgroup) -> GaUFamily:
     coalgebras.require_generators(M.coalgebra, M.acts)
     pulled = frobenius_images(fld, images, {v: s for s, v in enumerate(gens)}, M.acts,
                               "pullback along the subgroup")
-    sums = defaultdict(lambda: defaultdict(int))  # T^k -> {(j, i): coeff}
-    for act, terms in zip(M.acts.values(), pulled):
-        for k, c in terms.items():
-            entries = sums[(("T", k),) if k else ()]
-            for j, i, a in act:
-                entries[j, i] += a * c
-    comp = Comodule.of_acts(fld, coalgebras.ga_poly(), M.dim, acts_from_sums(sums, fld.p))
-    return comodule_to_family(comp)
+    image = linear_image(M.acts, dict(zip(M.acts, pulled)), fld.p)  # {T power: [(j, i, c)]}
+    acts = {(("T", k),) if k else (): act for k, act in image.items()}
+    return comodule_to_family(Comodule.of_acts(fld, coalgebras.ga_poly(), M.dim, acts))
 
 
 def frobenius_injectivity_check(M: Comodule, r: int) -> FreenessVerdict:

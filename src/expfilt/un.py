@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import coalgebras
 from .coalgebras import CoalgebraId, coproduct
-from .comodule import Comodule, acts_from_sums, coideal_preimage, degree_below
+from .comodule import Comodule, acts_from_sums, coideal_preimage, degree_below, linear_image
 from .fpcomb import DESK_GUARD, PrimeField
 from .linalg import Subspace
 from .polyring import MultiPoly, TensorPoly, _merge_monomials, monomial, prime_var
@@ -264,15 +264,11 @@ def restrict_along(M: Comodule, substitution: dict, target: CoalgebraId,
             rhs = coalgebras.coproduct(target, fld, substitution[v]).poly
             if lhs != rhs:
                 raise ValueError(f"substitution is not a coalgebra map at {v}")
-    sums = defaultdict(lambda: defaultdict(int))
-    for mu, act in M.acts.items():  # the image of f_{ji} is sum_mu A_mu[j][i] sigma(mu)
+    images = {}  # the image of f_{ji} is sum_mu A_mu[j][i] sigma(mu)
+    for mu in M.acts:
         image = MultiPoly.from_monomial(fld, mu).substitute(substitution)
-        image = coalgebras.reduce_poly(target, fld, image)
-        for nu, c in image.terms.items():
-            entries = sums[nu]
-            for j, i, a in act:
-                entries[j, i] += a * c
-    return Comodule.of_acts(fld, target, M.dim, acts_from_sums(sums, fld.p))
+        images[mu] = coalgebras.reduce_poly(target, fld, image).terms
+    return Comodule.of_acts(fld, target, M.dim, linear_image(M.acts, images, fld.p))
 
 
 def restrict_frobenius_un(M: Comodule, r: int) -> Comodule:

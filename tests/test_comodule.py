@@ -16,10 +16,12 @@ from expfilt.comodule import (
     dual_action,
     is_coaction_stable,
     jordan_type,
+    linear_image,
     local_freeness,
     quotient_by_subspace,
     radical_quotient_dim,
     restrict_to_subspace,
+    row_kernel,
     trivial_comodule,
     validate,
 )
@@ -167,6 +169,56 @@ class TestDualAction:
             lhs = linalg.mat_mul(dual_action(M, phi), dual_action(M, psi), fld)
             rhs = dual_action(M, conv)
             assert lhs == rhs
+
+
+class TestLinearImageAndRowKernel:
+    def test_image_is_dual_action_key_by_key(self):
+        """sum_mu images[mu] A_mu at each key is the action of {mu: images[mu][key]}."""
+        rng = random.Random(13)
+        M = direct_sum([natural_rep(UNContext(F5, 3)), trivial_comodule(F5, coalgebras.un_poly(3), 1)])
+        M = conjugate(M, [[1, 2, 0, 1], [0, 1, 3, 0], [0, 0, 1, 4], [2, 0, 0, 1]])
+        images = {m: {k: rng.randrange(1, 9) for k in rng.sample(range(4), 2)} for m in M.acts}
+        got = linear_image(M.acts, images, 5)
+        for key in range(4):
+            dense = linalg.zeros(M.dim, M.dim)
+            for j, i, c in got.get(key, ()):
+                assert 0 < c < 5
+                dense[j][i] = c
+            phi = {m: terms[key] for m, terms in images.items() if key in terms}
+            assert dense == dual_action(M, phi)
+        assert all(got.values())
+
+    def test_vanishing_sums_drop_entries_and_keys(self):
+        acts = {"a": [(0, 0, 1), (1, 0, 2)], "b": [(0, 0, 2)]}
+        assert linear_image(acts, {"a": {"k": 1}, "b": {"k": 1}}, 3) == {"k": [(1, 0, 2)]}
+        assert linear_image(acts, {"a": {"z": 3}}, 3) == {}
+        assert linear_image(acts, {}, 3) == {}
+
+    def test_row_kernel_matches_dense_kernel(self, monkeypatch):
+        """The rows are grouped by j, each line kept once; the kernel is the dense one."""
+        passed = []
+        kernel_of = linalg.kernel_of
+
+        def spy(rows, ncols, field):
+            passed.append(rows)
+            return kernel_of(rows, ncols, field)
+
+        monkeypatch.setattr(linalg, "kernel_of", spy)
+        rng = random.Random(29)
+        n = 6
+        for _ in range(40):
+            tables, dense = [], []
+            for _ in range(rng.randrange(0, 4)):
+                table = []
+                for j in rng.sample(range(4), rng.randrange(1, 4)):
+                    row = {i: rng.randrange(1, 5) for i in rng.sample(range(n), rng.randrange(1, 3))}
+                    dense.append([row.get(i, 0) for i in range(n)])
+                    table.extend((j, i, c) for i, c in row.items())
+                    table.extend((j + 4, i, 2 * c % 5) for i, c in row.items())  # the same line
+                tables.append(table)
+            assert row_kernel(tables, n, F5) == kernel_of(dense, n, F5)
+            lines = {tuple(c * pow(next(x for x in r if x), 3, 5) % 5 for c in r) for r in dense}
+            assert sorted(map(tuple, passed[-1])) == sorted(lines)
 
 
 class TestCoidealPreimage:

@@ -10,7 +10,13 @@ replaced, kept here only as the slow reference:
 - ``oracle_is_coaction_stable`` applies every ``action_matrices`` matrix to
   every basis row with ``mat_vec``;
 - ``oracle_restrict``, ``oracle_quotient`` and ``oracle_conjugate`` form the
-  new coaction with ``MultiPoly`` additions and scalings, entry by entry.
+  new coaction with ``MultiPoly`` additions and scalings, entry by entry;
+- ``oracle_generated_closure`` closes a vector breadth-first under every
+  ``action_matrices`` matrix, testing each image against a fresh
+  ``Subspace``, where ``generated_submodule`` spans one level of images;
+- ``ga_exp_filtration`` on the extracted u-family is the oracle for the
+  exponential filtration of a k[Ga]-comodule, which
+  ``module_exp_filtration`` reads as the degree filtration one step up.
 
 Each pooled module is checked at every degree d from 1 to its top degree + 1
 (for the two Ga families of top degree 162 and 375 only at the degrees where
@@ -35,16 +41,18 @@ from expfilt.comodule import (
     coideal_preimage,
     conjugate,
     degree_below,
+    generated_submodule,
     is_coaction_stable,
     quotient_by_subspace,
     restrict_to_subspace,
 )
 from expfilt.fpcomb import PrimeField
-from expfilt.ga import degree_filtration_ga, regular_comodule, regular_trunc_comodule
+from expfilt.expdeg import ga_exp_filtration, module_exp_filtration
+from expfilt.ga import comodule_to_family, degree_filtration_ga, regular_comodule, regular_trunc_comodule
 from expfilt.io import save_module
 from expfilt.linalg import Subspace
 from expfilt.polyring import MultiPoly, monomial, monomial_degree, monomial_sort_key
-from expfilt.samplers import random_invertible
+from expfilt.samplers import random_invertible, random_un_comodule
 from expfilt.un import UNContext, degree_filtration_un, degree_piece_comodule
 from test_validate_differential import _pool
 
@@ -183,6 +191,24 @@ def oracle_degree_piece(M: Comodule, d: int) -> CoalgebraSubspace:
     return CoalgebraSubspace(M.field, M.coalgebra, monos, Subspace.full(M.field, len(monos)))
 
 
+def oracle_generated_closure(M: Comodule, vectors) -> Subspace:
+    """The breadth-first closure of ``vectors`` under every action matrix."""
+    fld = M.field
+    mats = list(action_matrices(M).values())
+    span = list(vectors)
+    frontier = list(vectors)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for A in mats:
+                img = linalg.mat_vec(A, v, fld)
+                if any(img) and not Subspace.from_vectors(fld, M.dim, span).contains(img):
+                    span.append(img)
+                    nxt.append(img)
+        frontier = nxt
+    return Subspace.from_vectors(fld, M.dim, span)
+
+
 # -- pools ----------------------------------------------------------------------
 
 
@@ -318,3 +344,36 @@ def test_singular_conjugation_raises_like_oracle():
     M = regular_comodule(PrimeField(3), 3)
     g = [[1, 1, 0], [2, 2, 0], [0, 0, 1]]
     assert _outcome(conjugate, M, g) == _outcome(oracle_conjugate, M, g) == ("ValueError", "matrix is singular")
+
+
+def test_generated_submodule_matches_closure(pool):
+    rng = random.Random("actions-differential/generated")
+    for label, M in pool:
+        for _ in range(2):
+            v = [rng.randrange(M.field.p) for _ in range(M.dim)]
+            assert generated_submodule(M, [v]) == oracle_generated_closure(M, [v]), (label, v)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_generated_submodule_matches_closure_on_random_un_modules(p):
+    F = PrimeField(p)
+    rng = random.Random(f"actions-differential/generated/{p}")
+    for k in range(40):
+        M = random_un_comodule(F, rng.choice((2, 3)), rng)
+        vectors = [[rng.randrange(p) for _ in range(M.dim)] for _ in range(rng.randrange(1, 3))]
+        S = generated_submodule(M, vectors)
+        assert S == oracle_generated_closure(M, vectors), (k, vectors)
+        assert is_coaction_stable(M, S), (k, vectors)
+
+
+def test_ga_exp_filtration_matches_family_route(pool):
+    """Over k[Ga], M_[d] is the filtration of the extracted u-family at d."""
+    seen = 0
+    for label, M in pool:
+        if M.coalgebra.kind != "GaPoly":
+            continue
+        fam = comodule_to_family(M)
+        for d in sorted({0} | {e - 1 for e in _degrees(M)}):
+            assert module_exp_filtration(M, d) == ga_exp_filtration(fam, d), (label, d)
+        seen += 1
+    assert seen >= 9

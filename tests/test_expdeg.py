@@ -203,6 +203,28 @@ class TestExpPullback:
         for B in points:
             assert exp_pullback(f, B).is_zero()
 
+    def test_enumeration_checks_nilpotency_once(self, monkeypatch):
+        """B^p = 0 is tested once per matrix, by NilpotentMatrix: p = 3 matmuls
+        for each of the 3^6 strictly upper 4 x 4 matrices over F_3."""
+        from expfilt import _kernels
+        from expfilt.samplers import enumerate_1psg_un
+
+        calls = 0
+        matmul = _kernels.matmul
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return matmul(*args)
+
+        monkeypatch.setattr(_kernels, "matmul", counted)
+        points = enumerate_nilpotent_upper(F3, 4)
+        assert calls == 3 * 3**6 == 2187
+        assert len(points) == 513
+        assert all(isinstance(B, NilpotentMatrix) for B in points)
+        assert len(enumerate_1psg_un(F2, 3, 1)) == 6
+        assert len(enumerate_1psg_un(F3, 3, 2)) == 297
+
     def test_symbolic_domain_requires_small_n(self):
         with pytest.raises(ValueError):
             SymbolicNilpotentDomain(F2, 3)

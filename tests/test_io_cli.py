@@ -562,8 +562,10 @@ _EDITS = st.one_of(
     st.tuples(st.just("entry"), st.integers(0, 6), st.integers(0, 6),
               st.lists(st.sampled_from(_TERMS + _JUNK), min_size=1, max_size=3)),
     st.tuples(st.just("swap"), *[st.integers(0, 6)] * 4),
-    st.tuples(st.just("p"), st.sampled_from([2, 3, 4, 5, 0, -3, 1, "3", "three", None, 2.5, [3]])),
-    st.tuples(st.just("dim"), st.sampled_from([0, 1, 2, 3, 9, -1, "2", None])),
+    st.tuples(st.just("p"), st.sampled_from(
+        [2, 3, 4, 5, 0, -3, 1, "3", "three", None, 2.5, [3], True, False, 3.0])),
+    st.tuples(st.just("dim"), st.sampled_from([0, 1, 2, 3, 9, -1, "2", None, True, False, 3.0])),
+    st.tuples(st.sampled_from(["N", "r"]), st.sampled_from([1, 2, 3, 0, True, False, 3.0])),
     st.tuples(st.just("group"), st.sampled_from([
         {"kind": "Ga"}, {"kind": "GaTrunc", "r": 1}, {"kind": "GaTrunc", "r": 0},
         {"kind": "UN", "N": 3}, {"kind": "UN", "N": 1}, {"kind": "UNTrunc", "N": 3, "r": 1},
@@ -573,6 +575,7 @@ _EDITS = st.one_of(
               st.sampled_from(["p", "group", "module", "dim", "coaction", "u_mats"])),
     st.tuples(st.just("row"), st.integers(0, 6), st.sampled_from(["drop", "extend", "scalar"])),
     st.tuples(st.just("u"), st.sampled_from(["0", "1", "7", "-1", "x"]), st.integers(-1, 3)),
+    st.tuples(st.just("u-entry"), st.integers(0, 6), st.integers(0, 6), st.booleans()),
     st.tuples(st.just("raw"),
               st.sampled_from(["", "{not json", "[]", "null", "{}", '"module"', "3"])),
 )
@@ -582,6 +585,9 @@ _COMMANDS = [
     ["filt", "--kind", "degree", "--d", "1"],
     ["filt", "--kind", "exp", "--d", "1"],
     ["frobcheck", "--r", "1"],
+    ["pullback", "--psi", '{"kind": "Ga", "lambdas": [1, 2]}'],
+    ["pullback", "--psi", '{"kind": "UN", "mats": [[[0, 1, 0], [0, 0, 1], [0, 0, 0]]]}'],
+    ["support", "--samples", "2"],
 ]
 
 
@@ -610,6 +616,8 @@ def _apply_edit(doc, text, edit):
         doc[kind] = edit[1]
     elif kind == "dim" and isinstance(module, dict):
         module["dim"] = edit[1]
+    elif kind in ("N", "r") and isinstance(doc.get("group"), dict):
+        doc["group"][kind] = edit[1]
     elif kind == "drop":
         for holder in (doc, module):
             if isinstance(holder, dict):
@@ -629,6 +637,13 @@ def _apply_edit(doc, text, edit):
         else:
             mat = mats[sorted(mats)[0]]
             mat[edit[2] % len(mat)] = [edit[2]] * (len(mat) + edit[2] % 2)
+    elif kind == "u-entry" and isinstance(module, dict) and isinstance(module.get("u_mats"), dict):
+        for mat in module["u_mats"].values():  # the first matrix with a row, if any
+            if isinstance(mat, list) and mat and isinstance(mat[edit[1] % len(mat)], list):
+                row = mat[edit[1] % len(mat)]
+                if row:
+                    row[edit[2] % len(row)] = edit[3]
+                break
     return doc, text
 
 
@@ -638,7 +653,7 @@ class TestCliFuzz:
         edits=st.lists(_EDITS, min_size=1, max_size=3),
         command=st.sampled_from(_COMMANDS),
     )
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     def test_mutated_module_files_never_trace_back(self, tmp_path_factory, base, edits, command):
         doc = module_to_doc(_FUZZ_BASES[base]())
         text = None
@@ -656,6 +671,19 @@ class TestCliFuzz:
         for internal in ("NoneType", "not subscriptable", "int() argument"):
             assert internal not in err.getvalue()
         assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("command", _COMMANDS, ids=lambda c: " ".join(c[:2]))
+    def test_every_command_answers_on_the_unmutated_bases(self, tmp_path, command):
+        """Each fuzzed command succeeds on some base file and fails cleanly on the rest."""
+        codes = {}
+        for base, build in _FUZZ_BASES.items():
+            path = tmp_path / "module.json"
+            path.write_text(canonical_dumps(module_to_doc(build())), encoding="utf-8")
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                codes[base] = main([command[0], str(path)] + command[1:])
+            assert codes[base] == 0 or err.getvalue().startswith("error:"), (base, err.getvalue())
+        assert set(codes.values()) <= {0, 2} and 0 in codes.values(), codes
 
     @pytest.mark.parametrize(
         "entry, summary",
