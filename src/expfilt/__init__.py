@@ -52,7 +52,7 @@ from .ga import (
     y_r_family,
 )
 from .linalg import Subspace
-from .polyring import MultiPoly, TensorPoly, format_poly, parse_poly
+from .polyring import MultiPoly, format_poly, parse_poly
 from .support import (
     OneParamSubgroup,
     frobenius_injectivity_check,
@@ -66,13 +66,11 @@ from .support import (
 )
 from .un import (
     UNContext,
-    coproduct_poly,
     degree_filtration_un,
     degree_piece,
     frobenius_kernel_dims,
     natural_rep,
     sym_square_rep,
-    x_coproduct,
 )
 
 __version__ = "0.1.0"

@@ -11,11 +11,15 @@ Supported ids:
 Each id determines a generator alphabet, an identity point (the counit is
 evaluation there), and a truncation bound.
 
+An element of C (x) C is read as {(left monomial, right monomial): coeff}
+with coefficients in [1, p); :func:`coproduct` returns Delta(f) in that form.
 Coproducts of monomials come from one table built per call
-(:func:`coproduct_table`, expanded by :func:`polyring.frobenius_images`) on
-packed exponent vectors: the left and right tensor factors' exponents, in
-``generator_vars`` order, sit in fixed-width bit fields of one int, so
-multiplying two terms is one integer addition.
+(:func:`coproduct_table`, expanded by :func:`polyring.frobenius_images`)
+from each generator's coproduct, a list of (left, right) generator pairs
+with coefficient 1.  The table is built on packed exponent vectors: the
+left and right tensor factors' exponents, in ``generator_vars`` order, sit
+in fixed-width bit fields of one int, so multiplying two terms is one
+integer addition.
 C (x) C is commutative of characteristic p, so Frobenius is a ring
 endomorphism of it and the base-p digits e = sum_s d_s p^s of an exponent give
 
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .fpcomb import PrimeField
-from .polyring import MultiPoly, TensorPoly, frobenius_images, is_primed, prime_var
+from .polyring import MultiPoly, frobenius_images
 
 GA_KINDS = ("GaPoly", "GaTrunc")
 UN_KINDS = ("UNPoly", "UNTrunc")
@@ -181,32 +185,29 @@ def monomial_counits(coalg: CoalgebraId, monos) -> list:
 
 
 @lru_cache(maxsize=None)
-def _coproduct_assignment(coalg: CoalgebraId, field: PrimeField) -> dict:
-    """Generator -> its coproduct in the joint unprimed/primed alphabet."""
-    out = {}
+def _generator_coproducts(coalg: CoalgebraId) -> dict:
+    """Generator -> the (left, right) factors of its coproduct's terms.
+
+    A factor is a generator or None for 1, and every coefficient is 1:
+    Delta(T) = T (x) 1 + 1 (x) T; Delta(x_{i,j}) = x_{i,j} (x) 1 +
+    1 (x) x_{i,j} + sum_{i<t<j} x_{i,t} (x) x_{t,j} for U_N; and
+    Delta(x_{i,j}) = sum_t x_{i,t} (x) x_{t,j} for M_N.
+    """
+    N = coalg.N
     if coalg.kind in GA_KINDS:
-        out["T"] = MultiPoly.variable(field, "T") + MultiPoly.variable(field, "T'")
-        return out
+        return {"T": (("T", None), (None, "T"))}
     if coalg.kind in UN_KINDS:
-        for i in range(1, coalg.N + 1):
-            for j in range(i + 1, coalg.N + 1):
-                v = f"x{i}_{j}"
-                acc = MultiPoly.variable(field, v) + MultiPoly.variable(field, prime_var(v))
-                for t in range(i + 1, j):
-                    acc = acc + MultiPoly.variable(field, f"x{i}_{t}") * MultiPoly.variable(
-                        field, prime_var(f"x{t}_{j}")
-                    )
-                out[v] = acc
-        return out
-    for i in range(1, coalg.N + 1):
-        for j in range(1, coalg.N + 1):
-            acc = MultiPoly.zero(field)
-            for t in range(1, coalg.N + 1):
-                acc = acc + MultiPoly.variable(field, f"x{i}_{t}") * MultiPoly.variable(
-                    field, prime_var(f"x{t}_{j}")
-                )
-            out[f"x{i}_{j}"] = acc
-    return out
+        return {
+            f"x{i}_{j}": ((f"x{i}_{j}", None), (None, f"x{i}_{j}"))
+            + tuple((f"x{i}_{t}", f"x{t}_{j}") for t in range(i + 1, j))
+            for i in range(1, N + 1)
+            for j in range(i + 1, N + 1)
+        }
+    return {
+        f"x{i}_{j}": tuple((f"x{i}_{t}", f"x{t}_{j}") for t in range(1, N + 1))
+        for i in range(1, N + 1)
+        for j in range(1, N + 1)
+    }
 
 
 def coproduct_table(coalg: CoalgebraId, field: PrimeField, monos, left_cap=None) -> tuple:
@@ -215,7 +216,7 @@ def coproduct_table(coalg: CoalgebraId, field: PrimeField, monos, left_cap=None)
     ``monos`` are canonical monomials in ``generator_vars(coalg)``.
     ``table[k]`` lists (a, b, coeff) with Delta(monos[k]) =
     sum coeff * factors[a] (x) factors[b]; ``factors`` are canonical
-    (unprimed) monomials, each listed once.  The expansion is
+    monomials, each listed once.  The expansion is
     :func:`polyring.frobenius_images`; it raises ValueError when the
     term-count bound of one monomial exceeds :data:`fpcomb.DESK_GUARD`.
 
@@ -246,24 +247,23 @@ def coproduct_table(coalg: CoalgebraId, field: PrimeField, monos, left_cap=None)
         offset += (2 ** (W - 1) - left_cap - 1) << (2 * half)
         guard += 1 << (2 * half + W - 1)
 
-    def packed(image):
+    def packed(pairs):
         """A generator's coproduct keyed by packed exponent vectors."""
         out = {}
-        for m, c in image.terms.items():
+        for left, right in pairs:
             k = 0
-            for name, e in m:
-                if is_primed(name):
-                    k += e << (W * pos[name[:-1]] + half)
-                else:
-                    k += e << (W * pos[name])
-                    if count_left:
-                        k += e << (2 * half)
-            out[k] = c
+            if left is not None:
+                k += 1 << (W * pos[left])
+                if count_left:
+                    k += 1 << (2 * half)
+            if right is not None:
+                k += 1 << (W * pos[right] + half)
+            out[k] = 1
         return out
 
-    images = _coproduct_assignment(coalg, field)
+    deltas = _generator_coproducts(coalg)
     expanded = frobenius_images(
-        field, [packed(images[v]) for v in gens], pos, monos, "coproduct",
+        field, [packed(deltas[v]) for v in gens], pos, monos, "coproduct",
         prune=(offset, guard) if guard else None, cap=bound,
     )
 
@@ -281,14 +281,6 @@ def coproduct_table(coalg: CoalgebraId, field: PrimeField, monos, left_cap=None)
     return factors, table
 
 
-def _tensor_monomial(left, right, pos: dict):
-    """Canonical C (x) C monomial of left (x) right: x_v < x_v' < the next generator."""
-    merged = sorted(
-        [(pos[v], 0, v, e) for v, e in left] + [(pos[v], 1, prime_var(v), e) for v, e in right]
-    )
-    return tuple((v, e) for _, _, v, e in merged)
-
-
 def require_generators(coalg: CoalgebraId, monos):
     """Raise ValueError when a monomial has a variable outside ``coalg``'s generators."""
     foreign = {v for m in monos for v, _ in m} - set(generator_vars(coalg))
@@ -296,38 +288,17 @@ def require_generators(coalg: CoalgebraId, monos):
         raise ValueError(f"foreign variable(s) {sorted(foreign)} for {coalg}")
 
 
-def coproduct(coalg: CoalgebraId, field: PrimeField, f: MultiPoly) -> TensorPoly:
-    """Delta(f) in C (x) C: the coproduct table of f's monomials, summed by linearity."""
-    require_generators(coalg, f.terms)
-    pos = {v: s for s, v in enumerate(generator_vars(coalg))}
-    factors, table = coproduct_table(coalg, field, list(f.terms))
-    terms = {}
-    for c, delta in zip(f.terms.values(), table):
-        for a, b, dc in delta:
-            tm = _tensor_monomial(factors[a], factors[b], pos)
-            terms[tm] = terms.get(tm, 0) + c * dc
-    return TensorPoly(MultiPoly(field, terms))
+def coproduct(coalg: CoalgebraId, field: PrimeField, f: MultiPoly) -> dict:
+    """Delta(f) as {(left monomial, right monomial): coeff}, coefficients in [1, p).
 
-
-def convolve(coalg: CoalgebraId, field: PrimeField, phi: dict, psi: dict, domain) -> dict:
-    """Convolution (phi * psi)(c) = sum phi(c_(1)) psi(c_(2)) on given monomials.
-
-    Functionals are {monomial: scalar} maps; the result is supported on
-    ``domain``.
+    The coproduct table of f's monomials, summed by linearity.
     """
+    require_generators(coalg, f.terms)
+    factors, table = coproduct_table(coalg, field, list(f.terms))
     p = field.p
     out = {}
-    for mono in domain:
-        total = 0
-        delta = coproduct(coalg, field, MultiPoly.from_monomial(field, mono))
-        for (left, right), c in delta.factor_pairs():
-            a = phi.get(left, 0)
-            if a == 0:
-                continue
-            b = psi.get(right, 0)
-            if b == 0:
-                continue
-            total = (total + c * a * b) % p
-        if total:
-            out[mono] = total
-    return out
+    for c, delta in zip(f.terms.values(), table):
+        for a, b, dc in delta:
+            key = factors[a], factors[b]
+            out[key] = (out.get(key, 0) + c * dc) % p
+    return {key: c for key, c in out.items() if c}

@@ -70,9 +70,7 @@ class NilpotentMatrix:
         if len(self.entries) != self.N or any(len(r) != self.N for r in self.entries):
             raise ValueError("entries must be N x N")
         self.entries = linalg.mat_mod(self.entries, self.field)
-        if not linalg.is_zero_matrix(
-            linalg.mat_pow(self.entries, self.field.p, self.field), self.field
-        ):
+        if not linalg.is_p_nilpotent(self.entries, self.field):
             raise ValueError("matrix is not p-nilpotent")
 
 

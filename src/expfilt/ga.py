@@ -51,7 +51,7 @@ def validate_family(U: GaUFamily) -> list:
         if len(m) != U.dim or any(len(r) != U.dim for r in m):
             out.append(f"u_{s} is not {U.dim}x{U.dim}")
             continue
-        if not linalg.is_zero_matrix(linalg.mat_pow(m, fld.p, fld), fld):
+        if not linalg.is_p_nilpotent(m, fld):
             out.append(f"u_{s}^p != 0")
     keys = sorted(mats)
     for a_idx, s in enumerate(keys):

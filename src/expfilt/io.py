@@ -13,7 +13,8 @@ is only meaningful for kind "Ga".  Integer fields are JSON integers or
 decimal strings; floats and booleans are rejected.  :func:`parse_module`
 parses each distinct coaction string once per call, and the ``Comodule``
 constructor turns the parsed matrix into the module's per-monomial action
-table in one pass; with ``check`` it validates the comodule laws,
+table in one pass.  Parsing always checks the module: a u_mats family must
+hold the family invariants, and a coaction must pass the comodule laws,
 whose Delta table expands every distinct monomial once through base-p
 Frobenius digits and a per-call prefix memo, and rejects, before expanding
 it, a monomial whose coproduct's term bound exceeds the desk-scale guard
@@ -96,8 +97,8 @@ def _require_matrix(value, what: str, entry_type):
         raise ModuleFileError(f"{what} entries must be {entry_type.__name__}")
 
 
-def parse_module(doc: dict, check: bool = True):
-    """Parse a module-file document into a Comodule or GaUFamily."""
+def parse_module(doc: dict):
+    """Parse a module-file document into a Comodule or GaUFamily and check its laws."""
     if not isinstance(doc, dict):
         raise ModuleFileError("module file must be a JSON object")
     p = _int_field(doc, "p")
@@ -124,8 +125,7 @@ def parse_module(doc: dict, check: bool = True):
         fam = GaUFamily(field, dim, mats)
         if any(len(m) != dim or any(len(r) != dim for r in m) for m in mats.values()):
             raise ModuleFileError("u_mats rows must be dim x dim")
-        if check:
-            require_valid_family(fam)
+        require_valid_family(fam)
         return fam
     coalg = _coalgebra_from_group(group)
     dim = _int_field(module, "dim")
@@ -138,10 +138,9 @@ def parse_module(doc: dict, check: bool = True):
     parsed = {t: parse_poly(t, field) for t in dict.fromkeys(t for row in rows for t in row)}
     coaction = [[parsed[t] for t in row] for row in rows]
     M = Comodule(field, coalg, dim, coaction)
-    if check:
-        rep = validate(M)
-        if not rep.ok:
-            raise ModuleFileError(f"comodule law violation: {rep.summary()}")
+    rep = validate(M)
+    if not rep.ok:
+        raise ModuleFileError(f"comodule law violation: {rep.summary()}")
     return M
 
 
@@ -172,9 +171,9 @@ def canonical_dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def load_module(path: str, check: bool = True):
+def load_module(path: str):
     with open(path, encoding="utf-8") as fh:
-        return parse_module(json.load(fh), check=check)
+        return parse_module(json.load(fh))
 
 
 def save_module(obj, path: str):

@@ -51,6 +51,11 @@ def mat_pow(a: Matrix, e: int, field: PrimeField) -> Matrix:
     return result
 
 
+def is_p_nilpotent(a: Matrix, field: PrimeField) -> bool:
+    """a^p = 0, by p products from the identity."""
+    return is_zero_matrix(mat_pow(a, field.p, field), field)
+
+
 def divided_powers(a: Matrix, field: PrimeField) -> list:
     """[a^k/k! for 0 <= k < p], stopping before the first zero power.
 
@@ -178,16 +183,6 @@ class Subspace:
         """Basis of {w : row . w = 0 for all basis rows} (the perp space)."""
         return _kernels.nullspace(list(self.rows), self.ambient, self.field.p)
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        ann = self.annihilator_rows() + other.annihilator_rows()
-        basis = _kernels.nullspace(ann, self.ambient, self.field.p)
-        return Subspace.from_vectors(self.field, self.ambient, basis)
-
-    def _check_compatible(self, other: "Subspace"):
-        if self.field != other.field or self.ambient != other.ambient:
-            raise ValueError("incompatible subspaces")
-
     def __repr__(self):
         return f"Subspace(F_{self.field.p}, dim {self.dim} of {self.ambient})"
 
@@ -220,6 +215,3 @@ def kernel_of(rows, ncols: int, field: PrimeField) -> Subspace:
     basis = _kernels.nullspace(rows, ncols, field.p)
     return Subspace.from_vectors(field, ncols, basis)
 
-
-def row_space(rows, ncols: int, field: PrimeField) -> Subspace:
-    return Subspace.from_vectors(field, ncols, rows)

@@ -1,10 +1,11 @@
 """Sparse multivariate polynomial arithmetic over F_p with named variables.
 
 Variables come from fixed alphabets: "T" (the 1-dimensional coordinate),
-"x{i}_{j}" (matrix coordinates), "b{i}_{j}" (symbolic nilpotent entries), and
-primed copies ("T'", "x1_2'") for right tensor factors.  A monomial is a
-sorted tuple of (name, exponent) pairs; a polynomial maps monomials to nonzero
-scalars in [1, p).
+"x{i}_{j}" (matrix coordinates) and "b{i}_{j}" (symbolic nilpotent
+entries).  A monomial is a sorted tuple of (name, exponent) pairs; a
+polynomial maps monomials to nonzero scalars in [1, p).  An element of a
+tensor product C (x) C is a dict keyed by (left, right) monomial pairs
+(see :mod:`expfilt.coalgebras`).
 
 Text grammar (CLI and file formats): terms separated by "+", each term
 "c*v1^e1*v2^e2..." with c a decimal integer; whitespace insignificant;
@@ -17,7 +18,7 @@ from typing import Mapping
 
 from .fpcomb import DESK_GUARD, PrimeField, digits
 
-_VAR_RE = re.compile(r"^(T|[xb](\d+)_(\d+))('?)$")
+_VAR_RE = re.compile(r"^(T|[xb](\d+)_(\d+))$")
 
 Monomial = tuple  # tuple[tuple[str, int], ...]
 
@@ -25,33 +26,18 @@ _ONE: Monomial = ()
 
 
 def var_key(name: str):
-    """Sort key for variable names: T < x{i}_{j} < b{i}_{j}, primed copies after."""
+    """Sort key for variable names: T < x{i}_{j} < b{i}_{j}."""
     m = _VAR_RE.match(name)
     if not m:
         raise ValueError(f"bad variable name {name!r}")
-    primed = 1 if m.group(4) else 0
     if m.group(1) == "T":
-        return (0, 0, 0, primed)
+        return (0, 0, 0)
     fam = 1 if name[0] == "x" else 2
-    return (fam, int(m.group(2)), int(m.group(3)), primed)
+    return (fam, int(m.group(2)), int(m.group(3)))
 
 
 def is_var_name(name: str) -> bool:
     return bool(_VAR_RE.match(name))
-
-
-def prime_var(name: str) -> str:
-    if name.endswith("'"):
-        raise ValueError(f"variable {name!r} already primed")
-    return name + "'"
-
-
-def unprime_var(name: str) -> str:
-    return name[:-1] if name.endswith("'") else name
-
-
-def is_primed(name: str) -> bool:
-    return name.endswith("'")
 
 
 def monomial(vars_exps: Mapping[str, int]) -> Monomial:
@@ -146,10 +132,6 @@ class MultiPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def constant_value(self) -> int:
-        """The constant coefficient (not an error for non-constant polys)."""
-        return self.terms.get(_ONE, 0)
 
     def total_degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
@@ -258,23 +240,6 @@ class MultiPoly:
 
     # -- structural operations ---------------------------------------------
 
-    def coeff_of_power(self, var: str, k: int) -> "MultiPoly":
-        """Coefficient of var^k: a polynomial not involving var."""
-        terms = {}
-        p = self.field.p
-        for m, c in self.terms.items():
-            e = 0
-            rest = []
-            for v, ve in m:
-                if v == var:
-                    e = ve
-                else:
-                    rest.append((v, ve))
-            if e == k:
-                rest_t = tuple(rest)
-                terms[rest_t] = (terms.get(rest_t, 0) + c) % p
-        return MultiPoly(self.field, terms)
-
     def substitute(self, assignment: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Homomorphic image under var -> polynomial; must cover all variables."""
         missing = self.variables() - set(assignment)
@@ -296,30 +261,6 @@ class MultiPoly:
             result = result + term
         return result
 
-    def eval_at(self, point: Mapping[str, int]) -> int:
-        """Scalar value at a point; must cover all variables."""
-        missing = self.variables() - set(point)
-        if missing:
-            raise KeyError(f"no coordinate for variable(s) {sorted(missing)}")
-        p = self.field.p
-        total = 0
-        for m, c in self.terms.items():
-            v = c
-            for var, e in m:
-                v = v * pow(point[var] % p, e, p) % p
-                if v == 0:
-                    break
-            total = (total + v) % p
-        return total
-
-    def rename_variables(self, mapping: Mapping[str, str]) -> "MultiPoly":
-        terms = {}
-        p = self.field.p
-        for m, c in self.terms.items():
-            nm = monomial({mapping.get(v, v): e for v, e in m})
-            terms[nm] = (terms.get(nm, 0) + c) % p
-        return MultiPoly(self.field, terms)
-
     def drop_high_exponents(self, bound: int, vars=None) -> "MultiPoly":
         """Discard terms where some (listed) variable has exponent >= bound."""
         terms = {}
@@ -336,62 +277,10 @@ class MultiPoly:
         return format_poly(self)
 
 
-class TensorPoly:
-    """An element of C (x) C: a MultiPoly whose right-factor variables are primed."""
-
-    __slots__ = ("poly",)
-
-    def __init__(self, poly: MultiPoly):
-        self.poly = poly
-
-    @property
-    def field(self):
-        return self.poly.field
-
-    def __eq__(self, other):
-        if isinstance(other, TensorPoly):
-            return self.poly == other.poly
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("tensor", self.poly))
-
-    def left_degree(self) -> int:
-        """Max total degree of the unprimed part over all terms."""
-        best = 0
-        for m in self.poly.terms:
-            best = max(best, sum(e for v, e in m if not is_primed(v)))
-        return best
-
-    def right_degree(self) -> int:
-        best = 0
-        for m in self.poly.terms:
-            best = max(best, sum(e for v, e in m if is_primed(v)))
-        return best
-
-    def factor_pairs(self):
-        """Terms as ((left monomial, right monomial in unprimed names), coeff)."""
-        out = []
-        for m, c in self.poly.terms.items():
-            left = tuple((v, e) for v, e in m if not is_primed(v))
-            right = monomial({unprime_var(v): e for v, e in m if is_primed(v)})
-            out.append(((left, right), c))
-        return out
-
-    def __repr__(self):
-        return f"TensorPoly({format_poly(self.poly)!r})"
-
-
-def tensor(left: MultiPoly, right: MultiPoly) -> TensorPoly:
-    """left (x) right, with the right factor's variables primed."""
-    primed = right.rename_variables({v: prime_var(v) for v in right.variables()})
-    return TensorPoly(left * primed)
-
-
 # -- text grammar ------------------------------------------------------------
 
-_TERM_RE = re.compile(r"^(\d+)?((?:\*?(?:T|[xb]\d+_\d+)'?(?:\^\d+)?)*)$")
-_FACTOR_RE = re.compile(r"((?:T|[xb]\d+_\d+)'?)(?:\^(\d+))?")
+_TERM_RE = re.compile(r"^(\d+)?((?:\*?(?:T|[xb]\d+_\d+)(?:\^\d+)?)*)$")
+_FACTOR_RE = re.compile(r"(T|[xb]\d+_\d+)(?:\^(\d+))?")
 
 
 def parse_poly(text: str, field: PrimeField) -> MultiPoly:

@@ -54,9 +54,7 @@ def random_strictly_upper(field: PrimeField, N: int, rng: random.Random,
                 mat[i][j] = rng.randrange(field.p)
         if nonzero and linalg.is_zero_matrix(mat, field):
             continue
-        if p_nilpotent and not linalg.is_zero_matrix(
-            linalg.mat_pow(mat, field.p, field), field
-        ):
+        if p_nilpotent and not linalg.is_p_nilpotent(mat, field):
             continue
         return mat
     raise RuntimeError("failed to sample a p-nilpotent strictly upper matrix")
@@ -101,9 +99,7 @@ def random_commuting_tuple(field: PrimeField, N: int, height: int, rng: random.R
                 c = rng.randrange(field.p)
                 if c:
                     cand = linalg.mat_add(cand, linalg.mat_scale(basis_mat, c, field), field)
-            if linalg.is_zero_matrix(
-                linalg.mat_pow(cand, field.p, field), field
-            ):
+            if linalg.is_p_nilpotent(cand, field):
                 mats.append(cand)
                 break
         else:

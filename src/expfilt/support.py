@@ -239,13 +239,9 @@ def theta_operator(M, psi: OneParamSubgroup) -> Matrix:
     deg mu > p^s.  Raises when Theta^p != 0.
     """
     theta = _theta(M, psi)
-    _check_p_nilpotent(theta, M.field)
-    return theta
-
-
-def _check_p_nilpotent(theta: Matrix, field: PrimeField):
-    if not linalg.is_zero_matrix(linalg.mat_pow(theta, field.p, field), field):
+    if not linalg.is_p_nilpotent(theta, M.field):
         raise ValueError(_NOT_P_NILPOTENT)
+    return theta
 
 
 def is_free_at(M, psi: OneParamSubgroup):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from expfilt import coalgebras, linalg
-from expfilt.coalgebras import convolve, ga_trunc
+from expfilt.coalgebras import coproduct, ga_trunc
 from expfilt.comodule import (
     Comodule,
     coideal_preimage,
@@ -34,12 +34,28 @@ from expfilt.ga import (
     family_to_comodule,
 )
 from expfilt.linalg import Subspace
-from expfilt.polyring import monomial, parse_poly
+from expfilt.polyring import MultiPoly, monomial, parse_poly
 from expfilt.un import UNContext, natural_rep
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+
+
+def convolve(coalg, field, phi: dict, psi: dict, domain) -> dict:
+    """Convolution (phi * psi)(c) = sum phi(c_(1)) psi(c_(2)) on given monomials.
+
+    Functionals are {monomial: scalar} maps; the result is supported on
+    ``domain``.
+    """
+    p = field.p
+    out = {}
+    for mono in domain:
+        delta = coproduct(coalg, field, MultiPoly.from_monomial(field, mono))
+        total = sum(c * phi.get(a, 0) * psi.get(b, 0) for (a, b), c in delta.items()) % p
+        if total:
+            out[mono] = total
+    return out
 
 
 def with_entries(M, entries):

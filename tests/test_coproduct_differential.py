@@ -1,13 +1,17 @@
 """Differential test: the Frobenius-digit coproduct table against the
-substitution route it replaced.
+multiplicative extension written out by hand.
 
-``oracle_coproduct`` is the multiplicative extension computed the old way:
-substitute every generator's coproduct into the polynomial (``MultiPoly``
-powers and products) and drop the truncated monomials.  It is kept here
-only as the slow reference.  ``coalgebras.coproduct``, which now reads the
-per-call table of packed exponent vectors, must return the identical
-``TensorPoly`` for every monomial of every pooled module, for whole entries,
-and for hand-picked exponents with several nonzero base-p digits.
+An element of C (x) C is a pair dict {(left monomial, right monomial):
+coeff}.  ``oracle_coproduct`` spells out each generator's coproduct from the
+group law (``oracle_generator_coproduct``), raises it to a power by
+repeated pair-dict products, multiplies the powers of a monomial's
+variables, and drops the truncated monomials only at the end.  It shares no
+code with the library's table: no base-p digits, no packed keys, no
+generator table.  It is kept here only as the slow reference.
+``coalgebras.coproduct``, which reads the per-call table of packed exponent
+vectors, must return the identical pair dict for every monomial of every
+pooled module, for whole entries, and for hand-picked exponents with
+several nonzero base-p digits.
 """
 
 import math
@@ -19,7 +23,7 @@ from expfilt import coalgebras
 from expfilt.expdeg import frobenius_twist
 from expfilt.fpcomb import PrimeField, digits
 from expfilt.ga import family_to_comodule, regular_comodule, regular_trunc_comodule
-from expfilt.polyring import MultiPoly, TensorPoly, monomial
+from expfilt.polyring import MultiPoly, monomial
 from expfilt.samplers import random_ga_family, random_un_comodule
 from expfilt.un import (
     UNContext,
@@ -31,13 +35,73 @@ from expfilt.un import (
 )
 
 
-def oracle_coproduct(coalg, field, f: MultiPoly) -> TensorPoly:
-    """Delta(f) by substituting the generator coproducts, then truncating."""
-    img = f.substitute(coalgebras._coproduct_assignment(coalg, field))
-    bound = coalgebras.truncation_bound(coalg, field)
-    if bound is not None:
-        img = img.drop_high_exponents(bound)
-    return TensorPoly(img)
+def _times(a, b):
+    """The product of two monomials."""
+    exps = dict(a)
+    for v, e in b:
+        exps[v] = exps.get(v, 0) + e
+    return monomial(exps)
+
+
+def pair_product(a: dict, b: dict, p: int) -> dict:
+    """The product of two pair dicts in C (x) C, leg by leg."""
+    out = {}
+    for (la, ra), ca in a.items():
+        for (lb, rb), cb in b.items():
+            key = _times(la, lb), _times(ra, rb)
+            out[key] = (out.get(key, 0) + ca * cb) % p
+    return {key: c for key, c in out.items() if c}
+
+
+def tensor(f: MultiPoly, g: MultiPoly) -> dict:
+    """f (x) g as a pair dict."""
+    p = f.field.p
+    return {(a, b): ca * cb % p for a, ca in f.terms.items() for b, cb in g.terms.items()}
+
+
+def oracle_generator_coproduct(coalg, v: str) -> dict:
+    """Delta(v) from the group law: T and the x_{i,j} of U_N add, M_N multiplies."""
+    one = ()
+
+    def x(i, j):
+        return ((f"x{i}_{j}", 1),)
+
+    if coalg.kind in ("GaPoly", "GaTrunc"):
+        return {(((v, 1),), one): 1, (one, ((v, 1),)): 1}
+    i, j = (int(k) for k in v[1:].split("_"))
+    if coalg.kind == "MatPoly":
+        return {(x(i, t), x(t, j)): 1 for t in range(1, coalg.N + 1)}
+    out = {(x(i, j), one): 1, (one, x(i, j)): 1}
+    for t in range(i + 1, j):
+        out[x(i, t), x(t, j)] = 1
+    return out
+
+
+_POWERS = {}  # (coalg, p, v) -> [Delta(v)^0, Delta(v)^1, ...]
+
+
+def _oracle_power(coalg, p: int, v: str, e: int) -> dict:
+    chain = _POWERS.setdefault((coalg, p, v), [{((), ()): 1}])
+    while len(chain) <= e:
+        chain.append(pair_product(chain[-1], oracle_generator_coproduct(coalg, v), p))
+    return chain[e]
+
+
+def oracle_coproduct(coalg, field, f: MultiPoly) -> dict:
+    """Delta(f) by repeated products of the generator coproducts, then truncating."""
+    p = field.p
+    total = {}
+    for m, c in f.terms.items():
+        delta = {((), ()): 1}
+        for v, e in m:
+            delta = pair_product(delta, _oracle_power(coalg, p, v, e), p)
+        for key, dc in delta.items():
+            total[key] = (total.get(key, 0) + c * dc) % p
+    bound = p**coalg.r if coalg.kind in ("GaTrunc", "UNTrunc") else None
+    return {
+        (a, b): c for (a, b), c in total.items()
+        if c and (bound is None or all(e < bound for _, e in a + b))
+    }
 
 
 def _pool():

@@ -18,7 +18,7 @@ constraint rows with T power above d, the largest T power, the Theta
 coefficient, the subgroup pullback; Jordan types come from a chain of
 powers that starts at the identity, after a separate Theta^p check.  The
 1-psg oracle compares the formal exponentials as ``MultiPoly`` matrices in
-T and T'; the radical-quotient oracle spans the columns of dense
+two scalar variables, T and b1_1; the radical-quotient oracle spans the columns of dense
 ``action_matrices``.  They are kept here only as the slow reference: the
 library must give identical polynomials, subspaces, degrees, verdicts,
 matrices, Jordan types, families and violation lists on seeded pools.
@@ -62,6 +62,7 @@ from expfilt.ga import (
     restrict_frobenius_ga,
     y_r_family,
 )
+from expfilt.linalg import Subspace
 from expfilt.polyring import MultiPoly, frobenius_images, monomial, monomial_degree, parse_poly
 from expfilt.samplers import (
     random_commuting_tuple,
@@ -240,7 +241,7 @@ def oracle_pullback_module(M: Comodule, psi) -> GaUFamily:
 
 
 def oracle_validate_1psg(psi) -> list:
-    """Shape checks, then nilpotency, then MultiPoly exponentials in T and T'."""
+    """Shape checks, then nilpotency, then MultiPoly exponentials in T and b1_1."""
     fld = psi.field
     N = psi.N
     out = []
@@ -263,8 +264,9 @@ def oracle_validate_1psg(psi) -> list:
             if not linalg.mats_commute(psi.mat(s), psi.mat(t), fld):
                 out.append(f"B_{s} and B_{t} do not commute")
                 continue
-            primed = [[f.rename_variables({"T": "T'"}) for f in row] for row in exps[t]]
-            if _poly_mat_mul(exps[s], primed, fld) != _poly_mat_mul(primed, exps[s], fld):
+            other = MultiPoly.variable(fld, "b1_1")
+            at_other = [[f.substitute({"T": other}) for f in row] for row in exps[t]]
+            if _poly_mat_mul(exps[s], at_other, fld) != _poly_mat_mul(at_other, exps[s], fld):
                 out.append(f"exponentials of B_{s} and B_{t} do not commute")
     return out
 
@@ -410,7 +412,7 @@ def oracle_radical_quotient_dim(M: Comodule) -> int:
         if mono != ()
         for i in range(M.dim)
     ]
-    return M.dim - linalg.row_space([c for c in cols if any(c)], M.dim, M.field).dim
+    return M.dim - Subspace.from_vectors(M.field, M.dim, [c for c in cols if any(c)]).dim
 
 
 # -- pools ------------------------------------------------------------------------

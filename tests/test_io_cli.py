@@ -16,17 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expfilt
-from expfilt import coalgebras
+from expfilt import coalgebras, linalg
 from expfilt.cli import main
-from expfilt.comodule import trivial_comodule
+from expfilt.comodule import conjugate, trivial_comodule
 from expfilt.fpcomb import PrimeField
-from expfilt.ga import regular_comodule, regular_trunc_comodule, y_r_family
+from expfilt.ga import GaUFamily, regular_comodule, regular_trunc_comodule, y_r_family
 from expfilt.io import (
     ModuleFileError,
     canonical_dumps,
     module_to_doc,
     parse_module,
 )
+from expfilt.samplers import random_invertible
 from expfilt.un import UNContext, natural_rep, restrict_frobenius_un, sym_square_rep
 
 F3 = PrimeField(3)
@@ -378,6 +379,16 @@ class TestCli:
         assert main(["verify", "--suite", "dims", "--seed", "3"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_primed_variable_exits_2(self, tmp_path):
+        """x1_2' is not in the polynomial grammar: exit 2, an error line, no traceback."""
+        doc = natural_u3_doc()
+        doc["module"]["coaction"][0][1] = "x1_2'"
+        path = tmp_path / "primed.json"
+        path.write_text(canonical_dumps(doc), encoding="utf-8")
+        done, _ = run_cli_process(["expdeg", str(path)], timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+
     def test_bad_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "junk.json"
         path.write_text("{not json", encoding="utf-8")
@@ -554,8 +565,14 @@ _JUNK = [
 ]
 _ADD = st.tuples(st.just("add"), st.integers(0, 6), st.integers(0, 6),
                  st.lists(st.sampled_from(_TERMS), min_size=1, max_size=3))
+# a seeded base change of the base module, applied before the other edits:
+# the file stays a valid comodule, so the commands reach their success paths
+_BASE = st.tuples(st.just("base"), st.integers(0, 2**16))
 
 _EDITS = st.one_of(
+    _BASE,
+    _BASE,
+    _BASE,
     _ADD,
     _ADD,
     _ADD,
@@ -591,8 +608,36 @@ _COMMANDS = [
 ]
 
 
+def _base_changed(obj, seed: int):
+    """obj in a seeded random basis: g A_mu g^-1 for a coaction, g u_s g^-1 for u_mats."""
+    fld = obj.field
+    g = random_invertible(fld, obj.dim, random.Random(seed))
+    if isinstance(obj, GaUFamily):
+        ginv = linalg.mat_inverse(g, fld)
+        return GaUFamily(fld, obj.dim, {
+            s: linalg.mat_mul(linalg.mat_mul(g, u, fld), ginv, fld) for s, u in obj.u_mats.items()
+        })
+    return conjugate(obj, g)
+
+
+def _fuzz_file(path, base, edits):
+    """Write the base module, base-changed and then edited, to ``path``."""
+    obj = _FUZZ_BASES[base]()
+    for edit in edits:
+        if edit[0] == "base":
+            obj = _base_changed(obj, edit[1])
+    doc = module_to_doc(obj)
+    text = None
+    for edit in edits:
+        doc, text = _apply_edit(doc, text, edit)
+    path.write_text(canonical_dumps(doc) if text is None else text, encoding="utf-8")
+
+
 def _apply_edit(doc, text, edit):
-    """One edit of a module document; returns (doc, raw text or None)."""
+    """One edit of a module document; returns (doc, raw text or None).
+
+    Base changes were applied to the module before it became a document.
+    """
     kind = edit[0]
     module = doc.get("module") if isinstance(doc, dict) else None
     rows = module.get("coaction") if isinstance(module, dict) else None
@@ -655,12 +700,8 @@ class TestCliFuzz:
     )
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_mutated_module_files_never_trace_back(self, tmp_path_factory, base, edits, command):
-        doc = module_to_doc(_FUZZ_BASES[base]())
-        text = None
-        for edit in edits:
-            doc, text = _apply_edit(doc, text, edit)
         path = tmp_path_factory.mktemp("fuzz") / "module.json"
-        path.write_text(canonical_dumps(doc) if text is None else text, encoding="utf-8")
+        _fuzz_file(path, base, edits)
         out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
         with redirect_stdout(out), redirect_stderr(err):
@@ -684,6 +725,20 @@ class TestCliFuzz:
                 codes[base] = main([command[0], str(path)] + command[1:])
             assert codes[base] == 0 or err.getvalue().startswith("error:"), (base, err.getvalue())
         assert set(codes.values()) <= {0, 2} and 0 in codes.values(), codes
+
+    @pytest.mark.parametrize("base", sorted(_FUZZ_BASES))
+    def test_base_change_keeps_every_exit_code(self, tmp_path, base):
+        """A base-changed file answers every command with the base file's exit code."""
+
+        def codes(edits):
+            path = tmp_path / "module.json"
+            _fuzz_file(path, base, edits)
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                return [main([command[0], str(path)] + command[1:]) for command in _COMMANDS]
+
+        want = codes([])
+        for seed in range(3):
+            assert codes([("base", seed)]) == want, seed
 
     @pytest.mark.parametrize(
         "entry, summary",

@@ -3,6 +3,7 @@ degree filtration, and the standard comodules."""
 
 import math
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -10,14 +11,12 @@ from expfilt import coalgebras
 from expfilt.comodule import validate
 from expfilt.fpcomb import PrimeField
 from expfilt.linalg import Subspace
-from expfilt.polyring import MultiPoly, monomial, parse_poly, prime_var
+from expfilt.polyring import MultiPoly, monomial, monomial_degree, parse_poly
 from expfilt.un import (
     UNContext,
-    coproduct_poly,
     degree_filtration_un,
     degree_piece,
     degree_piece_comodule,
-    degree_piece_count,
     frobenius_kernel_dims,
     ga_as_u2,
     natural_rep,
@@ -25,8 +24,9 @@ from expfilt.un import (
     restrict_mat_to_un,
     sym_square_rep,
     sym_square_rep_gl,
-    x_coproduct,
 )
+from test_coproduct_differential import pair_product
+from test_polyring import eval_at
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -42,44 +42,62 @@ def span(field, dim, indices):
     return Subspace.from_vectors(field, dim, vecs)
 
 
+def coproduct(ctx: UNContext, f: MultiPoly) -> dict:
+    return coalgebras.coproduct(ctx.coalgebra, ctx.field, f)
+
+
+def pairs(field, *texts) -> dict:
+    """{(left, right): 1} from (left, right) texts of single monomials."""
+    def mono(text):
+        (m,) = parse_poly(text, field).terms
+        return m
+
+    return {(mono(a), mono(b)): 1 for a, b in texts}
+
+
+def degree_piece_count(ctx: UNContext, d: int) -> int:
+    """C(m + d - 1, m), the number of monomials of degree < d in m variables."""
+    return math.comb(ctx.m + d - 1, ctx.m)
+
+
+def leg_degrees(delta: dict) -> tuple:
+    """The largest total degree of the left legs and of the right legs."""
+    return (
+        max((monomial_degree(a) for a, _ in delta), default=0),
+        max((monomial_degree(b) for _, b in delta), default=0),
+    )
+
+
 def coassoc_threefold(coalg, field, f):
-    """(Delta (x) 1) Delta(f) == (1 (x) Delta) Delta(f), with the third tensor
-    leg carried by the b-alphabet."""
-    delta = coalgebras.coproduct(coalg, field, f).poly
-    gens = coalgebras.generator_vars(coalg)
-    to_middle = {prime_var(v): v.replace("x", "b") for v in gens}
-    to_outer = {v: v for v in gens}
+    """(Delta (x) 1) Delta(f) == (1 (x) Delta) Delta(f), as triple dicts."""
+    p = field.p
 
-    # left route: expand the unprimed leg again
-    assign = dict(coalgebras._coproduct_assignment(coalg, field))
-    left_route = {**assign, **{k: MultiPoly.variable(field, w) for k, w in to_middle.items()}}
-    lhs = delta.substitute(left_route)
+    def delta(m):
+        return coalgebras.coproduct(coalg, field, MultiPoly.from_monomial(field, m))
 
-    # right route: expand the primed leg, into (primed, b)
-    expand_primed = {}
-    for v in gens:
-        img = assign[v]
-        expand_primed[prime_var(v)] = img.rename_variables(
-            {v2: prime_var(v2) if not v2.endswith("'") else v2.replace("x", "b").rstrip("'")
-             for v2 in img.variables()}
-        )
-    right_route = {**{v: MultiPoly.variable(field, v) for v in to_outer}, **expand_primed}
-    rhs = delta.substitute(right_route)
+    lhs, rhs = defaultdict(int), defaultdict(int)
+    for (a, b), c in coalgebras.coproduct(coalg, field, f).items():
+        for (a1, a2), c1 in delta(a).items():
+            lhs[a1, a2, b] += c * c1
+        for (b1, b2), c2 in delta(b).items():
+            rhs[a, b1, b2] += c * c2
+    lhs = {key: c % p for key, c in lhs.items() if c % p}
+    rhs = {key: c % p for key, c in rhs.items() if c % p}
     return lhs == rhs
 
 
 class TestCoproduct:
     def test_adjacent_entry_is_primitive(self):
-        t = x_coproduct(UNContext(F3, 3), 1, 2)
-        assert t.poly == parse_poly("x1_2 + x1_2'", F3)
+        delta = coproduct(UNContext(F3, 3), parse_poly("x1_2", F3))
+        assert delta == pairs(F3, ("x1_2", "1"), ("1", "x1_2"))
 
     def test_corner_entry_has_middle_term(self):
-        t = x_coproduct(UNContext(F3, 3), 1, 3)
-        assert t.poly == parse_poly("x1_3 + x1_2*x2_3' + x1_3'", F3)
+        delta = coproduct(UNContext(F3, 3), parse_poly("x1_3", F3))
+        assert delta == pairs(F3, ("x1_3", "1"), ("x1_2", "x2_3"), ("1", "x1_3"))
 
     def test_index_range_enforced(self):
         with pytest.raises(ValueError):
-            x_coproduct(UNContext(F3, 3), 2, 2)
+            coproduct(UNContext(F3, 3), MultiPoly.variable(F3, "x2_2"))
 
     @pytest.mark.parametrize("N", [2, 3, 4])
     def test_coassociativity_on_generators(self, N):
@@ -99,23 +117,20 @@ class TestCoproduct:
         point = coalgebras.identity_point(ctx.coalgebra)
         for text in ("x1_3", "x1_2*x2_3 + 2*x1_3"):
             f = parse_poly(text, F3)
-            delta = coproduct_poly(ctx, f)
-            # (1 (x) counit): evaluate primed variables at the identity
-            right = {prime_var(v): MultiPoly.constant(F3, point[v]) for v in point}
-            right.update({v: MultiPoly.variable(F3, v) for v in point})
-            assert delta.poly.substitute(right) == f
+            # (1 (x) counit): evaluate the right legs at the identity
+            terms = defaultdict(int)
+            for (a, b), c in coproduct(ctx, f).items():
+                terms[a] += c * eval_at(MultiPoly.from_monomial(F3, b), point)
+            assert MultiPoly(F3, terms) == f
 
     def test_unit_maps_to_unit_tensor(self):
-        t = coproduct_poly(UNContext(F3, 3), MultiPoly.one(F3))
-        assert t.poly == MultiPoly.one(F3)
+        assert coproduct(UNContext(F3, 3), MultiPoly.one(F3)) == {((), ()): 1}
 
     def test_multiplicative_on_product(self):
         ctx = UNContext(F3, 3)
         f = parse_poly("x1_2", F3)
         g = parse_poly("x2_3", F3)
-        lhs = coproduct_poly(ctx, f * g).poly
-        rhs = coproduct_poly(ctx, f).poly * coproduct_poly(ctx, g).poly
-        assert lhs == rhs
+        assert coproduct(ctx, f * g) == pair_product(coproduct(ctx, f), coproduct(ctx, g), 3)
 
     def test_leg_degree_bound_random(self):
         rng = random.Random(5)
@@ -129,13 +144,13 @@ class TestCoproduct:
                 )
                 terms[mono] = rng.randrange(1, 3)
             f = MultiPoly(F3, terms)
-            t = coproduct_poly(ctx, f)
-            assert t.left_degree() <= f.total_degree()
-            assert t.right_degree() <= f.total_degree()
+            left, right = leg_degrees(coproduct(ctx, f))
+            assert left <= f.total_degree()
+            assert right <= f.total_degree()
 
     def test_foreign_variable_rejected(self):
         with pytest.raises(ValueError):
-            coproduct_poly(UNContext(F3, 3), parse_poly("x1_4", F3))
+            coproduct(UNContext(F3, 3), parse_poly("x1_4", F3))
 
 
 class TestDegreePiece:
@@ -167,8 +182,8 @@ class TestDegreePiece:
         ctx = UNContext(F2, N)
         for d in range(1, 6):
             for mono in degree_piece(ctx, d):
-                t = coproduct_poly(ctx, MultiPoly.from_monomial(F2, mono))
-                assert t.left_degree() < d and t.right_degree() < d
+                left, right = leg_degrees(coproduct(ctx, MultiPoly.from_monomial(F2, mono)))
+                assert left < d and right < d
 
 
 class TestKernelDims:
