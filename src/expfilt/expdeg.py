@@ -133,8 +133,11 @@ def _generic_pullbacks(field: PrimeField, coalg, monos) -> tuple:
     in ``key & mask`` and the b-monomial in the W-bit fields above it (see
     :func:`_generic_exp_images`).  A term of the pullback of m has T
     exponent <= (N-1) deg m and b exponents <= deg m, so the fields never
-    carry.  Raises unless N <= p or when a monomial leaves the generators.
+    carry.  Raises unless coalg is k[U_N] with N <= p or when a monomial
+    leaves the generators.
     """
+    if coalg.kind != "UNPoly":
+        raise ValueError("exponential filtration needs a comodule over k[Ga] or k[U_N]")
     N = coalg.N
     SymbolicNilpotentDomain(field, N)  # raises unless N <= p
     coalgebras.require_generators(coalg, monos)
@@ -263,21 +266,6 @@ def _above(monos, pulled, mask, d: int) -> dict:
     return out
 
 
-def _pullback_table(M: Comodule) -> tuple:
-    """(acts, pulled, mask): the per-monomial actions and their pullbacks.
-
-    ``acts`` is ``M.acts``; ``pulled[k]`` is the pullback of its k-th
-    monomial along exp of the generic B, as {packed key: coeff} with the T
-    power in ``key & mask`` (see :func:`_generic_pullbacks`).  The coaction
-    is sum_mu mu A_mu, so the pullback of entry f_{ji} is
-    sum_mu (A_mu)_{ji} pulled[mu]: callers sum only the terms they need.
-    """
-    if M.coalgebra.kind != "UNPoly":
-        raise ValueError("exponential filtration needs a comodule over k[Ga] or k[U_N]")
-    pulled, mask = _generic_pullbacks(M.field, M.coalgebra, list(M.acts))
-    return M.acts, pulled, mask
-
-
 def module_exp_filtration(M: Comodule, d: int) -> Subspace:
     """M_{[d]}: vectors whose coaction pullbacks have no T^j term, j > d.
 
@@ -290,8 +278,8 @@ def module_exp_filtration(M: Comodule, d: int) -> Subspace:
         raise ValueError("d must be nonnegative")
     if M.coalgebra.kind == "GaPoly":
         return degree_filtration_ga(M, d + 1)
-    acts, pulled, mask = _pullback_table(M)
-    high = linear_image(acts, _above(acts, pulled, mask, d), M.field.p)
+    pulled, mask = _generic_pullbacks(M.field, M.coalgebra, list(M.acts))
+    high = linear_image(M.acts, _above(M.acts, pulled, mask, d), M.field.p)
     return row_kernel(high.values(), M.dim, M.field)
 
 
@@ -309,9 +297,9 @@ def exponential_degree(M) -> int:
         return ga_exponential_degree(M)
     if M.coalgebra.kind == "GaPoly":
         return max((e for m in M.acts for v, e in m if v == "T"), default=0)
-    acts, pulled, mask = _pullback_table(M)
+    pulled, mask = _generic_pullbacks(M.field, M.coalgebra, list(M.acts))
     by_power = defaultdict(list)  # T power -> [(mu, key, coeff)]
-    for mu, terms in zip(acts, pulled):
+    for mu, terms in zip(M.acts, pulled):
         for key, c in terms.items():
             by_power[key & mask].append((mu, key, c))
     for k in sorted(by_power, reverse=True):
@@ -320,7 +308,7 @@ def exponential_degree(M) -> int:
         images = defaultdict(dict)  # mu -> the T^k part of its pullback
         for mu, key, c in by_power[k]:
             images[mu][key] = c
-        if linear_image(acts, images, M.field.p):
+        if linear_image(M.acts, images, M.field.p):
             return k
     return 0
 

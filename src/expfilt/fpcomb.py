@@ -14,7 +14,8 @@ from . import _kernels
 MAX_PRIME = 97
 
 # Desk-scale work bound shared by every exhaustive enumeration: the Ga
-# digit-vector loop, Frobenius-kernel monomial counts and dual algebras.
+# digit-vector loop, the products of the digit-product walk, Frobenius-kernel
+# monomial counts and dual algebras.
 DESK_GUARD = 10**6
 
 
@@ -93,25 +94,6 @@ def digit_sums(field: PrimeField, places):
         sum(d * w for d, w in zip(combo, weights))
         for combo in itertools.product(range(p), repeat=len(places))
     )
-
-
-@dataclass(frozen=True)
-class DigitVector:
-    """Base-p digit expansion of a nonnegative integer, least-significant first."""
-
-    digits: tuple
-    value: int
-    p: int
-
-    def __post_init__(self):
-        if any(not 0 <= d < self.p for d in self.digits):
-            raise ValueError("digit out of range")
-        if sum(d * self.p**i for i, d in enumerate(self.digits)) != self.value:
-            raise ValueError("digits do not reconstruct value")
-
-    @classmethod
-    def of(cls, n: int, field: PrimeField) -> "DigitVector":
-        return cls(tuple(digits(n, field.p)), n, field.p)
 
 
 def binom_mod(n: int, j: int, field: PrimeField) -> int:

@@ -5,6 +5,10 @@ restriction and the coalgebra splitting.
 A module is primarily a :class:`GaUFamily` (the matrices of the generators
 u_s); the coaction form Delta(m) = sum_j v_j(m) (x) T^j is derived on demand,
 with v_j = prod_s u_s^{j_s} / prod_s j_s! over the base-p digits of j.
+:func:`derived_v` forms one v_j; :func:`comodule_to_family` reads the
+nonzero v_j off :func:`~expfilt.linalg.digit_products`, the one walk over
+the digit vectors that forms no product past a zero one (the same walk
+expands a 1-parameter subgroup in :mod:`expfilt.support`).
 """
 
 import itertools
@@ -113,33 +117,6 @@ def derived_v(U: GaUFamily, j: int) -> Matrix:
     return linalg.mat_scale(result, scalar, fld)
 
 
-def _nonzero_v(U: GaUFamily) -> dict:
-    """{j: v_j} for every digit sum j over the support with v_j != 0.
-
-    v_j = v_{j'} u_s^{j_s}/j_s! for the top place s of j and j' = j without
-    that digit.  :func:`~expfilt.fpcomb.digit_sums` (and its guard) yields
-    j' before j, and v_j = 0 once v_{j'} = 0 or u_s^{j_s} = 0, so no product
-    is formed past a zero one.
-    """
-    fld = U.field
-    p = fld.p
-    # s -> [u_s^k / k! for k < p], up to the first zero power
-    divided = {s: linalg.divided_powers(U.u(s), fld) for s in U.support()}
-    out = {}
-    for j in digit_sums(fld, U.support()):
-        if j == 0:
-            out[0] = linalg.identity(U.dim)
-            continue
-        ds = digits(j, p)
-        s, d = len(ds) - 1, ds[-1]
-        prev = out.get(j - d * p**s)
-        if prev is not None and d < len(divided[s]):
-            v = linalg.mat_mul(prev, divided[s][d], fld)
-            if not linalg.is_zero_matrix(v, fld):
-                out[j] = v
-    return out
-
-
 def family_to_comodule(U: GaUFamily) -> Comodule:
     """Coaction f_{ji} = sum_k (v_k)_{ji} T^k; finite by finite support."""
     require_valid_family(U)
@@ -156,7 +133,10 @@ def comodule_to_family(M: Comodule) -> GaUFamily:
     """Extract u_s as the coefficient matrices of T^{p^s}.
 
     Raises when the extracted family violates its invariants or fails the
-    consistency identity (which signals a non-comodule input).
+    consistency identity (which signals a non-comodule input).  The nonzero
+    v_j of the identity come from one :func:`~expfilt.linalg.digit_products`
+    walk over the divided powers of the u_s, so the work is bounded by the
+    nonzero v_j, not by the p^|support| digit vectors.
     """
     if M.coalgebra.kind != "GaPoly":
         raise ValueError("comodule_to_family needs a comodule over k[Ga]")
@@ -178,7 +158,9 @@ def comodule_to_family(M: Comodule) -> GaUFamily:
     # support, and the coefficient of T^j is 0 unless T^j occurs: only the
     # occurring j and the j with v_j != 0 (above the top degree too) can
     # disagree
-    nonzero = _nonzero_v(fam)
+    nonzero = linalg.digit_products(
+        [(fld.p**s, linalg.divided_powers(fam.u(s), fld)) for s in fam.support()], M.dim, fld
+    )
     zero = linalg.zeros(M.dim, M.dim)
     for j in sorted(mats.keys() | nonzero.keys()):
         if not linalg.mat_equal(mats.get(j, zero), nonzero.get(j, zero), fld):

@@ -5,7 +5,7 @@ kept in reduced row echelon form so set-level equality is matrix equality.
 """
 
 from . import _kernels
-from .fpcomb import PrimeField
+from .fpcomb import DESK_GUARD, PrimeField
 
 Matrix = list
 
@@ -68,6 +68,42 @@ def divided_powers(a: Matrix, field: PrimeField) -> list:
         if is_zero_matrix(nxt, field):
             break
         out.append(nxt)
+    return out
+
+
+def digit_products(places, dim: int, field: PrimeField) -> dict:
+    """{sum_s k_s w_s: prod_s E_s[k_s]} for the digit vectors (k_s) whose
+    product is nonzero.
+
+    ``places`` lists (w_s, E_s), E_s = :func:`divided_powers` of B_s, so
+    E_s[0] is the identity; the weights are distinct powers of p, so
+    distinct vectors have distinct sums.  The vectors are walked depth-first
+    as prefix products P E_s[k_s], one matrix product per nonzero digit, and
+    the subtree below a zero prefix is skipped: a product past a zero
+    product is zero, and P E_s[k] = 0 gives P E_s[k+1] = P E_s[k] B_s/(k+1)
+    = 0.  Every product formed counts against the desk-scale guard; past it
+    the walk raises ValueError.  Keys come in lexicographic order of the
+    digit vectors, first place first.
+    """
+    out = {}
+    formed = 0
+    stack = [(0, 0, identity(dim))]  # (next place, weight sum, prefix product)
+    while stack:
+        t, n, P = stack.pop()
+        if t == len(places):
+            out[n] = P
+            continue
+        w, E = places[t]
+        children = [(t + 1, n, P)]
+        for k in range(1, len(E)):
+            formed += 1
+            if formed > DESK_GUARD:
+                raise ValueError(f"over {DESK_GUARD} digit products: past the desk-scale guard")
+            Q = mat_mul(P, E[k], field)
+            if is_zero_matrix(Q, field):
+                break
+            children.append((t + 1, n + k * w, Q))
+        stack.extend(reversed(children))
     return out
 
 

@@ -261,13 +261,9 @@ class MultiPoly:
             result = result + term
         return result
 
-    def drop_high_exponents(self, bound: int, vars=None) -> "MultiPoly":
-        """Discard terms where some (listed) variable has exponent >= bound."""
-        terms = {}
-        for m, c in self.terms.items():
-            if any(e >= bound and (vars is None or v in vars) for v, e in m):
-                continue
-            terms[m] = c
+    def drop_high_exponents(self, bound: int) -> "MultiPoly":
+        """Discard terms where some variable has exponent >= bound."""
+        terms = {m: c for m, c in self.terms.items() if all(e < bound for _, e in m)}
         return MultiPoly(self.field, terms)
 
     def __repr__(self):

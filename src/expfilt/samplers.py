@@ -44,19 +44,15 @@ def random_invertible(field: PrimeField, n: int, rng: random.Random):
             return g
 
 
-def random_strictly_upper(field: PrimeField, N: int, rng: random.Random,
-                          nonzero: bool = False, p_nilpotent: bool = True):
-    """Random strictly upper triangular matrix, optionally filtered to B^p = 0."""
+def random_strictly_upper(field: PrimeField, N: int, rng: random.Random):
+    """Random strictly upper triangular matrix with B^p = 0."""
     for _ in range(200):
         mat = linalg.zeros(N, N)
         for i in range(N):
             for j in range(i + 1, N):
                 mat[i][j] = rng.randrange(field.p)
-        if nonzero and linalg.is_zero_matrix(mat, field):
-            continue
-        if p_nilpotent and not linalg.is_p_nilpotent(mat, field):
-            continue
-        return mat
+        if linalg.is_p_nilpotent(mat, field):
+            return mat
     raise RuntimeError("failed to sample a p-nilpotent strictly upper matrix")
 
 
@@ -118,15 +114,10 @@ def random_1psg_un(field: PrimeField, N: int, rng: random.Random,
     raise RuntimeError("failed to sample a nonzero 1-parameter subgroup")
 
 
-def random_1psg_ga(field: PrimeField, rng: random.Random,
-                   max_height: int = 3, nonzero: bool = False) -> OneParamSubgroup:
-    height = rng.randrange(1, max_height + 1)
-    for _ in range(100):
-        lams = [rng.randrange(field.p) for _ in range(height)]
-        if nonzero and not any(lams):
-            continue
-        return ga_psg(field, lams)
-    raise RuntimeError("failed to sample a nonzero 1-parameter subgroup")
+def random_1psg_ga(field: PrimeField, rng: random.Random) -> OneParamSubgroup:
+    """Scalars (lambda_0, ..., lambda_{h-1}) of a random height h in 1..3."""
+    height = rng.randrange(1, 4)
+    return ga_psg(field, [rng.randrange(field.p) for _ in range(height)])
 
 
 def enumerate_1psg_un(field: PrimeField, N: int, height: int) -> list:
@@ -169,8 +160,7 @@ def random_ga_family(field: PrimeField, dim: int, rng: random.Random,
 
 
 def random_un_comodule(field: PrimeField, N: int, rng: random.Random,
-                       max_pieces: int = 2, allow_subquotient: bool = True,
-                       degree_bound: int = 2) -> Comodule:
+                       max_pieces: int = 2, degree_bound: int = 2) -> Comodule:
     """Random validated comodule over k[U_N] with coaction degree <= degree_bound."""
     ctx = UNContext(field, N)
     pool = [
@@ -182,7 +172,7 @@ def random_un_comodule(field: PrimeField, N: int, rng: random.Random,
     pieces = [pool[rng.randrange(len(pool))]() for _ in range(rng.randrange(1, max_pieces + 1))]
     M = direct_sum(pieces) if len(pieces) > 1 else pieces[0]
     M = conjugate(M, random_invertible(field, M.dim, rng))
-    if allow_subquotient and M.dim > 2 and rng.random() < 0.5:
+    if M.dim > 2 and rng.random() < 0.5:
         M = _random_stable_subquotient(M, rng)
     return M
 
@@ -206,8 +196,8 @@ def random_free_trunc_module(field: PrimeField, r: int, copies: int,
     return conjugate(M, random_invertible(field, M.dim, rng))
 
 
-def with_trivial_summand(M: Comodule, rng: random.Random, dim: int = 1) -> Comodule:
-    """M plus a trivial summand, re-randomized (never free for truncated ids)."""
-    T = trivial_comodule(M.field, M.coalgebra, dim)
+def with_trivial_summand(M: Comodule, rng: random.Random) -> Comodule:
+    """M plus a 1-dim trivial summand, re-randomized (never free for truncated ids)."""
+    T = trivial_comodule(M.field, M.coalgebra, 1)
     out = direct_sum([M, T])
     return conjugate(out, random_invertible(M.field, out.dim, rng))

@@ -18,10 +18,16 @@ sum_mu theta_mu A_mu, the :func:`~expfilt.comodule.dual_action` of the
 scalars theta_mu: theta_mu multiplies the entries' coefficient lists
 truncated at degree p^s, and since every entry x_{i<j} of exp_{B_s}(T) has
 zero constant term, the pullback of a monomial m has no term below
-T^{deg m}, so level s is skipped when deg m > p^s.  The pullback along the
-whole subgroup reads its T^n coefficient off the base-p digits of n and
-expands monomials through :func:`~expfilt.polyring.frobenius_images` on T
-exponents.  Both raise x^e through the base-p digits e = sum_t d_t p^t, as
+T^{deg m}, so level s is skipped when deg m > p^s.  Over k[Ga] the same
+dual action is Theta = sum_s lambda_s^{p^s} A_{T^{p^s}}, since u_s is the
+action of T^{p^s}.  The pullback along the whole subgroup reads its T^n
+coefficient prod_s B_s^{n_s}/n_s! off the base-p digits of n: the nonzero
+products come from :func:`~expfilt.linalg.digit_products`, which skips
+every digit vector past a zero prefix product (the walk that also yields
+the v_j table of :func:`~expfilt.ga.comodule_to_family`), so a tall
+subgroup costs its nonzero products, not p^height.  Monomials are expanded
+through :func:`~expfilt.polyring.frobenius_images` on T exponents.  Both
+raise x^e through the base-p digits e = sum_t d_t p^t, as
 prod_t Frob^t(x^{d_t}), where Frob^t multiplies every T exponent by p^t:
 the work grows with the number of digits of e, not with e.  The freeness
 test reads Theta^p = 0 and the Jordan type off one chain of powers.
@@ -40,7 +46,7 @@ from .ga import (
     restrict_frobenius_ga,
 )
 from .linalg import Matrix
-from .polyring import frobenius_images, monomial_degree
+from .polyring import frobenius_images, monomial, monomial_degree
 from .un import restrict_frobenius_un
 
 _NOT_P_NILPOTENT = "Theta^p != 0: corrupted input module"
@@ -194,7 +200,9 @@ def _theta(M, psi: OneParamSubgroup) -> Matrix:
     if M.coalgebra.kind == "GaPoly":
         if psi.kind != "Ga":
             raise ValueError("a k[Ga]-comodule pairs with a Ga-form subgroup")
-        return ga_one_param_theta(comodule_to_family(M), psi.lambdas)
+        p = M.field.p  # Theta = sum_s lambda_s^{p^s} u_s, u_s = A_{T^{p^s}}
+        return dual_action(M, {monomial({"T": p**s}): pow(lam, p**s, p)
+                               for s, lam in enumerate(psi.lambdas) if lam})
     if M.coalgebra.kind != "UNPoly":
         raise ValueError("theta_operator needs a k[Ga]- or k[U_N]-comodule")
     if psi.kind != "UN" or psi.N != M.coalgebra.N:
@@ -268,33 +276,14 @@ def support_sample(M, samples) -> list:
     return out
 
 
-def _psg_images(psi: OneParamSubgroup, exps: list) -> dict:
-    """{x_{i<j}: {n: coefficient of T^n}} of the entries of prod_s exp_{B_s}(T^{p^s}).
-
-    The T^n coefficient is prod_s B_s^{n_s}/n_s! over the base-p digits n_s
-    of n, since the exponents sum_s k_s p^s with k_s < p are all distinct.
-    """
-    fld = psi.field
-    coeffs = {0: linalg.identity(psi.N)}  # T^n -> coefficient matrix of the product so far
-    for s, E in enumerate(exps):
-        q = fld.p**s
-        coeffs = {
-            n + k * q: linalg.mat_mul(C, Ek, fld) for n, C in coeffs.items() for k, Ek in enumerate(E)
-        }
-    return {
-        f"x{i + 1}_{j + 1}": {n: C[i][j] for n, C in coeffs.items() if C[i][j]}
-        for i in range(psi.N)
-        for j in range(i + 1, psi.N)
-    }
-
-
 def pullback_module(M, psi: OneParamSubgroup) -> GaUFamily:
     """The restriction of M along psi, as a u-family for the additive group.
 
     Every distinct coaction monomial is mapped through its generators'
     images in one :func:`~expfilt.polyring.frobenius_images` call, on T
     exponents as keys: x_{i,j} -> (i, j) entry of psi for a k[U_N]-comodule,
-    T -> sum_s lambda_s T^{p^s} for a k[Ga]-comodule.  A power x^e is
+    read off the nonzero :func:`~expfilt.linalg.digit_products` of the
+    tuple, T -> sum_s lambda_s T^{p^s} for a k[Ga]-comodule.  A power x^e is
     expanded by the base-p digits of e, and its term count is bounded by the
     desk-scale guard before it is expanded.  The pulled-back coaction is
     sum_mu pullback(mu) A_mu (:func:`~expfilt.comodule.linear_image`).
@@ -313,7 +302,11 @@ def pullback_module(M, psi: OneParamSubgroup) -> GaUFamily:
     else:
         if M.coalgebra.kind != "UNPoly" or psi.kind != "UN" or psi.N != M.coalgebra.N:
             raise ValueError("module and subgroup live over different groups")
-        P = _psg_images(psi, exps)
+        # the T^n coefficient of psi is prod_s B_s^{n_s}/n_s! over the base-p
+        # digits n_s of n: the exponents sum_s n_s p^s are all distinct
+        coeffs = linalg.digit_products([(fld.p**s, E) for s, E in enumerate(exps)], psi.N, fld)
+        P = {f"x{i + 1}_{j + 1}": {n: C[i][j] for n, C in coeffs.items() if C[i][j]}
+             for i in range(psi.N) for j in range(i + 1, psi.N)}
         images = [P[v] for v in gens]
     coalgebras.require_generators(M.coalgebra, M.acts)
     pulled = frobenius_images(fld, images, {v: s for s, v in enumerate(gens)}, M.acts,

@@ -85,9 +85,10 @@ def _exact_pascal_rows(nmax: int):
 # -- criterion 1: carries / Kummer ------------------------------------------------
 
 
-def suite_carries(seed=0, p=None, N=None, nmax=300):
+def suite_carries(seed=0, p=None, N=None):
     from .fpcomb import digits
 
+    nmax = 300
     records = []
     primes = [2, 3, 5] if p is None else [p]
     for q in primes:
@@ -127,10 +128,11 @@ def suite_carries(seed=0, p=None, N=None, nmax=300):
 # -- criterion 2: Lucas consistency ------------------------------------------------
 
 
-def suite_lucas(seed=0, p=None, N=None, nmax=2000, scalar_samples=500):
+def suite_lucas(seed=0, p=None, N=None):
     from . import _kernels
     from .fpcomb import binom_mod
 
+    nmax, scalar_samples = 2000, 500
     primes = [2, 3, 5, 7] if p is None else [p]
     modulus = math.prod(primes)
     bad = {q: None for q in primes}
@@ -407,9 +409,10 @@ def suite_relate(seed=0, p=None, N=None):
 # -- criterion 9: the Y_R suite -------------------------------------------------------
 
 
-def suite_yr(seed=0, p=None, N=None, samples=100):
+def suite_yr(seed=0, p=None, N=None):
     from .un import ga_as_u2
 
+    samples = 100
     primes = [3, 5] if p is None else [p]
     records = []
     for q in primes:
@@ -452,10 +455,10 @@ def suite_yr(seed=0, p=None, N=None, samples=100):
 # -- criterion 10: Frobenius twist ----------------------------------------------------
 
 
-def suite_twist(seed=0, p=None, N=None, count=30):
+def suite_twist(seed=0, p=None, N=None):
     primes = [3, 5] if p is None else [p]
     records = []
-    per_prime = max(1, count // len(primes))
+    per_prime = max(1, 30 // len(primes))
     for q in primes:
         fld = PrimeField(q)
         rng = rng_from_seed((seed, q))
@@ -495,7 +498,8 @@ def suite_twist(seed=0, p=None, N=None, count=30):
 # -- criterion 11: freeness at Frobenius kernels --------------------------------------
 
 
-def suite_freeness(seed=0, p=None, N=None, random_cases=50):
+def suite_freeness(seed=0, p=None, N=None):
+    random_cases = 50
     records = []
     cases = [(2, 1), (2, 2), (3, 1)]
     if p is not None:
@@ -571,7 +575,7 @@ def suite_freeness(seed=0, p=None, N=None, random_cases=50):
 # -- criterion 12: filtration functor laws --------------------------------------------
 
 
-def _filtration_laws(M, filt, entry_degree_bound, validate_restriction=True):
+def _filtration_laws(M, filt):
     """Shared law battery: idempotence, monotone chain, exhaustion, stability."""
     dmax = M.max_entry_degree() + 1
     prev = None
@@ -584,9 +588,9 @@ def _filtration_laws(M, filt, entry_degree_bound, validate_restriction=True):
             return False, f"filtration piece not coaction-stable at d={d}"
         if S.dim:
             sub = restrict_to_subspace(M, S)
-            if validate_restriction and not validate(sub).ok:
+            if not validate(sub).ok:
                 return False, f"restricted coaction violates comodule laws at d={d}"
-            if entry_degree_bound and sub.max_entry_degree() >= d:
+            if sub.max_entry_degree() >= d:
                 return False, f"restricted coaction entries too large at d={d}"
             again = filt(sub, d)
             if not again.is_full():
@@ -596,7 +600,8 @@ def _filtration_laws(M, filt, entry_degree_bound, validate_restriction=True):
     return True, None
 
 
-def suite_functor_laws(seed=0, p=None, N=None, cases_per_kind=50):
+def suite_functor_laws(seed=0, p=None, N=None):
+    cases_per_kind = 50
     records = []
     q = 3 if p is None else p
     fld = PrimeField(q)
@@ -606,7 +611,7 @@ def suite_functor_laws(seed=0, p=None, N=None, cases_per_kind=50):
     for k in range(cases_per_kind):
         fam = random_ga_family(fld, rng.randrange(2, 5), rng)
         M = family_to_comodule(fam)
-        good, msg = _filtration_laws(M, degree_filtration_ga, True)
+        good, msg = _filtration_laws(M, degree_filtration_ga)
         if not good:
             ok = False
             witness = {"case": k, "detail": msg}
@@ -625,7 +630,7 @@ def suite_functor_laws(seed=0, p=None, N=None, cases_per_kind=50):
     witness = None
     for k in range(cases_per_kind):
         M = random_un_comodule(fld, 3, rng)
-        good, msg = _filtration_laws(M, degree_filtration_un, True)
+        good, msg = _filtration_laws(M, degree_filtration_un)
         if not good:
             ok = False
             witness = {"case": k, "detail": msg}
@@ -645,9 +650,10 @@ def suite_functor_laws(seed=0, p=None, N=None, cases_per_kind=50):
 # -- criterion 13: mock-trivial equivalence -------------------------------------------
 
 
-def suite_mock_trivial(seed=0, p=None, N=None, count=20, search=50):
+def suite_mock_trivial(seed=0, p=None, N=None):
     from .comodule import direct_sum, quotient_by_subspace, trivial_comodule, conjugate
 
+    count, search = 20, 50
     q = 3 if p is None else p
     fld = PrimeField(q)
     coalg = coalgebras.un_poly(3)

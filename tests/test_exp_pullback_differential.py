@@ -46,17 +46,18 @@ from expfilt.expdeg import (
     NilpotentMatrix,
     SymbolicNilpotentDomain,
     _generic_exp_images,
-    _pullback_table,
+    _generic_pullbacks,
     exp_pullback,
     exponential_degree,
     frobenius_twist,
     mock_trivial_check,
     module_exp_filtration,
 )
-from expfilt.fpcomb import PrimeField
+from expfilt.fpcomb import PrimeField, digit_sums
 from expfilt.ga import (
     GaUFamily,
     comodule_to_family,
+    derived_v,
     family_to_comodule,
     regular_comodule,
     restrict_frobenius_ga,
@@ -72,7 +73,6 @@ from expfilt.samplers import (
     random_un_comodule,
 )
 from expfilt.support import (
-    _psg_images,
     _times_power,
     ga_psg,
     is_free_at,
@@ -385,10 +385,31 @@ def oracle_jordan_type(theta, field) -> JordanType:
     return JordanType(tuple(sorted(parts, reverse=True)))
 
 
-def oracle_table_pullback_module(M: Comodule, psi) -> GaUFamily:
+def oracle_dense_products(places, dim: int, field) -> dict:
+    """{sum_s k_s w_s: prod_s E_s[k_s]} over every digit vector, zero products included."""
+    coeffs = {0: linalg.identity(dim)}  # weight sum -> product over the places so far
+    for w, E in places:
+        coeffs = {n + k * w: linalg.mat_mul(C, Ek, field)
+                  for n, C in coeffs.items() for k, Ek in enumerate(E)}
+    return coeffs
+
+
+def oracle_psg_images(psi) -> dict:
+    """{x_{i<j}: {n: coefficient of T^n}} of prod_s exp_{B_s}(T^{p^s}), multiplied
+    out over every digit combination."""
+    fld = psi.field
     exps = require_valid_1psg(psi)
+    coeffs = oracle_dense_products([(fld.p**s, E) for s, E in enumerate(exps)], psi.N, fld)
+    return {
+        f"x{i + 1}_{j + 1}": {n: C[i][j] for n, C in coeffs.items() if C[i][j]}
+        for i in range(psi.N)
+        for j in range(i + 1, psi.N)
+    }
+
+
+def oracle_table_pullback_module(M: Comodule, psi) -> GaUFamily:
     fld = M.field
-    P = _psg_images(psi, exps)
+    P = oracle_psg_images(psi)
     gens = coalgebras.generator_vars(M.coalgebra)
 
     def images(monos):
@@ -517,6 +538,107 @@ def test_pullback_module_matches_oracle(pool):
             want = oracle_pullback_module(M, psi)
             assert oracle_table_pullback_module(M, psi) == want, (label, psi.height)
             assert pullback_module(M, psi) == want, (label, psi.height)
+
+
+# -- the digit-product walk against the dense product and derived_v ----------------
+
+J3 = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+
+
+def _tuple_places(psi) -> list:
+    return [(psi.field.p**s, E) for s, E in enumerate(require_valid_1psg(psi))]
+
+
+def _family_places(U: GaUFamily) -> list:
+    return [(U.field.p**s, linalg.divided_powers(U.u(s), U.field)) for s in U.support()]
+
+
+def _walk_tuples():
+    """(label, psi): seeded commuting U_N tuples at p = 2, 3, 5; heights 13 and 14 at p = 2."""
+    rng = random.Random("digit-product-walk/un")
+    out = []
+    for p, N, heights in ((2, 3, (1, 2, 4, 13, 14)), (2, 4, (3, 13)), (3, 3, (1, 2, 3, 6)),
+                          (3, 4, (2, 4)), (5, 3, (1, 2, 4)), (5, 4, (1, 3))):
+        F = PrimeField(p)
+        for h in heights:
+            for k in range(3):
+                out.append((f"p={p} N={N} h={h} #{k}", un_psg(F, N, random_commuting_tuple(F, N, h, rng))))
+    return out
+
+
+def _walk_families():
+    """(label, U): random Ga families at p = 2, 3, 5, and commuting tuples spread
+    over random places, with 13 places at p = 2."""
+    rng = random.Random("digit-product-walk/ga")
+    out = []
+    for p, heights in ((2, (2, 5, 13)), (3, (2, 4, 6)), (5, (2, 3, 4))):
+        F = PrimeField(p)
+        for k in range(20):
+            out.append((f"random_ga_family p={p} #{k}", random_ga_family(F, rng.randrange(2, 5), rng)))
+        for h in heights:
+            N = rng.randrange(3, 5)
+            mats = [B for B in random_commuting_tuple(F, N, 3 * h, rng) if any(map(any, B))][:h]
+            places = sorted(rng.sample(range(2 * h), len(mats)))
+            out.append((f"tuple family p={p} N={N} h={len(mats)}", GaUFamily(F, N, dict(zip(places, mats)))))
+    return out
+
+
+def test_digit_products_match_dense_product():
+    heights = set()
+    for label, psi in _walk_tuples():
+        fld = psi.field
+        places = _tuple_places(psi)
+        dense = oracle_dense_products(places, psi.N, fld)
+        want = {n: C for n, C in dense.items() if not linalg.is_zero_matrix(C, fld)}
+        got = linalg.digit_products(places, psi.N, fld)
+        assert got == want, label
+        assert list(got) == list(want), label  # lexicographic, first place first
+        heights.add(psi.height)
+    assert max(heights) >= 13
+
+
+def test_digit_products_match_derived_v():
+    # a digit sum the walk omits must have v_j = 0
+    supports = set()
+    for label, U in _walk_families():
+        fld = U.field
+        want = {}
+        for j in digit_sums(fld, U.support()):
+            v = derived_v(U, j)
+            if not linalg.is_zero_matrix(v, fld):
+                want[j] = v
+        assert linalg.digit_products(_family_places(U), U.dim, fld) == want, label
+        supports.add(len(U.support()))
+    assert max(supports) >= 13
+
+
+@pytest.mark.parametrize("h", [13, 16, 20])
+def test_tall_walk_forms_only_the_nonzero_products(h):
+    # u_s = J = E12 + E23 at p = 3 on h places: prod_s J^{k_s}/k_s! is
+    # J^{sum k_s}/prod k_s!, nonzero iff sum k_s <= 2, so 1 + 2h + C(h, 2)
+    # of the 3^h digit vectors survive
+    U = GaUFamily(F3, 3, {s: J3 for s in range(h)})
+    got = linalg.digit_products(_family_places(U), 3, F3)
+    assert len(got) == 1 + 2 * h + h * (h - 1) // 2
+    for j, v in got.items():
+        assert v == derived_v(U, j), j
+    rng = random.Random(f"tall-walk/{h}")
+    for _ in range(300):
+        j = sum(rng.randrange(3) * 3**s for s in range(h))
+        if j not in got:
+            assert linalg.is_zero_matrix(derived_v(U, j), F3), j
+
+
+def test_digit_product_walk_counts_products_against_the_guard(monkeypatch):
+    # E = [1, E12] at p = 2 on h places: the walk forms E12 from the
+    # identity prefix and the zero E12^2 from each E12 prefix, h + C(h, 2)
+    # products in all
+    F2 = PrimeField(2)
+    places = [(2**s, linalg.divided_powers([[0, 1], [0, 0]], F2)) for s in range(5)]
+    monkeypatch.setattr(linalg, "DESK_GUARD", 10)
+    assert len(linalg.digit_products(places[:4], 2, F2)) == 5
+    with pytest.raises(ValueError, match="guard"):
+        linalg.digit_products(places, 2, F2)
 
 
 # -- exp_pullback and the k[Ga] pullback against the substitute oracle -------------
@@ -679,10 +801,10 @@ def _signatures(terms) -> list:
 
 def _table_entries(M) -> list:
     """Entry pullbacks sum_mu (A_mu)_{ji} pulled[mu] from the per-monomial table."""
-    acts, pulled, mask = _pullback_table(M)
+    pulled, mask = _generic_pullbacks(M.field, M.coalgebra, list(M.acts))
     W = mask.bit_length()
     sums = defaultdict(lambda: defaultdict(int))
-    for act, terms in zip(acts.values(), pulled):
+    for act, terms in zip(M.acts.values(), pulled):
         for j, i, a in act:
             for key, c in terms.items():
                 sums[j, i][key & mask, key >> W] += a * c
@@ -745,7 +867,7 @@ def test_subgroup_pullback_guard_counts_colliding_terms():
     F97 = PrimeField(97)
     B = [[0, 1, 1], [0, 0, 1], [0, 0, 0]]
     psi = un_psg(F97, 3, [B, B])
-    P = _psg_images(psi, require_valid_1psg(psi))
+    P = oracle_psg_images(psi)
     assert len(P["x1_3"]) == 5
     gens = coalgebras.generator_vars(coalgebras.un_poly(3))
     (got,) = frobenius_images(F97, [P[v] for v in gens], {v: s for s, v in enumerate(gens)},

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from expfilt.fpcomb import (
     DESK_GUARD,
-    DigitVector,
     PrimeField,
     binom_mod,
     binom_row_mod,
@@ -45,18 +44,6 @@ class TestPrimeField:
         f = PrimeField(5)
         assert f.inv_factorial(0) == 1
         assert f.inv_factorial(3) * 6 % 5 == 1
-
-
-class TestDigits:
-    def test_digit_vector_roundtrip(self):
-        f = PrimeField(3)
-        dv = DigitVector.of(17, f)
-        assert dv.digits == (2, 2, 1)
-        assert dv.value == 17
-
-    def test_bad_digits_rejected(self):
-        with pytest.raises(ValueError):
-            DigitVector((3, 1), 6, 3)
 
 
 class TestBinomMod:

@@ -288,6 +288,24 @@ class TestCli:
         assert time.perf_counter() - start < 1.0
         assert json.loads(capsys.readouterr().out)["module"]["u_mats"] == u_mats
 
+    def test_tall_subgroup_pullback_finishes(self, module_file, capsys):
+        # psi = prod_s exp_J(T^{3^s}) over 16 places, J = E12 + E23: of the
+        # 3^16 digit vectors only the 153 with digit sum <= 2 give a nonzero
+        # coefficient, and the natural module pulls back to u_s = J
+        from expfilt.support import pullback_module, un_psg
+
+        J = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+        M = natural_rep(UNContext(F3, 3))
+        start = time.perf_counter()
+        fam = pullback_module(M, un_psg(F3, 3, [J] * 16))
+        assert time.perf_counter() - start < 1.0
+        assert fam.u_mats == {s: J for s in range(16)}
+        path = module_file(M)
+        start = time.perf_counter()
+        assert main(["pullback", path, "--psi", json.dumps({"kind": "UN", "mats": [J] * 16})]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert json.loads(capsys.readouterr().out)["module"]["u_mats"] == {str(s): J for s in range(16)}
+
     @pytest.mark.parametrize(
         "module, lambdas, code, want",
         [
@@ -546,6 +564,7 @@ class TestCli:
 
 _FUZZ_BASES = {
     "natural U_3": lambda: natural_rep(UNContext(F3, 3)),
+    "Sym^2 U_3": lambda: sym_square_rep(UNContext(F3, 3)),
     "Sym^2 U_3 at level 1": lambda: restrict_frobenius_un(sym_square_rep(UNContext(F3, 3)), 1),
     "regular Ga dim 5": lambda: regular_comodule(F3, 5),
     "regular Ga_(1) p=2": lambda: regular_trunc_comodule(PrimeField(2), 1),

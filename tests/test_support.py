@@ -8,6 +8,7 @@ from expfilt.comodule import Comodule, jordan_type, trivial_comodule
 from expfilt import coalgebras
 from expfilt.fpcomb import PrimeField
 from expfilt.ga import (
+    comodule_to_family,
     family_to_comodule,
     ga_one_param_theta,
     regular_comodule,
@@ -158,6 +159,23 @@ class TestTheta:
             B = [[0, lam], [0, 0]]
             theta_un = theta_operator(M2, un_psg(fld, 2, [B]))
             assert theta_ga == theta_un
+
+    def test_ga_comodule_theta_matches_family_formula(self):
+        # over k[Ga] Theta is the dual action of sum_s lambda_s^{p^s} T^{p^s}
+        # on the comodule; the family route extracts u_s first
+        rng = rng_from_seed("ga-comodule-theta")
+        nonzero = 0
+        for fld in (F2, F3, F5):
+            modules = [regular_comodule(fld, D) for D in (1, 2, fld.p, fld.p**2, fld.p**2 + 3)]
+            modules += [family_to_comodule(random_ga_family(fld, rng.randrange(2, 5), rng))
+                        for _ in range(12)]
+            for M in modules:
+                for _ in range(6):
+                    lams = [rng.randrange(fld.p) for _ in range(rng.randrange(0, 5))]
+                    want = ga_one_param_theta(comodule_to_family(M), lams)
+                    assert theta_operator(M, ga_psg(fld, lams)) == want, (M, lams)
+                    nonzero += not linalg.is_zero_matrix(want, fld)
+        assert nonzero > 50
 
     def test_mismatched_tags_rejected(self):
         fam = y_r_family(F3, 1)
