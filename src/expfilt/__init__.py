@@ -35,7 +35,7 @@ from .expdeg import (
     module_exp_filtration,
     relate_inclusions_check,
 )
-from .fpcomb import PrimeField, binom_mod, carries_in_addition, digit_dominates
+from .fpcomb import PrimeField, binom_mod, digit_dominates
 from .ga import (
     GaUFamily,
     carries_basis,
@@ -47,8 +47,6 @@ from .ga import (
     regular_comodule,
     restrict_frobenius_ga,
     retract_iso_check,
-    section_frobenius_ga,
-    v_on_poly,
     y_r_family,
 )
 from .linalg import Subspace

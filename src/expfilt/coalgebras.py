@@ -150,14 +150,6 @@ def dual_algebra_dim(coalg: CoalgebraId, field: PrimeField) -> int:
     return field.p ** (coalg.r * group_dimension(coalg))
 
 
-def reduce_poly(coalg: CoalgebraId, field: PrimeField, f: MultiPoly) -> MultiPoly:
-    """Reduce modulo the truncation ideal (drop monomials with exponent >= p^r)."""
-    bound = truncation_bound(coalg, field)
-    if bound is None:
-        return f
-    return f.drop_high_exponents(bound)
-
-
 def is_member(coalg: CoalgebraId, field: PrimeField, f: MultiPoly) -> bool:
     """f lies in the stated coalgebra: known variables, truncation respected."""
     return all(monomial_members(coalg, field, f.terms))

@@ -5,13 +5,13 @@ per-monomial action table ``acts``.  The coaction is sum_mu mu A_mu over the
 occurring coalgebra monomials mu, A_mu the action matrix of mu's dual
 functional, and ``acts[mu]`` lists the nonzero entries (j, i, c) of A_mu,
 A_mu[j][i] = c in [1, p), in any order; a monomial that acts as zero has
-no key.  The polynomial matrix f_{ji} = sum_mu A_mu[j][i] mu, column i
+no key.  The one constructor, ``Comodule(field, coalgebra, dim, acts)``,
+takes that table as it is: every builder, loader and restriction writes
+``acts`` directly (with :func:`acts_from_sums` when it accumulates
+coefficients).  The polynomial matrix f_{ji} = sum_mu A_mu[j][i] mu, column i
 giving Delta(e_i) = sum_j e_j (x) f_{ji}, is a read-only view
-(``Comodule.coaction``, tuples of ``MultiPoly``) rebuilt on each access.
-The constructor ``Comodule(field, coalgebra, dim, matrix)`` is the one place
-where polynomial entries become ``acts``; builders write ``acts`` directly
-(:meth:`Comodule.of_acts`, with :func:`acts_from_sums` when they accumulate
-coefficients).  On top of that sit the comodule-law validator,
+(``Comodule.coaction``, tuples of ``MultiPoly``) rebuilt on each access,
+which no library code reads.  On top of that sit the comodule-law validator,
 dual-functional actions, linear images and row kernels, coideal preimages,
 generated submodules, radical quotients, the local-algebra freeness test,
 and Jordan types of p-nilpotent operators.
@@ -52,32 +52,17 @@ from .linalg import Matrix, Subspace
 from .polyring import Monomial, MultiPoly, monomial_degree, monomial_sort_key
 
 
-@dataclass(init=False, repr=False, eq=False)
+@dataclass(repr=False, eq=False)
 class Comodule:
-    """A right comodule, stored as its action table ``acts`` (see the module docstring)."""
+    """A right comodule with action table ``acts``, taken as it is (no copy, no check).
+
+    See the module docstring for the form of ``acts``.
+    """
 
     field: PrimeField
     coalgebra: CoalgebraId
     dim: int
     acts: dict  # {monomial mu: [(j, i, c), ...]}, the nonzero A_mu[j][i] = c in any order
-
-    def __init__(self, field: PrimeField, coalgebra: CoalgebraId, dim: int, matrix):
-        """The comodule whose coaction matrix has entries matrix[j][i] = f_{ji}."""
-        if len(matrix) != dim or any(len(row) != dim for row in matrix):
-            raise ValueError("coaction matrix is not dim x dim")
-        acts = defaultdict(list)
-        for j, row in enumerate(matrix):
-            for i, f in enumerate(row):
-                for m, c in f.terms.items():
-                    acts[m].append((j, i, c))
-        self.field, self.coalgebra, self.dim, self.acts = field, coalgebra, dim, dict(acts)
-
-    @classmethod
-    def of_acts(cls, field: PrimeField, coalgebra: CoalgebraId, dim: int, acts: dict) -> "Comodule":
-        """The comodule with action table ``acts``, taken as it is (no copy, no check)."""
-        M = cls.__new__(cls)
-        M.field, M.coalgebra, M.dim, M.acts = field, coalgebra, dim, acts
-        return M
 
     @property
     def coaction(self) -> tuple:
@@ -124,7 +109,7 @@ def acts_from_sums(sums: dict, p: int) -> dict:
 
 
 def trivial_comodule(field: PrimeField, coalg: CoalgebraId, dim: int) -> Comodule:
-    return Comodule.of_acts(field, coalg, dim, {(): [(j, j, 1) for j in range(dim)]} if dim else {})
+    return Comodule(field, coalg, dim, {(): [(j, j, 1) for j in range(dim)]} if dim else {})
 
 
 @dataclass
@@ -505,7 +490,7 @@ def restrict_to_subspace(M: Comodule, S: Subspace) -> Comodule:
         for mono_id, coeffs in at_pivots.items():
             for b, v in coeffs.items():
                 sums[monos[mono_id]][b, a] = v
-    return Comodule.of_acts(M.field, M.coalgebra, S.dim, acts_from_sums(sums, M.field.p))
+    return Comodule(M.field, M.coalgebra, S.dim, acts_from_sums(sums, M.field.p))
 
 
 def generated_submodule(M: Comodule, S) -> Subspace:
@@ -563,7 +548,7 @@ def quotient_by_subspace(M: Comodule, S: Subspace) -> Comodule:
         for w in _images(cols, s).values():
             if any(v % p for v in project(w).values()):
                 raise ValueError("subspace is not coaction-stable")
-    return Comodule.of_acts(fld, M.coalgebra, len(keep), acts_from_sums(sums, p))
+    return Comodule(fld, M.coalgebra, len(keep), acts_from_sums(sums, p))
 
 
 def direct_sum(modules) -> Comodule:
@@ -580,7 +565,7 @@ def direct_sum(modules) -> Comodule:
         for mono, act in m.acts.items():
             acts[mono].extend((j + off, i + off, c) for j, i, c in act)
         off += m.dim
-    return Comodule.of_acts(fld, coalg, off, dict(acts))
+    return Comodule(fld, coalg, off, dict(acts))
 
 
 def conjugate(M: Comodule, g: Matrix) -> Comodule:
@@ -610,7 +595,7 @@ def conjugate(M: Comodule, g: Matrix) -> Comodule:
             out.extend((r, q, v % p) for q, v in enumerate(acc) if v % p)
         if out:
             acts[mono] = out
-    return Comodule.of_acts(fld, M.coalgebra, n, acts)
+    return Comodule(fld, M.coalgebra, n, acts)
 
 
 # -- radical quotients and local freeness -------------------------------------
@@ -674,10 +659,6 @@ class JordanType:
             x <= 0 for x in self.parts
         ):
             raise ValueError("parts must be weakly decreasing positive integers")
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
 
     def is_free(self, field: PrimeField) -> bool:
         """Free over k[t]/t^p: all blocks have size p."""

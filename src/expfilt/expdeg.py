@@ -51,7 +51,7 @@ from .fpcomb import PrimeField, digit_sums
 from .ga import GaUFamily, degree_filtration_ga, derived_v
 from .linalg import Matrix, Subspace
 from .polyring import MultiPoly, frobenius_images, monomial_degree
-from .un import UNContext, degree_piece
+from .un import UNContext, degree_piece, un_part
 
 # An exponential pullback is a MultiPoly in T with coefficients in the
 # b-variables (one joint alphabet).
@@ -170,17 +170,11 @@ def exp_pullback(f: MultiPoly, B) -> ExpPullback:
         raise ValueError(f"mixed fields: F_{f.field.p} and F_{fld.p}")
     coalgebras.require_generators(coalgebras.mat_poly(B.N), f.terms)
     if isinstance(B, SymbolicNilpotentDomain):
-        coeffs = defaultdict(int)  # f with x_{i,i} -> 1 and its x_{i>j} terms dropped
+        coeffs = defaultdict(int)  # f restricted to U_N
         for m, c in f.terms.items():
-            kept = []
-            for v, e in m:
-                i, j = map(int, v[1:].split("_"))
-                if i > j:
-                    break
-                if i < j:
-                    kept.append((v, e))
-            else:
-                coeffs[tuple(kept)] += c
+            part = un_part(m)
+            if part is not None:
+                coeffs[part] += c
         coalg = coalgebras.un_poly(B.N)
         pulled, mask = _generic_pullbacks(fld, coalg, list(coeffs))
         b_names = ["b" + v[1:] for v in coalgebras.generator_vars(coalg)]
@@ -357,7 +351,7 @@ def frobenius_twist(M: Comodule) -> Comodule:
         twisted = tuple((v, e * p) for v, e in m)
         if bound is None or all(e < bound for _, e in twisted):
             acts[twisted] = act
-    return Comodule.of_acts(M.field, M.coalgebra, M.dim, acts)
+    return Comodule(M.field, M.coalgebra, M.dim, acts)
 
 
 def relate_inclusions_check(ctx: UNContext, d: int, e: int, Dmax: int) -> dict:

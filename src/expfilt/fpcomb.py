@@ -1,8 +1,8 @@
 """Prime-field scalar arithmetic and base-p digit combinatorics.
 
 Scalars are plain ints in [0, p); a :class:`PrimeField` carries the modulus and
-the inverse/factorial helpers.  Binomials mod p go through the Lucas kernels,
-carry counts and digit domination are direct digit loops.
+the inverse/factorial helpers.  Binomials mod p go through the Lucas kernels;
+digit domination is a direct digit loop.
 """
 
 import itertools
@@ -108,25 +108,6 @@ def binom_row_mod(n: int, field: PrimeField) -> list:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return _kernels.lucas_row(n, field.p)
-
-
-def carries_in_addition(a: int, b: int, field: PrimeField) -> int:
-    """Number of carries when adding a and b in base p.
-
-    Equals the p-adic valuation of C(a+b, a).
-    """
-    if a < 0 or b < 0:
-        raise ValueError("carries_in_addition needs nonnegative arguments")
-    p = field.p
-    count = 0
-    carry = 0
-    while a or b or carry:
-        s = a % p + b % p + carry
-        carry = 1 if s >= p else 0
-        count += carry
-        a //= p
-        b //= p
-    return count
 
 
 def digit_dominates(m: int, n: int, field: PrimeField) -> bool:

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field as dc_field
 from . import coalgebras, linalg
 from .comodule import Comodule, action_matrices, coideal_preimage, degree_below
 from .comodule import generated_submodule  # noqa: F401 (re-exported)
-from .fpcomb import PrimeField, binom_mod, binom_row_mod, digit_dominates, digit_sums, digits
+from .fpcomb import PrimeField, binom_row_mod, digit_dominates, digit_sums, digits
 from .linalg import Matrix, Subspace
-from .polyring import MultiPoly, monomial
+from .polyring import monomial
 
 
 @dataclass
@@ -79,24 +79,7 @@ def y_r_family(field: PrimeField, R: int) -> GaUFamily:
     return GaUFamily(field, 2, {s: [row[:] for row in e21] for s in range(R + 1)})
 
 
-# -- the divided-power action on polynomials ----------------------------------
-
-
-def v_on_poly(j: int, f: MultiPoly) -> MultiPoly:
-    """v_j acting on a polynomial in T: sum_{n>=j} a_n C(n,j) T^{n-j}."""
-    if not f.variables() <= {"T"}:
-        raise ValueError("v_on_poly needs a univariate polynomial in T")
-    fld = f.field
-    terms = {}
-    for mono, a in f.terms.items():
-        n = mono[0][1] if mono else 0
-        if n < j:
-            continue
-        c = a * binom_mod(n, j, fld) % fld.p
-        if c:
-            new = monomial({"T": n - j})
-            terms[new] = (terms.get(new, 0) + c) % fld.p
-    return MultiPoly(fld, terms)
+# -- the divided powers v_j ----------------------------------------------------
 
 
 def derived_v(U: GaUFamily, j: int) -> Matrix:
@@ -126,7 +109,7 @@ def family_to_comodule(U: GaUFamily) -> Comodule:
         act = [(j, i, c) for j, row in enumerate(derived_v(U, k)) for i, c in enumerate(row) if c]
         if act:
             acts[monomial({"T": k})] = act
-    return Comodule.of_acts(fld, coalgebras.ga_poly(), U.dim, acts)
+    return Comodule(fld, coalgebras.ga_poly(), U.dim, acts)
 
 
 def comodule_to_family(M: Comodule) -> GaUFamily:
@@ -183,7 +166,7 @@ def regular_comodule(field: PrimeField, D: int) -> Comodule:
         act = [(l, l + k, rows[l + k][k]) for l in range(D - k) if rows[l + k][k]]
         if act:
             acts[monomial({"T": k})] = act
-    return Comodule.of_acts(field, coalgebras.ga_poly(), D, acts)
+    return Comodule(field, coalgebras.ga_poly(), D, acts)
 
 
 def regular_trunc_comodule(field: PrimeField, r: int) -> Comodule:
@@ -225,20 +208,7 @@ def restrict_frobenius_ga(M: Comodule, r: int) -> Comodule:
         raise ValueError("r must be >= 1")
     bound = M.field.p**r
     acts = {m: act for m, act in M.acts.items() if all(e < bound for _, e in m)}
-    return Comodule.of_acts(M.field, coalgebras.ga_trunc(r), M.dim, acts)
-
-
-def section_frobenius_ga(M: Comodule) -> Comodule:
-    """Lift a k[T]/T^{p^r}-comodule along the splitting k[T]_{<p^r} -> k[T].
-
-    The degree piece and the truncation have identical structure constants
-    (see :func:`retract_iso_check`), so the same coaction entries define a
-    comodule over k[Ga]; this inverts :func:`restrict_frobenius_ga` on
-    comodules whose entries have degree < p^r.
-    """
-    if M.coalgebra.kind != "GaTrunc":
-        raise ValueError("section_frobenius_ga needs a comodule over a truncation of k[Ga]")
-    return Comodule.of_acts(M.field, coalgebras.ga_poly(), M.dim, M.acts)
+    return Comodule(M.field, coalgebras.ga_trunc(r), M.dim, acts)
 
 
 def retract_iso_check(r: int, field: PrimeField, correspondence=None) -> dict:

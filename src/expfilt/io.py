@@ -11,16 +11,17 @@ Coaction matrices are row-major (entry [j][i] is the coefficient of e_j in
 Delta(e_i)); polystrings follow the polynomial text grammar.  The u_mats form
 is only meaningful for kind "Ga".  Integer fields are JSON integers or
 decimal strings; floats and booleans are rejected.  :func:`parse_module`
-parses each distinct coaction string once per call, and the ``Comodule``
-constructor turns the parsed matrix into the module's per-monomial action
-table in one pass.  Parsing always checks the module: a u_mats family must
-hold the family invariants, and a coaction must pass the comodule laws,
-whose Delta table expands every distinct monomial once through base-p
-Frobenius digits and a per-call prefix memo, and rejects, before expanding
-it, a monomial whose coproduct's term bound exceeds the desk-scale guard
-(``ValueError``, exit code 2 in the CLI).  Canonical serialization sorts keys and
-uses two-space indentation, so serialize(parse(file)) is byte-identical for
-canonical files.
+makes one pass over the coaction rows: it parses each distinct string once
+per call, at its first occurrence, and files every term c mu of entry
+[j][i] straight into the module's action table as (j, i, c) under mu;
+:func:`module_to_doc` formats each entry straight from that table.  Parsing
+always checks the module: a u_mats family must hold the family invariants,
+and a coaction must pass the comodule laws, whose Delta table expands every
+distinct monomial once through base-p Frobenius digits and a per-call prefix
+memo, and rejects, before expanding it, a monomial whose coproduct's term
+bound exceeds the desk-scale guard (``ValueError``, exit code 2 in the CLI).
+Canonical serialization sorts keys and uses two-space indentation, so
+serialize(parse(file)) is byte-identical for canonical files.
 
 A report file is {"seed": ..., "checks": [record, ...]} with records
 {check, inputs, verdict, witness?, law} sorted by check id; ``law`` is a short
@@ -28,6 +29,7 @@ tag of the mathematical property the record checked.
 """
 
 import json
+from collections import defaultdict
 
 from . import coalgebras
 from .comodule import Comodule, validate
@@ -135,9 +137,16 @@ def parse_module(doc: dict):
         raise ModuleFileError("coaction matrix must be dim x dim")
     # one parse per distinct string, in first-occurrence order so the first
     # malformed string is the one reported
-    parsed = {t: parse_poly(t, field) for t in dict.fromkeys(t for row in rows for t in row)}
-    coaction = [[parsed[t] for t in row] for row in rows]
-    M = Comodule(field, coalg, dim, coaction)
+    parsed = {"0": {}}
+    acts = defaultdict(list)
+    for j, row in enumerate(rows):
+        for i, t in enumerate(row):
+            terms = parsed.get(t)
+            if terms is None:
+                terms = parsed[t] = parse_poly(t, field).terms
+            for m, c in terms.items():
+                acts[m].append((j, i, c))
+    M = Comodule(field, coalg, dim, dict(acts))
     rep = validate(M)
     if not rep.ok:
         raise ModuleFileError(f"comodule law violation: {rep.summary()}")
@@ -156,12 +165,17 @@ def module_to_doc(obj) -> dict:
             },
         }
     if isinstance(obj, Comodule):
+        n = obj.dim
+        entries = [[{} for _ in range(n)] for _ in range(n)]
+        for m, act in obj.acts.items():
+            for j, i, c in act:
+                entries[j][i][m] = c
         return {
             "p": obj.field.p,
             "group": _group_from_coalgebra(obj.coalgebra),
             "module": {
-                "dim": obj.dim,
-                "coaction": [[format_poly(f) for f in row] for row in obj.coaction],
+                "dim": n,
+                "coaction": [[format_poly(terms) for terms in row] for row in entries],
             },
         }
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -107,11 +107,6 @@ def digit_products(places, dim: int, field: PrimeField) -> dict:
     return out
 
 
-def mat_vec(a: Matrix, v: list, field: PrimeField) -> list:
-    p = field.p
-    return [sum(c * x for c, x in zip(row, v)) % p for row in a]
-
-
 def is_zero_matrix(a: Matrix, field: PrimeField) -> bool:
     p = field.p
     return all(v % p == 0 for r in a for v in r)
@@ -173,10 +168,6 @@ class Subspace:
     @classmethod
     def zero(cls, field: PrimeField, ambient: int) -> "Subspace":
         return cls(field, ambient, [], [])
-
-    @classmethod
-    def full(cls, field: PrimeField, ambient: int) -> "Subspace":
-        return cls(field, ambient, identity(ambient), range(ambient))
 
     @property
     def dim(self) -> int:

@@ -154,9 +154,6 @@ class MultiPoly:
                 out.add(v)
         return out
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: monomial_sort_key(kv[0]))
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_field(self, other: "MultiPoly"):
@@ -261,16 +258,11 @@ class MultiPoly:
             result = result + term
         return result
 
-    def drop_high_exponents(self, bound: int) -> "MultiPoly":
-        """Discard terms where some variable has exponent >= bound."""
-        terms = {m: c for m, c in self.terms.items() if all(e < bound for _, e in m)}
-        return MultiPoly(self.field, terms)
-
     def __repr__(self):
-        return f"MultiPoly(F_{self.field.p}, {format_poly(self)!r})"
+        return f"MultiPoly(F_{self.field.p}, {format_poly(self.terms)!r})"
 
     def __str__(self):
-        return format_poly(self)
+        return format_poly(self.terms)
 
 
 # -- text grammar ------------------------------------------------------------
@@ -318,12 +310,12 @@ def parse_poly(text: str, field: PrimeField) -> MultiPoly:
     return MultiPoly(field, terms)
 
 
-def format_poly(f: MultiPoly) -> str:
-    """Canonical text form: graded-lex term order, '+'-separated."""
-    if f.is_zero():
+def format_poly(terms: Mapping[Monomial, int]) -> str:
+    """Canonical text form of {monomial: coeff}: graded-lex term order, '+'-separated."""
+    if not terms:
         return "0"
     parts = []
-    for mono, c in f.sorted_terms():
+    for mono, c in sorted(terms.items(), key=lambda kv: monomial_sort_key(kv[0])):
         factors = []
         for v, e in mono:
             factors.append(v if e == 1 else f"{v}^{e}")
@@ -427,7 +419,7 @@ def frobenius_images(field: PrimeField, images: list, pos: dict, monos, what: st
             count *= power_count(pos[v], e)
         if count > DESK_GUARD:
             raise ValueError(
-                f"{what} of {format_poly(MultiPoly.from_monomial(field, m))} has up to "
+                f"{what} of {format_poly({m: 1})} has up to "
                 f"{count} terms, over the desk-scale guard {DESK_GUARD}"
             )
         out.append(image(m) if count else {})

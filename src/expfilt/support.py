@@ -313,7 +313,7 @@ def pullback_module(M, psi: OneParamSubgroup) -> GaUFamily:
                               "pullback along the subgroup")
     image = linear_image(M.acts, dict(zip(M.acts, pulled)), fld.p)  # {T power: [(j, i, c)]}
     acts = {(("T", k),) if k else (): act for k, act in image.items()}
-    return comodule_to_family(Comodule.of_acts(fld, coalgebras.ga_poly(), M.dim, acts))
+    return comodule_to_family(Comodule(fld, coalgebras.ga_poly(), M.dim, acts))
 
 
 def frobenius_injectivity_check(M: Comodule, r: int) -> FreenessVerdict:

@@ -3,7 +3,14 @@
 Degree pieces, dimension numerics for the Frobenius kernels, the comodule
 degree filtration, restriction maps, and the standard comodule constructors
 (natural and symmetric-square, both directly and by restriction from the
-N x N matrix coalgebra).
+N x N matrix coalgebra).  The restrictions here are along group maps that
+send each coordinate function to a generator, to 1 or to 0, so each is a
+relabelling of the action table: to a Frobenius kernel it drops the
+monomials past the truncation, from k[Ga] to k[U_2] it renames T to x1_2,
+and from k[M_N] to k[U_N] it maps each monomial to its U_N part
+(:func:`un_part`) and sums the actions that land on one monomial.  A
+restriction along a 1-parameter subgroup is
+:func:`expfilt.support.pullback_module`.
 """
 
 import itertools
@@ -16,7 +23,7 @@ from .coalgebras import CoalgebraId
 from .comodule import Comodule, acts_from_sums, coideal_preimage, degree_below, linear_image
 from .fpcomb import DESK_GUARD, PrimeField
 from .linalg import Subspace
-from .polyring import MultiPoly, _merge_monomials, monomial
+from .polyring import Monomial, _merge_monomials, monomial
 
 
 @dataclass(frozen=True)
@@ -173,7 +180,7 @@ def degree_piece_comodule(ctx: UNContext, d: int) -> Comodule:
             if row is None:
                 raise ValueError("coproduct leaves the degree piece")
             sums[factors[b]][row, col] = c
-    return Comodule.of_acts(fld, ctx.coalgebra, len(basis), acts_from_sums(sums, fld.p))
+    return Comodule(fld, ctx.coalgebra, len(basis), acts_from_sums(sums, fld.p))
 
 
 # -- standard comodules ---------------------------------------------------------
@@ -186,7 +193,7 @@ def natural_rep(ctx: UNContext) -> Comodule:
     for j in range(N):
         for i in range(j + 1, N):
             acts[monomial({f"x{j + 1}_{i + 1}": 1})] = [(j, i, 1)]
-    return Comodule.of_acts(ctx.field, ctx.coalgebra, N, acts)
+    return Comodule(ctx.field, ctx.coalgebra, N, acts)
 
 
 def sym_square_rep(ctx: UNContext) -> Comodule:
@@ -211,47 +218,10 @@ def _sym_square_of(M: Comodule) -> Comodule:
         for mu, a, c in cols[i]:
             for nu, b, cc in cols[j]:
                 sums[_merge_monomials(mu, nu)][idx[min(a, b), max(a, b)], col] += c * cc
-    return Comodule.of_acts(M.field, M.coalgebra, len(pairs), acts_from_sums(sums, M.field.p))
+    return Comodule(M.field, M.coalgebra, len(pairs), acts_from_sums(sums, M.field.p))
 
 
 # -- restrictions ----------------------------------------------------------------
-
-
-def restrict_along(M: Comodule, substitution: dict, target: CoalgebraId) -> Comodule:
-    """Push the coaction through a coalgebra map given on generators.
-
-    ``substitution`` sends each generator of M's coalgebra to a polynomial in
-    the target coalgebra.  The compatibility
-    (sigma (x) sigma)(Delta_source(v)) = Delta_target(sigma(v)) is verified
-    on every generator, on (left, right) monomial pair dicts.
-    """
-    fld = M.field
-    p = fld.p
-    src = M.coalgebra
-    gens = coalgebras.generator_vars(src)
-    missing = set(gens) - set(substitution)
-    if missing:
-        raise ValueError(f"substitution misses generator(s) {sorted(missing)}")
-    for v, img in substitution.items():
-        if not coalgebras.is_member(target, fld, img):
-            raise ValueError(f"image of {v} is not in {target}")
-
-    def image(mu):
-        return MultiPoly.from_monomial(fld, mu).substitute(substitution)
-
-    for v in gens:
-        lhs = defaultdict(int)
-        for (left, right), c in coalgebras.coproduct(src, fld, MultiPoly.variable(fld, v)).items():
-            for ml, cl in image(left).terms.items():
-                for mr, cr in image(right).terms.items():
-                    lhs[ml, mr] += c * cl * cr
-        lhs = {key: c % p for key, c in lhs.items() if c % p}
-        if lhs != coalgebras.coproduct(target, fld, substitution[v]):
-            raise ValueError(f"substitution is not a coalgebra map at {v}")
-    images = {}  # the image of f_{ji} is sum_mu A_mu[j][i] sigma(mu)
-    for mu in M.acts:
-        images[mu] = coalgebras.reduce_poly(target, fld, image(mu)).terms
-    return Comodule.of_acts(fld, target, M.dim, linear_image(M.acts, images, p))
 
 
 def restrict_frobenius_un(M: Comodule, r: int) -> Comodule:
@@ -262,46 +232,53 @@ def restrict_frobenius_un(M: Comodule, r: int) -> Comodule:
         raise ValueError("r must be >= 1")
     bound = M.field.p**r
     acts = {m: act for m, act in M.acts.items() if all(e < bound for _, e in m)}
-    return Comodule.of_acts(M.field, coalgebras.un_trunc(M.coalgebra.N, r), M.dim, acts)
+    return Comodule(M.field, coalgebras.un_trunc(M.coalgebra.N, r), M.dim, acts)
 
 
 def ga_as_u2(M: Comodule) -> Comodule:
-    """View a k[Ga]-comodule over k[U_2] through T -> x1_2."""
+    """View a k[Ga]-comodule over k[U_2] through T -> x1_2: T^e becomes x1_2^e."""
     if M.coalgebra.kind != "GaPoly":
         raise ValueError("ga_as_u2 needs a comodule over k[Ga]")
-    subs = {"T": MultiPoly.variable(M.field, "x1_2")}
-    return restrict_along(M, subs, coalgebras.un_poly(2))
+    coalgebras.require_generators(M.coalgebra, M.acts)
+    acts = {tuple(("x1_2", e) for _, e in m): act for m, act in M.acts.items()}
+    return Comodule(M.field, coalgebras.un_poly(2), M.dim, acts)
 
 
-def mat_restriction_map(field: PrimeField, N: int) -> dict:
-    """x_{i,j} -> x_{i,j} (i<j), 1 (i=j), 0 (i>j): restriction to U_N."""
-    subs = {}
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            v = f"x{i}_{j}"
-            if i < j:
-                subs[v] = MultiPoly.variable(field, v)
-            elif i == j:
-                subs[v] = MultiPoly.one(field)
-            else:
-                subs[v] = MultiPoly.zero(field)
-    return subs
+def un_part(m: Monomial):
+    """The restriction of a k[M_N] monomial to U_N: x_{i,i} -> 1, and None
+    (the monomial vanishes) when some x_{i,j} has i > j."""
+    kept = []
+    for v, e in m:
+        i, j = map(int, v[1:].split("_"))
+        if i > j:
+            return None
+        if i < j:
+            kept.append((v, e))
+    return tuple(kept)
 
 
 def restrict_mat_to_un(M: Comodule) -> Comodule:
-    """Restrict a k[M_N]-comodule (polynomial GL_N representation) to U_N."""
+    """Restrict a k[M_N]-comodule (polynomial GL_N representation) to U_N.
+
+    Each monomial acts through its :func:`un_part`; monomials with the same
+    part add their actions.
+    """
     if M.coalgebra.kind != "MatPoly":
         raise ValueError("restrict_mat_to_un needs a comodule over k[M_N]")
-    N = M.coalgebra.N
-    return restrict_along(
-        M, mat_restriction_map(M.field, N), coalgebras.un_poly(N)
-    )
+    coalgebras.require_generators(M.coalgebra, M.acts)
+    images = {}
+    for m in M.acts:
+        part = un_part(m)
+        if part is not None:
+            images[m] = {part: 1}
+    acts = linear_image(M.acts, images, M.field.p)
+    return Comodule(M.field, coalgebras.un_poly(M.coalgebra.N), M.dim, acts)
 
 
 def natural_rep_gl(field: PrimeField, N: int) -> Comodule:
     """The natural N-dimensional comodule over k[M_N]: f_{ji} = x_{j,i}."""
     acts = {monomial({f"x{j + 1}_{i + 1}": 1}): [(j, i, 1)] for j in range(N) for i in range(N)}
-    return Comodule.of_acts(field, coalgebras.mat_poly(N), N, acts)
+    return Comodule(field, coalgebras.mat_poly(N), N, acts)
 
 
 def sym_square_rep_gl(field: PrimeField, N: int) -> Comodule:

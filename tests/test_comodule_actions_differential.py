@@ -54,9 +54,19 @@ from expfilt.linalg import Subspace
 from expfilt.polyring import MultiPoly, monomial, monomial_degree, monomial_sort_key
 from expfilt.samplers import random_invertible, random_un_comodule
 from expfilt.un import UNContext, degree_filtration_un, degree_piece_comodule
+from test_comodule import matrix_comodule
 from test_validate_differential import _pool
 
 # -- oracles: the polynomial-arithmetic originals ------------------------------
+
+
+def mat_vec(a, v: list, field: PrimeField) -> list:
+    p = field.p
+    return [sum(c * x for c, x in zip(row, v)) % p for row in a]
+
+
+def full_space(field: PrimeField, ambient: int) -> Subspace:
+    return Subspace(field, ambient, linalg.identity(ambient), range(ambient))
 
 
 def oracle_coideal_preimage(M: Comodule, B: CoalgebraSubspace) -> Subspace:
@@ -86,7 +96,7 @@ def oracle_coideal_preimage(M: Comodule, B: CoalgebraSubspace) -> Subspace:
 def oracle_is_coaction_stable(M: Comodule, S: Subspace) -> bool:
     for A in action_matrices(M).values():
         for row in S.rows:
-            img = linalg.mat_vec(A, list(row), M.field)
+            img = mat_vec(A, list(row), M.field)
             if not S.contains(img):
                 return False
     return True
@@ -116,7 +126,7 @@ def oracle_restrict(M: Comodule, S: Subspace) -> Comodule:
                     acc = acc + new_coaction[b][a].scale(c)
             if acc != images[a][l]:
                 raise ValueError("subspace is not coaction-stable")
-    return Comodule(fld, M.coalgebra, k, new_coaction)
+    return matrix_comodule(fld, M.coalgebra, k, new_coaction)
 
 
 def oracle_quotient(M: Comodule, S: Subspace) -> Comodule:
@@ -141,7 +151,7 @@ def oracle_quotient(M: Comodule, S: Subspace) -> Comodule:
                 c = proj[l][b_idx]
                 if c:
                     new_coaction[b_idx][a_idx] = new_coaction[b_idx][a_idx] + f.scale(c)
-    Q = Comodule(fld, M.coalgebra, k, new_coaction)
+    Q = matrix_comodule(fld, M.coalgebra, k, new_coaction)
     for row in S.rows:
         for b_idx in range(k):
             acc = MultiPoly.zero(fld)
@@ -177,7 +187,7 @@ def oracle_conjugate(M: Comodule, g) -> Comodule:
                 if ginv[t][i]:
                     acc = acc + gf[j][t].scale(ginv[t][i])
             out[j][i] = acc
-    return Comodule(fld, M.coalgebra, n, out)
+    return matrix_comodule(fld, M.coalgebra, n, out)
 
 
 def oracle_degree_piece(M: Comodule, d: int) -> CoalgebraSubspace:
@@ -188,7 +198,7 @@ def oracle_degree_piece(M: Comodule, d: int) -> CoalgebraSubspace:
         for deg in range(d)
         for vs in itertools.combinations_with_replacement(gens, deg)
     )
-    return CoalgebraSubspace(M.field, M.coalgebra, monos, Subspace.full(M.field, len(monos)))
+    return CoalgebraSubspace(M.field, M.coalgebra, monos, full_space(M.field, len(monos)))
 
 
 def oracle_generated_closure(M: Comodule, vectors) -> Subspace:
@@ -201,7 +211,7 @@ def oracle_generated_closure(M: Comodule, vectors) -> Subspace:
         nxt = []
         for v in frontier:
             for A in mats:
-                img = linalg.mat_vec(A, v, fld)
+                img = mat_vec(A, v, fld)
                 if any(img) and not Subspace.from_vectors(fld, M.dim, span).contains(img):
                     span.append(img)
                     nxt.append(img)
@@ -247,7 +257,7 @@ def _degree_filtration(M: Comodule, d: int) -> Subspace:
 
 def _generated(M: Comodule, v) -> Subspace:
     """The subcomodule generated by v: the span of A_mu v over every mu."""
-    imgs = [linalg.mat_vec(A, v, M.field) for A in action_matrices(M).values()]
+    imgs = [mat_vec(A, v, M.field) for A in action_matrices(M).values()]
     return Subspace.from_vectors(M.field, M.dim, imgs)
 
 
@@ -308,7 +318,7 @@ def test_preimage_of_monomial_sets_matches_oracle(pool):
         occurring = M.occurring_monomials()
         for _ in range(3):
             chosen = [m for m in occurring if rng.random() < 0.5]
-            B = CoalgebraSubspace(M.field, M.coalgebra, tuple(chosen), Subspace.full(M.field, len(chosen)))
+            B = CoalgebraSubspace(M.field, M.coalgebra, tuple(chosen), full_space(M.field, len(chosen)))
             inside = set(chosen).__contains__
             assert coideal_preimage(M, inside) == oracle_coideal_preimage(M, B), (label, chosen)
 

@@ -90,6 +90,7 @@ from expfilt.un import (
     restrict_frobenius_un,
     sym_square_rep,
 )
+from test_comodule import matrix_comodule
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -237,7 +238,7 @@ def oracle_psg_assignment(psi) -> dict:
 def oracle_pullback_module(M: Comodule, psi) -> GaUFamily:
     assignment = oracle_psg_assignment(psi)
     coaction = [[f.substitute(assignment) for f in row] for row in M.coaction]
-    return comodule_to_family(Comodule(M.field, coalgebras.ga_poly(), M.dim, coaction))
+    return comodule_to_family(matrix_comodule(M.field, coalgebras.ga_poly(), M.dim, coaction))
 
 
 def oracle_validate_1psg(psi) -> list:
@@ -423,7 +424,7 @@ def oracle_table_pullback_module(M: Comodule, psi) -> GaUFamily:
     coaction = [[MultiPoly.zero(fld)] * M.dim for _ in range(M.dim)]
     for j, i, terms in oracle_entry_images(M, images):
         coaction[j][i] = MultiPoly(fld, terms)
-    return comodule_to_family(Comodule(fld, coalgebras.ga_poly(), M.dim, coaction))
+    return comodule_to_family(matrix_comodule(fld, coalgebras.ga_poly(), M.dim, coaction))
 
 
 def oracle_radical_quotient_dim(M: Comodule) -> int:
@@ -709,7 +710,7 @@ def oracle_ga_pullback_module(M: Comodule, lambdas) -> GaUFamily:
     fld = M.field
     image = MultiPoly(fld, {(("T", fld.p**s),): lam for s, lam in enumerate(lambdas)})
     coaction = [[f.substitute({"T": image}) for f in row] for row in M.coaction]
-    return comodule_to_family(Comodule(fld, coalgebras.ga_poly(), M.dim, coaction))
+    return comodule_to_family(matrix_comodule(fld, coalgebras.ga_poly(), M.dim, coaction))
 
 
 def test_ga_pullback_module_matches_power_oracle():
@@ -735,7 +736,7 @@ def test_ga_pullback_guard_rejects_before_expanding():
     # terms, past the desk-scale guard.  The module is no comodule; the
     # guard fires before anything reads it as one.
     one = MultiPoly.one(F3)
-    M = Comodule(F3, coalgebras.ga_poly(), 2,
+    M = matrix_comodule(F3, coalgebras.ga_poly(), 2,
                  [[one, parse_poly(f"T^{3**19 - 1}", F3)], [MultiPoly.zero(F3), one]])
     start = time.perf_counter()
     with pytest.raises(ValueError, match="pullback along the subgroup .* guard"):
@@ -752,7 +753,7 @@ def test_entry_terms_cancel_before_the_degree_test(field):
     assert oracle_exp_pullback(f, SymbolicNilpotentDomain(field, 3)) == parse_poly("2*b1_3*T", field)
     one = MultiPoly.one(field)
     zero = MultiPoly.zero(field)
-    M = Comodule(field, coalgebras.un_poly(3), 2, [[one, f], [zero, one]])
+    M = matrix_comodule(field, coalgebras.un_poly(3), 2, [[one, f], [zero, one]])
     assert exponential_degree(M) == oracle_exponential_degree(M) == 1
     assert module_exp_filtration(M, 1).is_full()
     assert module_exp_filtration(M, 0) == oracle_module_exp_filtration(M, 0)
@@ -784,7 +785,7 @@ def _digit_module(field):
     for k, text in enumerate(texts):
         coaction[0][k + 1] = parse_poly(text, field)
         coaction[k][k + 1] = coaction[k][k + 1] + parse_poly(f"2*{text} + x1_2", field)
-    return Comodule(field, coalgebras.un_poly(3), n, coaction)
+    return matrix_comodule(field, coalgebras.un_poly(3), n, coaction)
 
 
 def _signatures(terms) -> list:
@@ -840,7 +841,7 @@ def test_pullback_term_guard_rejects_before_expanding():
     # the pullback of x1_3^(3^19 - 1) by 3^19 terms, past the desk-scale guard
     f = parse_poly(f"x1_3^{3**19 - 1}", F3)
     one = MultiPoly.one(F3)
-    M = Comodule(F3, coalgebras.un_poly(3), 2, [[one, f], [MultiPoly.zero(F3), one]])
+    M = matrix_comodule(F3, coalgebras.un_poly(3), 2, [[one, f], [MultiPoly.zero(F3), one]])
     start = time.perf_counter()
     with pytest.raises(ValueError, match="guard"):
         exponential_degree(M)
@@ -852,7 +853,7 @@ def test_subgroup_pullback_guard_rejects_before_expanding():
     # x1_2^(3^19 - 1) is bounded by 3^19 terms, past the desk-scale guard
     f = parse_poly(f"x1_2^{3**19 - 1}", F3)
     one = MultiPoly.one(F3)
-    M = Comodule(F3, coalgebras.un_poly(2), 2, [[one, f], [MultiPoly.zero(F3), one]])
+    M = matrix_comodule(F3, coalgebras.un_poly(2), 2, [[one, f], [MultiPoly.zero(F3), one]])
     e12 = [[0, 1], [0, 0]]
     start = time.perf_counter()
     with pytest.raises(ValueError, match="guard"):
@@ -883,7 +884,7 @@ def test_subgroup_pullback_guard_counts_colliding_terms():
     # the module is no comodule: the pullback gets past the guard and fails
     # the divided-power check of the family instead
     one = MultiPoly.one(F97)
-    M = Comodule(F97, coalgebras.un_poly(3), 2,
+    M = matrix_comodule(F97, coalgebras.un_poly(3), 2,
                  [[one, parse_poly("x1_3^96", F97)], [MultiPoly.zero(F97), one]])
     with pytest.raises(ValueError, match="divided-power"):
         pullback_module(M, psi)
@@ -964,7 +965,7 @@ def test_entries_outside_the_generators_raise_value_error():
     # the diagonal of exp_B
     f = parse_poly("x1_1 + x1_2", F3)
     one = MultiPoly.one(F3)
-    M = Comodule(F3, coalgebras.un_poly(3), 2, [[one, f], [MultiPoly.zero(F3), one]])
+    M = matrix_comodule(F3, coalgebras.un_poly(3), 2, [[one, f], [MultiPoly.zero(F3), one]])
     psi = un_psg(F3, 3, [[[0, 1, 0], [0, 0, 0], [0, 0, 0]]])
     for call in (exponential_degree, lambda M: theta_operator(M, psi), lambda M: pullback_module(M, psi)):
         with pytest.raises(ValueError, match="foreign variable"):

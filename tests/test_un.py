@@ -3,12 +3,13 @@ degree filtration, and the standard comodules."""
 
 import math
 import random
+import time
 from collections import defaultdict
 
 import pytest
 
 from expfilt import coalgebras
-from expfilt.comodule import validate
+from expfilt.comodule import Comodule, linear_image, validate
 from expfilt.fpcomb import PrimeField
 from expfilt.linalg import Subspace
 from expfilt.polyring import MultiPoly, monomial, monomial_degree, parse_poly
@@ -298,39 +299,149 @@ class TestDegreeFiltration:
             assert degree_filtration_ga(M, d) == degree_filtration_un(M2, d)
 
 
-class TestLinearSubgroupRestriction:
-    def test_center_of_u3(self):
-        """Restriction along the center embedding x1_3 -> T, others -> 0."""
-        from expfilt.un import restrict_along
+# -- the substitute oracle for restrictions -------------------------------------
 
-        M = natural_rep(UNContext(F3, 3))
+
+def restrict_along(M, substitution: dict, target):
+    """Push the coaction through a coalgebra map given on generators.
+
+    ``substitution`` sends each generator of M's coalgebra to a ``MultiPoly``
+    in the (untruncated) target coalgebra.  The map law
+    (sigma (x) sigma)(Delta_source(v)) = Delta_target(sigma(v)) is checked on
+    every generator, and each monomial mu acts through
+    ``MultiPoly.substitute``: the image of f_{ji} is sum_mu A_mu[j][i] sigma(mu).
+    """
+    fld = M.field
+    p = fld.p
+    src = M.coalgebra
+    gens = coalgebras.generator_vars(src)
+    missing = set(gens) - set(substitution)
+    if missing:
+        raise ValueError(f"substitution misses generator(s) {sorted(missing)}")
+    for v, img in substitution.items():
+        if not coalgebras.is_member(target, fld, img):
+            raise ValueError(f"image of {v} is not in {target}")
+
+    def image(mu):
+        return MultiPoly.from_monomial(fld, mu).substitute(substitution)
+
+    for v in gens:
+        lhs = defaultdict(int)
+        for (left, right), c in coalgebras.coproduct(src, fld, MultiPoly.variable(fld, v)).items():
+            for ml, cl in image(left).terms.items():
+                for mr, cr in image(right).terms.items():
+                    lhs[ml, mr] += c * cl * cr
+        lhs = {key: c % p for key, c in lhs.items() if c % p}
+        if lhs != coalgebras.coproduct(target, fld, substitution[v]):
+            raise ValueError(f"substitution is not a coalgebra map at {v}")
+    images = {mu: image(mu).terms for mu in M.acts}
+    return Comodule(fld, target, M.dim, linear_image(M.acts, images, p))
+
+
+def mat_restriction_map(field: PrimeField, N: int) -> dict:
+    """x_{i,j} -> x_{i,j} (i<j), 1 (i=j), 0 (i>j): restriction to U_N."""
+    subs = {}
+    for i in range(1, N + 1):
+        for j in range(1, N + 1):
+            v = f"x{i}_{j}"
+            if i < j:
+                subs[v] = MultiPoly.variable(field, v)
+            else:
+                subs[v] = MultiPoly.constant(field, int(i == j))
+    return subs
+
+
+def _relabelling_pool():
+    """(label, module): GL_N modules for restrict_mat_to_un, Ga modules for ga_as_u2."""
+    from expfilt.ga import family_to_comodule, y_r_family
+    from expfilt.samplers import random_ga_family
+
+    out = []
+    for p in (2, 3, 5):
+        fld = PrimeField(p)
+        for N in (2, 3, 4):
+            out.append((f"natural GL_{N} p={p}", natural_rep_gl(fld, N)))
+            out.append((f"Sym^2 GL_{N} p={p}", sym_square_rep_gl(fld, N)))
+        for R in range(1, 5):
+            out.append((f"y_{R} p={p}", family_to_comodule(y_r_family(fld, R))))
+        rng = random.Random(f"relabel/{p}")
+        for k in range(20):
+            fam = random_ga_family(fld, rng.randrange(2, 5), rng)
+            out.append((f"random Ga family {k} p={p}", family_to_comodule(fam)))
+    return out
+
+
+class TestRelabellingRestrictions:
+    def test_relabellings_match_the_substitute_route(self):
+        pool = _relabelling_pool()
+        assert len(pool) == 90
+        for label, M in pool:
+            if M.coalgebra.kind == "MatPoly":
+                N = M.coalgebra.N
+                got = restrict_mat_to_un(M)
+                want = restrict_along(M, mat_restriction_map(M.field, N), coalgebras.un_poly(N))
+            else:
+                got = ga_as_u2(M)
+                want = restrict_along(M, {"T": MultiPoly.variable(M.field, "x1_2")},
+                                      coalgebras.un_poly(2))
+            assert got == want, label
+            assert validate(got).ok, label
+
+    def test_foreign_variables_rejected(self):
+        acts = {(): [(0, 0, 1)], (("x1_2", 1),): [(0, 0, 1)]}
+        with pytest.raises(ValueError, match="foreign"):
+            ga_as_u2(Comodule(F3, coalgebras.ga_poly(), 1, acts))
+        acts = {(("T", 1),): [(0, 0, 1)]}
+        with pytest.raises(ValueError, match="foreign"):
+            restrict_mat_to_un(Comodule(F3, coalgebras.mat_poly(2), 1, acts))
+
+
+class TestLinearSubgroupRestriction:
+    """Restriction along a 1-parameter subgroup is ``pullback_module``; the
+    substitute route along the same map of coordinate rings is its oracle."""
+
+    @staticmethod
+    def _modules():
+        ctx = UNContext(F3, 3)
+        return [("natural", natural_rep(ctx)), ("Sym^2", sym_square_rep(ctx))]
+
+    def test_center_of_u3(self):
+        """The center embedding x1_3 -> T, others -> 0: psi = exp(T E13)."""
+        from expfilt.ga import family_to_comodule
+        from expfilt.support import pullback_module, un_psg
+
         subs = {
             "x1_2": MultiPoly.zero(F3),
             "x2_3": MultiPoly.zero(F3),
             "x1_3": parse_poly("T", F3),
         }
-        R = restrict_along(M, subs, coalgebras.ga_poly())
-        assert validate(R).ok
+        psi = un_psg(F3, 3, [[[0, 0, 1], [0, 0, 0], [0, 0, 0]]])
+        for label, M in self._modules():
+            R = restrict_along(M, subs, coalgebras.ga_poly())
+            assert validate(R).ok, label
+            assert family_to_comodule(pullback_module(M, psi)) == R, label
+        R = restrict_along(natural_rep(UNContext(F3, 3)), subs, coalgebras.ga_poly())
         assert R.coaction[0][2] == parse_poly("T", F3)
 
     def test_diagonal_one_parameter_subgroup(self):
         """x1_2, x2_3 -> T and x1_3 -> T^2/2: the exponential of the regular
-        nilpotent direction (needs p > 2)."""
-        from expfilt.un import restrict_along
+        nilpotent direction E12 + E23 (needs p > 2)."""
+        from expfilt.ga import family_to_comodule
+        from expfilt.support import pullback_module, un_psg
 
         inv2 = F3.inv(2)
-        M = natural_rep(UNContext(F3, 3))
         subs = {
             "x1_2": parse_poly("T", F3),
             "x2_3": parse_poly("T", F3),
             "x1_3": parse_poly(f"{inv2}*T^2", F3),
         }
-        R = restrict_along(M, subs, coalgebras.ga_poly())
-        assert validate(R).ok
+        psi = un_psg(F3, 3, [[[0, 1, 0], [0, 0, 1], [0, 0, 0]]])
+        for label, M in self._modules():
+            R = restrict_along(M, subs, coalgebras.ga_poly())
+            assert validate(R).ok, label
+            assert family_to_comodule(pullback_module(M, psi)) == R, label
 
     def test_non_coalgebra_map_rejected(self):
-        from expfilt.un import restrict_along
-
         M = natural_rep(UNContext(F3, 3))
         subs = {
             "x1_2": MultiPoly.zero(F3),
@@ -339,3 +450,30 @@ class TestLinearSubgroupRestriction:
         }
         with pytest.raises(ValueError):
             restrict_along(M, subs, coalgebras.ga_poly())
+
+    def test_high_frobenius_twist_along_t_plus_t_cubed_is_fast(self):
+        """Y_1 (p=3) twisted 19 times, restricted along T -> T + T^3.
+
+        The substitute route expands (T + T^3)^(3^20) by binary powering and
+        runs for seconds from the 9th twist on; the pullback expands it by
+        base-p digits.  The twisted module is T^(3^19) + T^(3^20) in the
+        corner, so the restriction is T^(3^19) + 2 T^(3^20) + T^(3^21).
+        """
+        from expfilt.expdeg import frobenius_twist
+        from expfilt.ga import family_to_comodule, y_r_family
+        from expfilt.support import ga_psg, pullback_module
+
+        psi = ga_psg(F3, [1, 1])
+        M = family_to_comodule(y_r_family(F3, 1))
+        for _ in range(2):
+            M = frobenius_twist(M)
+        subs = {"T": parse_poly("T + T^3", F3)}
+        assert family_to_comodule(pullback_module(M, psi)) == restrict_along(
+            M, subs, coalgebras.ga_poly())
+        for _ in range(17):
+            M = frobenius_twist(M)
+        start = time.perf_counter()
+        fam = pullback_module(M, psi)
+        assert time.perf_counter() - start < 1.0
+        e21 = [[0, 0], [1, 0]]
+        assert fam.u_mats == {19: e21, 20: [[0, 0], [2, 0]], 21: e21}
