@@ -19,8 +19,9 @@ and Jordan types of p-nilpotent operators.
 The validator reads the table column-major (:func:`_sparse_columns`): every
 occurring monomial gets an integer id and each nonzero entry f_{ji} becomes
 a list of (id, coeff) pairs, filed under its column i.  Membership is then
-decided once per distinct monomial, the counit is evaluated once per
-distinct monomial and summed over the nonzero pattern, and coassociativity
+decided once per distinct monomial, the counit law is the sum
+sum_mu eps(mu) A_mu = I over the monomials whose counit is nonzero (for Ga
+and U_N kinds the constant term alone), and coassociativity
 compares integer-keyed coefficient tables against a Delta table built by one
 :func:`coalgebras.coproduct_table` call (Frobenius digits, a per-call memo
 over monomial prefixes, the desk-scale term guard), so no ``MultiPoly``
@@ -37,9 +38,11 @@ in one place, :func:`row_kernel`, which groups the entries of each matrix
 by row and keeps each line once.  A coideal preimage for a monomial-spanned
 B, given as a membership test, is the row kernel of the A_mu for every mu
 outside B; the submodule generated by vectors s is the span of the A_mu s;
-stability and restriction apply A_mu to the basis rows of a subspace and
-compare with its pivot coordinates; a quotient is P A_mu on the kept
-columns; base change by g is g A_mu g^{-1}.
+stability, restriction and quotient read one pass over ``acts``
+(:func:`_split_actions`), which applies each A_mu to the reduced basis rows
+of a subspace S (and, for the quotient, to the unit vectors off its pivots)
+and splits every image into its pivot coordinates and its residue modulo
+S; base change by g is g A_mu g^{-1}.
 """
 
 from collections import defaultdict
@@ -228,9 +231,10 @@ def validate(M: Comodule) -> ValidationReport:
     (j, i) row-major, counit by column then row, coassociativity by
     component (l, i) column then row; a failing law stops the later ones.
 
-    Membership and the counit are decided once per distinct monomial of the
-    coaction; an entry's counit is the sum of its terms' values, and a zero
-    diagonal entry is still reported.  Coassociativity,
+    Membership is decided once per distinct monomial of the coaction.  The
+    counit law sum_mu eps(mu) A_mu = I is summed over the monomials whose
+    counit is nonzero only, and a zero diagonal entry is still reported.
+    Coassociativity,
     sum_j f_{lj} (x) f_{ji} = Delta(f_{li}), first builds the Delta table of
     every distinct monomial in one call, then runs one sparse loop
     (:func:`_coassociativity`).
@@ -267,24 +271,26 @@ def validate(M: Comodule) -> ValidationReport:
             for j, i in bad
         ])
 
-    violations = []
+    # the counit law sum_mu eps(mu) A_mu = I, read on the mu with eps(mu) != 0
     p = fld.p
-    eps = coalgebras.monomial_counits(coalg, monos)
-    for i, col in enumerate(cols):
-        values = {j: sum(c * eps[k] for k, c in terms) % p for j, terms in col}
-        values.setdefault(i, 0)  # a zero diagonal entry still owes the value 1
-        for j in sorted(values):
-            want = 1 if i == j else 0
-            if values[j] != want:
-                violations.append(
-                    {
-                        "law": "counit",
-                        "index": i,
-                        "detail": f"entry ({j},{i}) evaluates to {values[j]} at the identity, want {want}",
-                    }
-                )
-    if violations:
-        return ValidationReport(False, violations)
+    values = defaultdict(int)  # (i, j) -> entry (j, i) at the identity, unreduced
+    for m, e in zip(monos, coalgebras.monomial_counits(coalg, monos)):
+        if e:
+            for j, i, c in M.acts[m]:
+                values[i, j] += e * c
+    for i in range(M.dim):
+        values[i, i] -= 1
+    bad = sorted(ij for ij, v in values.items() if v % p)
+    if bad:
+        return ValidationReport(False, [
+            {
+                "law": "counit",
+                "index": i,
+                "detail": f"entry ({j},{i}) evaluates to {(values[i, j] + (i == j)) % p} "
+                f"at the identity, want {int(i == j)}",
+            }
+            for i, j in bad
+        ])
 
     if coalg.kind != "MatPoly" and not _coassociativity(M, monos, cols, True):
         return ValidationReport(True, [])
@@ -423,57 +429,61 @@ def coideal_preimage(M: Comodule, inside) -> Subspace:
     return row_kernel((act for m, act in M.acts.items() if not inside(m)), M.dim, M.field)
 
 
-def _check_ambient(M: Comodule, S: Subspace):
+def _split_actions(M: Comodule, S: Subspace, units=()):
+    """(coords, residues): each A_mu on S's RREF rows and on the unit vectors ``units``.
+
+    An image w = A_mu v splits as sum_b w[piv_b] s_b + r over the basis rows
+    s_b of S, the residue r zero at every pivot (the rows are reduced), so w
+    lies in S iff r = 0.  One pass over ``acts`` applies each A_mu at once to
+    every row s_a and to every e_i, i = units[a]; ``coords[mu]`` lists
+    (b, a, w[piv_b]) for the rows and ``residues[mu]`` lists (l, a, r_l) for
+    the units, nonzero entries only, and a monomial with no entry has no key.
+    None when some residue of a row is nonzero, i.e. S is not coaction-stable.
+    """
     if S.ambient != M.dim:
         raise ValueError("subspace ambient does not match module dimension")
-
-
-def _images(cols, s: dict) -> dict:
-    """{monomial id: {l: (A_mu s)_l}}, unreduced, for a sparse vector s = {i: s_i}."""
-    out = {}
-    for i, si in s.items():
-        for l, terms in cols[i]:
-            for k, c in terms:
-                w = out.get(k)
-                if w is None:
-                    w = out[k] = defaultdict(int)
-                w[l] += si * c
-    return out
-
-
-def _pivot_images(M: Comodule, S: Subspace):
-    """(monos, images) with images[a][k] = {b: (A_mu s_a) at pivot b}, or None.
-
-    A_mu s_a lies in S iff it equals sum_b (A_mu s_a)[piv_b] s_b, because S
-    is in reduced echelon form; None means some image does not, i.e. S is
-    not coaction-stable.
-    """
-    _check_ambient(M, S)
     p = M.field.p
-    monos, cols = _sparse_columns(M)
+    n = M.dim
     pos = {piv: b for b, piv in enumerate(S.pivots)}
-    rows = [{l: c for l, c in enumerate(row) if c} for row in S.rows]
-    images = []
-    for s in rows:
-        at_pivots = {}
-        for k, w in _images(cols, s).items():
-            w = {l: v % p for l, v in w.items() if v % p}
-            coeffs = {pos[l]: v for l, v in w.items() if l in pos}
-            recon = defaultdict(int)
-            for b, v in coeffs.items():
-                for l, c in rows[b].items():
-                    recon[l] += v * c
-            if {l: v % p for l, v in recon.items() if v % p} != w:
-                return None
-            if coeffs:
-                at_pivots[k] = coeffs
-        images.append(at_pivots)
-    return monos, images
+    rows = [[(l, c) for l, c in enumerate(row) if c] for row in S.rows]
+    top = len(rows) * n  # image keys a * n + l below top belong to the rows
+    cols = [[] for _ in range(n)]  # cols[i]: (a * n, v_a[i]) over the vectors v_a
+    for a, row in enumerate(rows):
+        for i, c in row:
+            cols[i].append((a * n, c))
+    for a, i in enumerate(units, len(rows)):
+        cols[i].append((a * n, 1))
+    coords, residues = {}, {}
+    for mu, act in M.acts.items():
+        w = defaultdict(int)  # a * n + l -> (A_mu v_a)_l, unreduced
+        for j, i, c in act:
+            for an, x in cols[i]:
+                w[an + j] += c * x
+        pivot_part = []  # (b, a * n, w[piv_b]) over every vector v_a
+        for key, x in w.items():
+            l = key % n
+            if l in pos and x % p:
+                pivot_part.append((pos[l], key - l, x % p))
+        for b, an, c in pivot_part:
+            for l, x in rows[b]:
+                w[an + l] -= c * x
+        residue = []
+        for key, x in w.items():
+            if x % p:
+                if key < top:
+                    return None
+                residue.append((key % n, (key - top) // n, x % p))
+        if residue:
+            residues[mu] = residue
+        on_rows = [(b, an // n, c) for b, an, c in pivot_part if an < top]
+        if on_rows:
+            coords[mu] = on_rows
+    return coords, residues
 
 
 def is_coaction_stable(M: Comodule, S: Subspace) -> bool:
     """S is stable under every dual-basis action of an occurring monomial."""
-    return _pivot_images(M, S) is not None
+    return _split_actions(M, S) is not None
 
 
 def restrict_to_subspace(M: Comodule, S: Subspace) -> Comodule:
@@ -481,16 +491,10 @@ def restrict_to_subspace(M: Comodule, S: Subspace) -> Comodule:
 
     Entry (b, a) is sum_mu (A_mu s_a)[piv_b] mu.
     """
-    found = _pivot_images(M, S)
-    if found is None:
+    split = _split_actions(M, S)
+    if split is None:
         raise ValueError("subspace is not coaction-stable")
-    monos, images = found
-    sums = defaultdict(dict)
-    for a, at_pivots in enumerate(images):
-        for mono_id, coeffs in at_pivots.items():
-            for b, v in coeffs.items():
-                sums[monos[mono_id]][b, a] = v
-    return Comodule(M.field, M.coalgebra, S.dim, acts_from_sums(sums, M.field.p))
+    return Comodule(M.field, M.coalgebra, S.dim, split[0])
 
 
 def generated_submodule(M: Comodule, S) -> Subspace:
@@ -513,42 +517,17 @@ def generated_submodule(M: Comodule, S) -> Subspace:
 def quotient_by_subspace(M: Comodule, S: Subspace) -> Comodule:
     """The quotient comodule M/S for a coaction-stable S.
 
-    With P the projection onto the non-pivot coordinates, the quotient's
-    action of mu is P A_mu on those columns; P A_mu s must vanish for every
-    basis row s of S.
+    Its basis is the classes of the e_i off the pivots of S; the action of
+    mu on the class of e_i is the residue of A_mu e_i modulo S, read at
+    those coordinates.
     """
-    _check_ambient(M, S)
-    fld = M.field
-    p = fld.p
-    pivset = set(S.pivots)
-    keep = [i for i in range(M.dim) if i not in pivset]
-    # proj[l]: e_l in the quotient coordinates, as (index, coeff) pairs
-    proj = [[] for _ in range(M.dim)]
-    for idx, i in enumerate(keep):
-        proj[i].append((idx, 1))
-    for row, piv in zip(S.rows, S.pivots):
-        proj[piv] = [(idx, -row[i] % p) for idx, i in enumerate(keep) if row[i]]
-    monos, cols = _sparse_columns(M)
-
-    def project(w):
-        out = defaultdict(int)
-        for l, v in w.items():
-            for b, c in proj[l]:
-                out[b] += c * v
-        return out
-
-    sums = defaultdict(dict)
-    for a, i in enumerate(keep):
-        for mono_id, w in _images(cols, {i: 1}).items():
-            for b, v in project(w).items():
-                sums[monos[mono_id]][b, a] = v
-    # well-definedness: Delta must kill S in the quotient coordinates
-    for row in S.rows:
-        s = {i: c for i, c in enumerate(row) if c}
-        for w in _images(cols, s).values():
-            if any(v % p for v in project(w).values()):
-                raise ValueError("subspace is not coaction-stable")
-    return Comodule(fld, M.coalgebra, len(keep), acts_from_sums(sums, p))
+    keep = sorted(set(range(M.dim)) - set(S.pivots))
+    split = _split_actions(M, S, keep)
+    if split is None:
+        raise ValueError("subspace is not coaction-stable")
+    idx = {i: b for b, i in enumerate(keep)}
+    acts = {mu: [(idx[l], a, r) for l, a, r in act] for mu, act in split[1].items()}
+    return Comodule(M.field, M.coalgebra, len(keep), acts)
 
 
 def direct_sum(modules) -> Comodule:

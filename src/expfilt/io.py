@@ -11,9 +11,12 @@ Coaction matrices are row-major (entry [j][i] is the coefficient of e_j in
 Delta(e_i)); polystrings follow the polynomial text grammar.  The u_mats form
 is only meaningful for kind "Ga".  Integer fields are JSON integers or
 decimal strings; floats and booleans are rejected.  :func:`parse_module`
-makes one pass over the coaction rows: it parses each distinct string once
-per call, at its first occurrence, and files every term c mu of entry
-[j][i] straight into the module's action table as (j, i, c) under mu;
+checks the type of every matrix entry, row by row, before it parses any
+string, then makes one pass over the coaction rows: it skips each "0",
+parses each other distinct string once per call, at its first occurrence,
+through one term-body memo for the whole file
+(:func:`polyring.parse_terms`), and files every term c mu of entry [j][i]
+straight into the module's action table as (j, i, c) under mu;
 :func:`module_to_doc` formats each entry straight from that table.  Parsing
 always checks the module: a u_mats family must hold the family invariants,
 and a coaction must pass the comodule laws, whose Delta table expands every
@@ -35,7 +38,7 @@ from . import coalgebras
 from .comodule import Comodule, validate
 from .fpcomb import PrimeField
 from .ga import GaUFamily, require_valid_family
-from .polyring import format_poly, parse_poly
+from .polyring import format_poly, parse_terms
 
 GROUP_KINDS = ("Ga", "UN", "GaTrunc", "UNTrunc")
 
@@ -95,7 +98,8 @@ def _require_matrix(value, what: str, entry_type):
     """Reject anything but a list of lists whose entries are ``entry_type`` (not bool)."""
     if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
         raise ModuleFileError(f"{what} must be a list of lists")
-    if not all(isinstance(v, entry_type) and not isinstance(v, bool) for row in value for v in row):
+    allowed = {entry_type}  # by exact type: a bool is not an int
+    if not all(set(map(type, row)) <= allowed for row in value):
         raise ModuleFileError(f"{what} entries must be {entry_type.__name__}")
 
 
@@ -136,14 +140,17 @@ def parse_module(doc: dict):
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ModuleFileError("coaction matrix must be dim x dim")
     # one parse per distinct string, in first-occurrence order so the first
-    # malformed string is the one reported
-    parsed = {"0": {}}
+    # malformed string is the one reported; one term-body memo for the file
+    parsed = {}
+    memo = {}
     acts = defaultdict(list)
     for j, row in enumerate(rows):
         for i, t in enumerate(row):
+            if t == "0":
+                continue
             terms = parsed.get(t)
             if terms is None:
-                terms = parsed[t] = parse_poly(t, field).terms
+                terms = parsed[t] = parse_terms(t, field.p, memo)
             for m, c in terms.items():
                 acts[m].append((j, i, c))
     M = Comodule(field, coalg, dim, dict(acts))

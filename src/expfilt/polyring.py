@@ -10,6 +10,9 @@ tensor product C (x) C is a dict keyed by (left, right) monomial pairs
 Text grammar (CLI and file formats): terms separated by "+", each term
 "c*v1^e1*v2^e2..." with c a decimal integer; whitespace insignificant;
 coefficients reduced mod p.  "-" starting a term negates it.
+:func:`parse_terms` reads it into a {monomial: coeff} dict through a memo
+from term body to monomial that the caller keeps for as many strings as it
+likes (``io.parse_module`` keeps one per file); :func:`parse_poly` wraps it.
 """
 
 import math
@@ -268,46 +271,59 @@ class MultiPoly:
 # -- text grammar ------------------------------------------------------------
 
 _TERM_RE = re.compile(r"^(\d+)?((?:\*?(?:T|[xb]\d+_\d+)(?:\^\d+)?)*)$")
-_FACTOR_RE = re.compile(r"(T|[xb]\d+_\d+)(?:\^(\d+))?")
+_FACTOR_RE = re.compile(r"(T|([xb])(\d+)_(\d+))(?:\^(\d+))?")
 
 
-def parse_poly(text: str, field: PrimeField) -> MultiPoly:
-    """Parse the term grammar; coefficients reduced mod p."""
+def _body_monomial(body: str) -> Monomial:
+    """The monomial of a term body such as "x1_2^2*T", sorted by :func:`var_key`.
+
+    ``_TERM_RE`` admits only factors and stars, so the factors cover the body;
+    each sort key is read off the factor's own groups.
+    """
+    exps = {}
+    keys = {}
+    for v, fam, i, j, e in _FACTOR_RE.findall(body):
+        exps[v] = exps.get(v, 0) + (int(e) if e else 1)
+        if v not in keys:
+            keys[v] = (0, 0, 0) if v == "T" else (1 if fam == "x" else 2, int(i), int(j))
+    return tuple(sorted(((v, e) for v, e in exps.items() if e), key=lambda ve: keys[ve[0]]))
+
+
+def parse_terms(text: str, p: int, memo: dict) -> dict:
+    """Parse the term grammar into {monomial: coeff}, coefficients reduced mod p.
+
+    ``memo`` maps each term body to its monomial; a caller parsing many
+    strings (a whole module file) passes one dict for all of them.
+    """
     s = "".join(text.split())
     if not s:
         raise ValueError("empty polynomial text")
     if s == "0":
-        return MultiPoly.zero(field)
+        return {}
     # split into signed terms on top-level + and -
-    s = s.replace("-", "+-")
-    parts = [t for t in s.split("+") if t]
+    parts = [t for t in s.replace("-", "+-").split("+") if t]
     if not parts:
         raise ValueError(f"cannot parse polynomial {text!r}")
     terms = {}
-    p = field.p
     for part in parts:
-        sign = 1
-        if part.startswith("-"):
-            sign = -1
+        negative = part[0] == "-"
+        if negative:
             part = part[1:]
         m = _TERM_RE.match(part)
         if not m or (m.group(1) is None and not m.group(2)):
             raise ValueError(f"cannot parse term {part!r} in {text!r}")
-        coeff = sign * (int(m.group(1)) if m.group(1) is not None else 1)
-        exps = {}
-        body = m.group(2)
-        consumed = 0
-        for fm in _FACTOR_RE.finditer(body):
-            v = fm.group(1)
-            e = int(fm.group(2)) if fm.group(2) else 1
-            exps[v] = exps.get(v, 0) + e
-            consumed += fm.end() - fm.start()
-        stripped = body.replace("*", "")
-        if consumed != len(stripped):
-            raise ValueError(f"cannot parse term {part!r} in {text!r}")
-        mono = monomial(exps)
-        terms[mono] = (terms.get(mono, 0) + coeff) % p
-    return MultiPoly(field, terms)
+        coeff_text, body = m.groups()
+        coeff = int(coeff_text) if coeff_text is not None else 1
+        mono = memo.get(body)
+        if mono is None:
+            mono = memo[body] = _body_monomial(body)
+        terms[mono] = (terms.get(mono, 0) + (-coeff if negative else coeff)) % p
+    return {m: c for m, c in terms.items() if c}
+
+
+def parse_poly(text: str, field: PrimeField) -> MultiPoly:
+    """Parse the term grammar; coefficients reduced mod p."""
+    return MultiPoly(field, parse_terms(text, field.p, {}))
 
 
 def format_poly(terms: Mapping[Monomial, int]) -> str:
@@ -376,17 +392,21 @@ def frobenius_images(field: PrimeField, images: list, pos: dict, monos, what: st
             )
         return digit_memo[key]
 
+    count_memo = {}
+
     def power_count(s, e):
         """Term-count bound of the image of x_s^e; 0 when the cap kills it."""
-        if cap is not None and e >= cap:
-            return 0
-        n = len(images[s])
-        span = max(images[s], default=0) - min(images[s], default=0)
-        count = 1
-        for d in digits(e, p):
-            if d:
-                count *= min(math.comb(n + d - 1, d), d * span + 1)
-        return count
+        key = (s, e)
+        if key not in count_memo:
+            count = 0 if cap is not None and e >= cap else 1
+            if count:
+                n = len(images[s])
+                span = max(images[s], default=0) - min(images[s], default=0)
+                for d in digits(e, p):
+                    if d:
+                        count *= min(math.comb(n + d - 1, d), d * span + 1)
+            count_memo[key] = count
+        return count_memo[key]
 
     power_memo = {}
 

@@ -11,6 +11,13 @@ replaced, kept here only as the slow reference:
   every basis row with ``mat_vec``;
 - ``oracle_restrict``, ``oracle_quotient`` and ``oracle_conjugate`` form the
   new coaction with ``MultiPoly`` additions and scalings, entry by entry;
+- ``column_stable``, ``column_restrict`` and ``column_quotient`` are the
+  column route that the one pass over ``acts`` (``_split_actions``)
+  replaced: they re-intern the module column-major (``_sparse_columns``),
+  apply it to one sparse vector at a time for every monomial at once
+  (``column_images``), and test membership in S by rebuilding each image
+  from its pivot coordinates; the quotient projects every image onto the
+  non-pivot coordinates;
 - ``oracle_generated_closure`` closes a vector breadth-first under every
   ``action_matrices`` matrix, testing each image against a fresh
   ``Subspace``, where ``generated_submodule`` spans one level of images;
@@ -29,7 +36,7 @@ same bytes, and unstable input must raise the same ``ValueError``.
 
 import itertools
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -37,14 +44,18 @@ from expfilt import coalgebras, linalg
 from expfilt.comodule import (
     CoalgebraSubspace,
     Comodule,
+    _sparse_columns,
+    acts_from_sums,
     action_matrices,
     coideal_preimage,
     conjugate,
     degree_below,
+    direct_sum,
     generated_submodule,
     is_coaction_stable,
     quotient_by_subspace,
     restrict_to_subspace,
+    trivial_comodule,
 )
 from expfilt.fpcomb import PrimeField
 from expfilt.expdeg import ga_exp_filtration, module_exp_filtration
@@ -53,7 +64,13 @@ from expfilt.io import save_module
 from expfilt.linalg import Subspace
 from expfilt.polyring import MultiPoly, monomial, monomial_degree, monomial_sort_key
 from expfilt.samplers import random_invertible, random_un_comodule
-from expfilt.un import UNContext, degree_filtration_un, degree_piece_comodule
+from expfilt.un import (
+    UNContext,
+    degree_filtration_un,
+    degree_piece_comodule,
+    natural_rep,
+    sym_square_rep,
+)
 from test_comodule import matrix_comodule
 from test_validate_differential import _pool
 
@@ -217,6 +234,92 @@ def oracle_generated_closure(M: Comodule, vectors) -> Subspace:
                     nxt.append(img)
         frontier = nxt
     return Subspace.from_vectors(fld, M.dim, span)
+
+
+def column_images(cols, s: dict) -> dict:
+    """{monomial id: {l: (A_mu s)_l}}, unreduced, for a sparse vector s = {i: s_i}."""
+    out = {}
+    for i, si in s.items():
+        for l, terms in cols[i]:
+            for k, c in terms:
+                w = out.get(k)
+                if w is None:
+                    w = out[k] = defaultdict(int)
+                w[l] += si * c
+    return out
+
+
+def column_pivot_images(M: Comodule, S: Subspace):
+    """(monos, images), images[a][k] = {b: (A_mu s_a) at pivot b}, or None when
+    some image A_mu s_a differs from sum_b (A_mu s_a)[piv_b] s_b."""
+    p = M.field.p
+    monos, cols = _sparse_columns(M)
+    pos = {piv: b for b, piv in enumerate(S.pivots)}
+    rows = [{l: c for l, c in enumerate(row) if c} for row in S.rows]
+    images = []
+    for s in rows:
+        at_pivots = {}
+        for k, w in column_images(cols, s).items():
+            w = {l: v % p for l, v in w.items() if v % p}
+            coeffs = {pos[l]: v for l, v in w.items() if l in pos}
+            recon = defaultdict(int)
+            for b, v in coeffs.items():
+                for l, c in rows[b].items():
+                    recon[l] += v * c
+            if {l: v % p for l, v in recon.items() if v % p} != w:
+                return None
+            if coeffs:
+                at_pivots[k] = coeffs
+        images.append(at_pivots)
+    return monos, images
+
+
+def column_stable(M: Comodule, S: Subspace) -> bool:
+    return column_pivot_images(M, S) is not None
+
+
+def column_restrict(M: Comodule, S: Subspace) -> Comodule:
+    found = column_pivot_images(M, S)
+    if found is None:
+        raise ValueError("subspace is not coaction-stable")
+    monos, images = found
+    sums = defaultdict(dict)
+    for a, at_pivots in enumerate(images):
+        for mono_id, coeffs in at_pivots.items():
+            for b, v in coeffs.items():
+                sums[monos[mono_id]][b, a] = v
+    return Comodule(M.field, M.coalgebra, S.dim, acts_from_sums(sums, M.field.p))
+
+
+def column_quotient(M: Comodule, S: Subspace) -> Comodule:
+    p = M.field.p
+    pivset = set(S.pivots)
+    keep = [i for i in range(M.dim) if i not in pivset]
+    proj = [[] for _ in range(M.dim)]  # e_l in the quotient coordinates
+    for idx, i in enumerate(keep):
+        proj[i].append((idx, 1))
+    for row, piv in zip(S.rows, S.pivots):
+        proj[piv] = [(idx, -row[i] % p) for idx, i in enumerate(keep) if row[i]]
+    monos, cols = _sparse_columns(M)
+
+    def project(w):
+        out = defaultdict(int)
+        for l, v in w.items():
+            for b, c in proj[l]:
+                out[b] += c * v
+        return out
+
+    sums = defaultdict(dict)
+    for a, i in enumerate(keep):
+        for mono_id, w in column_images(cols, {i: 1}).items():
+            for b, v in project(w).items():
+                sums[monos[mono_id]][b, a] = v
+    for row in S.rows:
+        s = {i: c for i, c in enumerate(row) if c}
+        for w in column_images(cols, s).values():
+            if any(v % p for v in project(w).values()):
+                raise ValueError("subspace is not coaction-stable")
+    return Comodule(M.field, M.coalgebra, len(keep), acts_from_sums(sums, p))
 
 
 # -- pools ----------------------------------------------------------------------
@@ -387,3 +490,44 @@ def test_ga_exp_filtration_matches_family_route(pool):
             assert module_exp_filtration(M, d) == ga_exp_filtration(fam, d), (label, d)
         seen += 1
     assert seen >= 9
+
+
+def _split_pool():
+    """Conjugated sums of trivial, natural and symmetric-square U_3 pieces,
+    random U_3 comodules and regular Ga comodules, at p = 2, 3, 5."""
+    out = []
+    for p in (2, 3, 5):
+        F = PrimeField(p)
+        rng = random.Random(f"actions-differential/split/{p}")
+        ctx = UNContext(F, 3)
+        make = {"T": lambda: trivial_comodule(F, ctx.coalgebra, 1),
+                "Nat": lambda: natural_rep(ctx), "Sym": lambda: sym_square_rep(ctx)}
+        for pieces in (("T", "Nat"), ("Nat", "Nat"), ("Sym",), ("Sym", "T"), ("Sym", "Nat")):
+            M = direct_sum(make[name]() for name in pieces)
+            out.append((f"{'+'.join(pieces)} p={p}", conjugate(M, random_invertible(F, M.dim, rng))))
+        for k in range(3):
+            out.append((f"random_un_comodule p={p} #{k}", random_un_comodule(F, 3, rng)))
+        out.append((f"regular Ga p={p}", regular_comodule(F, 2 * p + 2)))
+    return out
+
+
+def test_split_pass_matches_the_column_route():
+    """Stability, restriction and quotient from the one pass over ``acts``
+    against the column route, on stable subspaces (every degree piece and
+    generated submodules) and random ones, which are mostly unstable."""
+    rng = random.Random("actions-differential/split")
+    verdicts = Counter()
+    for label, M in _split_pool():
+        spaces = [_degree_filtration(M, d) for d in _degrees(M)]
+        for k in range(4):
+            vectors = [[rng.randrange(M.field.p) for _ in range(M.dim)] for _ in range(k % 2 + 1)]
+            spaces.append(generated_submodule(M, vectors))
+        spaces.extend(_random_subspace(M, rng) for _ in range(8))
+        for S in spaces:
+            case = (label, S.rows)
+            stable = column_stable(M, S)
+            verdicts[stable] += 1
+            assert is_coaction_stable(M, S) == stable, case
+            assert _outcome(restrict_to_subspace, M, S) == _outcome(column_restrict, M, S), case
+            assert _outcome(quotient_by_subspace, M, S) == _outcome(column_quotient, M, S), case
+    assert verdicts[True] >= 200 and verdicts[False] >= 150, verdicts

@@ -35,7 +35,7 @@ from expfilt.io import (
     parse_module,
     save_module,
 )
-from expfilt.polyring import MultiPoly, parse_poly
+from expfilt.polyring import MultiPoly, parse_poly, parse_terms
 from expfilt.samplers import random_invertible
 from expfilt.un import UNContext, natural_rep, restrict_frobenius_un, sym_square_rep
 from expfilt.verify import SUITES
@@ -147,6 +147,28 @@ class TestModuleFile:
             assert list(got.acts.items()) == list(want.acts.items()), label
             assert got == M, label
             assert module_to_doc(got) == doc, label
+
+    def test_one_memo_parses_like_parse_poly(self):
+        """One term-body memo shared over every string of the golden modules,
+        the fuzz bases and the fuzz terms gives each string's ``parse_poly``
+        terms, in order, or its ValueError text."""
+        texts = [(F3, t) for t in _TERMS + _JUNK]
+        for M in (*_golden_modules().values(), *(build() for build in _FUZZ_BASES.values())):
+            if isinstance(M, GaUFamily):
+                M = family_to_comodule(M)
+            texts.extend((M.field, t) for row in module_to_doc(M)["module"]["coaction"] for t in row)
+        memo = {}
+        for field, text in texts:
+            try:
+                want = list(parse_poly(text, field).terms.items())
+            except ValueError as exc:
+                want = str(exc)
+            try:
+                got = list(parse_terms(text, field.p, memo).items())
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want, text
+        assert len(memo) > 100
 
     def test_validation_failures_rejected(self):
         doc = natural_u3_doc()
@@ -503,10 +525,24 @@ class TestCli:
             ('{"p": 3, "group": {"kind": "Ga"}, '
              '"module": {"u_mats": {"0": [[false, false], [true, false]]}}}',
              "u_mats matrix entries must be int"),
+            # every entry's type is checked before any string is parsed
+            ('{"p": 3, "group": {"kind": "Ga"}, '
+             '"module": {"dim": 2, "coaction": [["T^", "0"], ["0", 5]]}}',
+             "coaction entries must be str"),
+            # and before the shape
+            ('{"p": 3, "group": {"kind": "Ga"}, "module": {"dim": 2, "coaction": [["1", "0"], [null]]}}',
+             "coaction entries must be str"),
+            ('{"p": 3, "group": {"kind": "Ga"}, '
+             '"module": {"dim": 2, "coaction": [["1", true], ["0", "1"]]}}',
+             "coaction entries must be str"),
+            ('{"p": 3, "group": {"kind": "Ga"}, '
+             '"module": {"dim": 2, "coaction": [["1", "0"], "0 1"]}}',
+             "coaction must be a list of lists"),
         ],
         ids=["null", "int", "list", "no-p", "p-null", "p-word", "p-infinity", "dim-null",
              "no-dim", "u-dim-null", "u-index-word", "r-null", "no-N", "p-float",
-             "p-float-integral", "N-float", "dim-float", "p-bool", "r-bool", "u-mats-bool"],
+             "p-float-integral", "N-float", "dim-float", "p-bool", "r-bool", "u-mats-bool",
+             "int-after-malformed-string", "null-in-non-square", "entry-bool", "row-string"],
     )
     def test_malformed_document_names_the_field(self, tmp_path, capsys, text, message):
         path = tmp_path / "malformed.json"

@@ -2,9 +2,13 @@
 
 ``coeff_of_power`` and ``eval_at`` are read-outs that only the tests use;
 they live here, are tested here, and the other test modules import them.
+``oracle_parse_poly`` is the parser that ``parse_terms`` replaced: it checks
+that the factors cover each term and sorts each monomial through
+``monomial()``, which matches every variable name against the alphabet again.
 """
 
 import random
+import re
 import time
 
 import pytest
@@ -12,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expfilt.fpcomb import PrimeField
-from expfilt.polyring import MultiPoly, format_poly, monomial, parse_poly, var_key
+from expfilt.polyring import MultiPoly, format_poly, monomial, parse_poly, parse_terms, var_key
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -212,6 +216,63 @@ class TestSubstituteEval:
             assert direct == composed
 
 
+_ORACLE_TERM_RE = re.compile(r"^(\d+)?((?:\*?(?:T|[xb]\d+_\d+)(?:\^\d+)?)*)$")
+_ORACLE_FACTOR_RE = re.compile(r"(T|[xb]\d+_\d+)(?:\^(\d+))?")
+
+
+def oracle_parse_poly(text: str, field: PrimeField) -> MultiPoly:
+    s = "".join(text.split())
+    if not s:
+        raise ValueError("empty polynomial text")
+    if s == "0":
+        return MultiPoly.zero(field)
+    s = s.replace("-", "+-")
+    parts = [t for t in s.split("+") if t]
+    if not parts:
+        raise ValueError(f"cannot parse polynomial {text!r}")
+    terms = {}
+    for part in parts:
+        sign = 1
+        if part.startswith("-"):
+            sign = -1
+            part = part[1:]
+        m = _ORACLE_TERM_RE.match(part)
+        if not m or (m.group(1) is None and not m.group(2)):
+            raise ValueError(f"cannot parse term {part!r} in {text!r}")
+        coeff = sign * (int(m.group(1)) if m.group(1) is not None else 1)
+        exps = {}
+        body = m.group(2)
+        consumed = 0
+        for fm in _ORACLE_FACTOR_RE.finditer(body):
+            v = fm.group(1)
+            e = int(fm.group(2)) if fm.group(2) else 1
+            exps[v] = exps.get(v, 0) + e
+            consumed += fm.end() - fm.start()
+        if consumed != len(body.replace("*", "")):
+            raise ValueError(f"cannot parse term {part!r} in {text!r}")
+        mono = monomial(exps)
+        terms[mono] = (terms.get(mono, 0) + coeff) % field.p
+    return MultiPoly(field, terms)
+
+
+def _parsed(parse, text, field):
+    """(monomials in order, coefficients) of ``parse(text, field)``, or the ValueError text."""
+    try:
+        terms = parse(text, field).terms
+    except ValueError as exc:
+        return str(exc)
+    return list(terms.items())
+
+
+# strings off the canonical format: repeated, reordered, zero-power, run-together,
+# padded and leading-zero factors, stray signs and stars
+_ODD_TEXTS = [
+    "T*T^2", "T^2*T", "x2_3*x1_2", "T^0", "3*T^0*x1_2", "x1_2x2_3", "2T", "*T", "2*T*",
+    "--T", "-", "+", "T+-T", "x01_2 + x1_2", "x1_2*x01_2", "b2_1*x1_2*T", "T^007", "0*T",
+    "00", "0 + 0", "T^3^2", "x1_2^", "x1__2", "Tx", "1 2", "- 2 * T ^ 3", "T'", "x1_2'",
+]
+
+
 class TestGrammar:
     def test_example_from_format(self):
         f = parse_poly("2*x1_2*x1_3^2 + T^3", F5)
@@ -239,6 +300,16 @@ class TestGrammar:
             field = rng.choice([F2, F3, F5])
             f = random_poly(rng, field)
             assert parse_poly(format_poly(f.terms), field) == f
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_odd_strings_parse_like_oracle(self, p):
+        field = PrimeField(p)
+        memo = {}
+        for text in _ODD_TEXTS:
+            want = _parsed(oracle_parse_poly, text, field)
+            assert _parsed(parse_poly, text, field) == want, text
+            shared = _parsed(lambda t, f: MultiPoly(f, parse_terms(t, f.p, memo)), text, field)
+            assert shared == want, text
 
     def test_variable_order(self):
         assert var_key("T") < var_key("x1_2") < var_key("x1_3") < var_key("x2_3") < var_key("b1_2")
@@ -280,4 +351,5 @@ class TestGrammar:
         if f is not None:
             assert parse_poly(format_poly(f.terms), field) == f, text
         assert time.perf_counter() - start < 1.0
+        assert _parsed(parse_poly, text, field) == _parsed(oracle_parse_poly, text, field), text
 

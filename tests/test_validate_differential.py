@@ -442,3 +442,26 @@ def test_matpoly_mutants_validate_like_oracle():
                 rep = _assert_same(f"{M} / + {m} at ({j},{i})", X)
                 laws.update(v["law"] for v in rep.violations)
     assert laws == {"counit", "coassociativity"}
+
+
+def test_matpoly_counit_sums_several_monomials():
+    # in k[M_2] every monomial in x1_1 and x2_2 has counit 1, so the counit
+    # law sums A_mu over several mu; adding such a monomial breaks it unless
+    # a second one cancels its value, which leaves coassociativity to decide
+    diagonal = [monomial(e) for e in ({"x1_1": 1, "x2_2": 1}, {"x1_1": 1}, {"x2_2": 2},
+                                      {"x1_1": 2, "x2_2": 1}, {"x1_1": 1, "x2_2": 3})]
+    violated = {"counit": 0, "coassociativity": 0}
+    for p in (2, 3, 5):
+        F = PrimeField(p)
+        rng = random.Random(f"validate-differential/matpoly-counit/{p}")
+        for M in (natural_rep_gl(F, 2), sym_square_rep_gl(F, 2)):
+            for _ in range(12):
+                j, i = rng.randrange(M.dim), rng.randrange(M.dim)
+                m, other = rng.sample(diagonal, 2)
+                c = rng.randrange(1, p)
+                terms = {m: c, other: -c % p} if rng.random() < 0.4 else {m: c}
+                X = _with_entry(M, j, i, M.coaction[j][i] + MultiPoly(F, terms))
+                rep = _assert_same(f"{M} / + {terms} at ({j},{i})", X)
+                if rep.violations:
+                    violated[rep.violations[0]["law"]] += 1
+    assert min(violated.values()) >= 10, violated
