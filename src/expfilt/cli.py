@@ -95,7 +95,7 @@ def cmd_filt(args) -> int:
         print("error: filtrations need a polynomial (non-truncated) group kind", file=sys.stderr)
         return EXIT_VALIDATION
     lines = [f"dim {space.dim} of {space.ambient}"]
-    lines.extend(" ".join(str(v) for v in row) for row in space.rows)
+    lines.extend(" ".join(map(str, row)) for row in space.rows)
     _emit("\n".join(lines), args.output)
     return EXIT_OK
 

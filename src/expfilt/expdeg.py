@@ -158,10 +158,12 @@ def exp_pullback(f: MultiPoly, B) -> ExpPullback:
     or a :class:`SymbolicNilpotentDomain` (coefficients polynomial in the
     b-variables).  Functions on the full matrix space use the convention that
     absent entries of a triangular exponential are 1 on the diagonal and 0
-    below it.  The images are the divided powers B^k/k! of a numeric B, on
-    T exponents as keys, or the path sums of the generic B; f's monomials
-    are expanded in one :func:`~expfilt.polyring.frobenius_images` call and
-    summed by f's coefficients.
+    below it.  The images are the entries of exp_B(T) for a numeric B, on T
+    exponents as keys (:func:`~expfilt.linalg.exp_entries`, which also
+    gives the subgroup pullbacks of :mod:`expfilt.support`), or the path
+    sums of the generic B; f's monomials are expanded in one
+    :func:`~expfilt.polyring.frobenius_images` call and summed by f's
+    coefficients.
     """
     if not isinstance(B, (NilpotentMatrix, SymbolicNilpotentDomain)):
         raise TypeError("B must be a NilpotentMatrix or a SymbolicNilpotentDomain")
@@ -180,9 +182,8 @@ def exp_pullback(f: MultiPoly, B) -> ExpPullback:
         b_names = ["b" + v[1:] for v in coalgebras.generator_vars(coalg)]
     else:
         names = coalgebras.generator_vars(coalgebras.mat_poly(B.N))
-        E = linalg.divided_powers(B.entries, fld)
-        images = [{k: Ek[i][j] for k, Ek in enumerate(E) if Ek[i][j]}
-                  for i in range(B.N) for j in range(B.N)]
+        images = linalg.exp_entries([(1, linalg.divided_powers(B.entries, fld))],
+                                     [(i, j) for i in range(B.N) for j in range(B.N)], B.N, fld)
         coeffs = f.terms
         pulled = frobenius_images(fld, images, {v: s for s, v in enumerate(names)},
                                   list(coeffs), "exponential pullback")

@@ -107,6 +107,18 @@ def digit_products(places, dim: int, field: PrimeField) -> dict:
     return out
 
 
+def exp_entries(places, positions, dim: int, field: PrimeField) -> list:
+    """The (i, j) entry of prod_s exp_{B_s}(T^{w_s}) for each (i, j) in
+    ``positions``, as {T power: coeff} without zero coefficients.
+
+    The T^n coefficient is the :func:`digit_products` product of weight sum
+    n; ``places`` is as there.  The images of the coordinates x_{i,j} along
+    a 1-parameter subgroup, or along exp_B(T) for one place (1, E).
+    """
+    coeffs = digit_products(places, dim, field)
+    return [{n: C[i][j] for n, C in coeffs.items() if C[i][j]} for i, j in positions]
+
+
 def is_zero_matrix(a: Matrix, field: PrimeField) -> bool:
     p = field.p
     return all(v % p == 0 for r in a for v in r)

@@ -10,26 +10,24 @@ Jordan type has a block of size < p.
 
 A UN tuple is held as its divided powers B_s^k/k! (k < p), integer matrices
 computed once per call; exp_{B_s}(T) = sum_k (B_s^k/k!) T^k.  The coaction
-is sum_mu mu A_mu, A_mu the action matrix of mu's dual functional.  The
-pullback along psi is sum_mu pullback(mu) A_mu, each pullback(mu) a
-polynomial in the one variable T computed once per occurring monomial and
+is sum_mu mu A_mu, A_mu the action matrix of mu's dual functional.  Every
+pullback here maps the coaction monomials through the images of the
+coalgebra's generators along a subgroup (:func:`_generator_images`), on T
+exponents as keys, in :func:`~expfilt.polyring.frobenius_images`, whose
+work grows with the number of base-p digits of an exponent.  Along the whole
+subgroup the T^n coefficient is prod_s B_s^{n_s}/n_s! over the base-p
+digits of n: the nonzero products come from
+:func:`~expfilt.linalg.digit_products`, which skips every digit vector past
+a zero prefix product (the walk that also yields the v_j table of
+:func:`~expfilt.ga.comodule_to_family`), so a tall subgroup costs its
+nonzero products, not p^height; the pullback is sum_mu pullback(mu) A_mu,
 summed by :func:`~expfilt.comodule.linear_image`.  Theta is
 sum_mu theta_mu A_mu, the :func:`~expfilt.comodule.dual_action` of the
-scalars theta_mu: theta_mu multiplies the entries' coefficient lists
-truncated at degree p^s, and since every entry x_{i<j} of exp_{B_s}(T) has
-zero constant term, the pullback of a monomial m has no term below
-T^{deg m}, so level s is skipped when deg m > p^s.  Over k[Ga] the same
-dual action is Theta = sum_s lambda_s^{p^s} A_{T^{p^s}}, since u_s is the
-action of T^{p^s}.  The pullback along the whole subgroup reads its T^n
-coefficient prod_s B_s^{n_s}/n_s! off the base-p digits of n: the nonzero
-products come from :func:`~expfilt.linalg.digit_products`, which skips
-every digit vector past a zero prefix product (the walk that also yields
-the v_j table of :func:`~expfilt.ga.comodule_to_family`), so a tall
-subgroup costs its nonzero products, not p^height.  Monomials are expanded
-through :func:`~expfilt.polyring.frobenius_images` on T exponents.  Both
-raise x^e through the base-p digits e = sum_t d_t p^t, as
-prod_t Frob^t(x^{d_t}), where Frob^t multiplies every T exponent by p^t:
-the work grows with the number of digits of e, not with e.  The freeness
+scalars theta_mu = sum_s [T^{p^s}] of the pullback of mu along the
+height-one subgroup exp_{B_s}(T), or T -> lambda_s T over k[Ga].  Every
+entry x_{i<j} of exp_{B_s}(T) has zero constant term, so the pullback of a
+monomial m has no term below T^{deg m}: level s expands only the monomials
+with 0 < deg m <= p^s, and a level with none is skipped.  The freeness
 test reads Theta^p = 0 and the Jordan type off one chain of powers.
 """
 
@@ -37,7 +35,7 @@ from dataclasses import dataclass
 
 from . import coalgebras, linalg
 from .comodule import Comodule, FreenessVerdict, dual_action, jordan_type, linear_image, local_freeness
-from .fpcomb import DESK_GUARD, PrimeField, digits
+from .fpcomb import DESK_GUARD, PrimeField
 from .ga import (
     GaUFamily,
     comodule_to_family,
@@ -46,7 +44,7 @@ from .ga import (
     restrict_frobenius_ga,
 )
 from .linalg import Matrix
-from .polyring import frobenius_images, monomial, monomial_degree
+from .polyring import frobenius_images, monomial_degree
 from .un import restrict_frobenius_un
 
 _NOT_P_NILPOTENT = "Theta^p != 0: corrupted input module"
@@ -156,38 +154,25 @@ def require_valid_1psg(psi: OneParamSubgroup) -> list:
     return exps
 
 
-def _series_mul(a: list, b: list, p: int, top: int) -> list:
-    """Product of two coefficient lists in T mod p, cut after degree ``top``."""
-    n = min(len(a) + len(b) - 1, top + 1) if a and b else 0
-    out = [0] * n
-    for i, x in enumerate(a[:n]):
-        if x:
-            for j, y in enumerate(b[: n - i]):
-                out[i + j] += x * y
-    return [c % p for c in out]
+def _generator_images(M: Comodule, psi: OneParamSubgroup, exps: list, subgroups: list) -> list:
+    """For each {s: w_s} in ``subgroups``, every generator's image
+    {T power: coeff} along the levels s of psi in it, level s at T^{w_s}.
 
-
-def _times_power(acc: list, f: list, e: int, p: int, top: int) -> list:
-    """acc * f^e mod p, cut after degree ``top``, by the base-p digits of e.
-
-    Over F_p, Frob^t(g) = g^{p^t} is g(T^{p^t}), so f^e is the product of
-    Frob^t(f^{d_t}) over the digits d_t of e, and Frob^t(g) cut after ``top``
-    needs only g cut after top // p^t: there are sum_t d_t products.
-    Unlike :func:`~expfilt.polyring.frobenius_images` it cuts every product at
-    a degree, so no term count of the uncut power is ever bounded or built.
+    Over k[Ga], T -> sum_s lambda_s T^{w_s}; over k[U_N], x_{i,j} -> the
+    (i, j) entry of prod_s exp_{B_s}(T^{w_s}), read off the nonzero
+    :func:`~expfilt.linalg.digit_products` of the divided powers ``exps``.
+    Raises when M and psi live over different groups.
     """
-    for t, d in enumerate(digits(e, p)):
-        if d:
-            q = p**t
-            g = f[: top // q + 1]
-            for _ in range(d - 1):
-                g = _series_mul(g, f, p, top // q)
-            if q > 1:
-                spread = [0] * ((len(g) - 1) * q + 1)
-                spread[::q] = g
-                g = spread
-            acc = _series_mul(acc, g, p, top)
-    return acc
+    if M.coalgebra.kind == "GaPoly":
+        if psi.kind != "Ga":
+            raise ValueError("a k[Ga]-comodule pairs with a Ga-form subgroup")
+        return [[{w: psi.lambdas[s] for s, w in ws.items() if psi.lambdas[s]}] for ws in subgroups]
+    if M.coalgebra.kind != "UNPoly" or psi.kind != "UN" or psi.N != M.coalgebra.N:
+        raise ValueError("module and subgroup live over different groups")
+    N = psi.N
+    positions = [(i, j) for i in range(N) for j in range(i + 1, N)]
+    return [linalg.exp_entries([(w, exps[s]) for s, w in ws.items()], positions, N, M.field)
+            for ws in subgroups]
 
 
 def _theta(M, psi: OneParamSubgroup) -> Matrix:
@@ -197,54 +182,32 @@ def _theta(M, psi: OneParamSubgroup) -> Matrix:
         if psi.kind != "Ga":
             raise ValueError("a GaUFamily pairs with a Ga-form subgroup")
         return ga_one_param_theta(M, psi.lambdas)
-    if M.coalgebra.kind == "GaPoly":
-        if psi.kind != "Ga":
-            raise ValueError("a k[Ga]-comodule pairs with a Ga-form subgroup")
-        p = M.field.p  # Theta = sum_s lambda_s^{p^s} u_s, u_s = A_{T^{p^s}}
-        return dual_action(M, {monomial({"T": p**s}): pow(lam, p**s, p)
-                               for s, lam in enumerate(psi.lambdas) if lam})
-    if M.coalgebra.kind != "UNPoly":
+    if M.coalgebra.kind not in ("GaPoly", "UNPoly"):
         raise ValueError("theta_operator needs a k[Ga]- or k[U_N]-comodule")
-    if psi.kind != "UN" or psi.N != M.coalgebra.N:
-        raise ValueError("module and subgroup live over different groups")
-    p = M.field.p
-    # level s: (p^s, {x_{i,j}: coefficients of T^1, T^2, ... of exp_{B_s}(T)_{i,j}})
-    levels = [
-        (p**s, {f"x{i + 1}_{j + 1}": [Ek[i][j] for Ek in E[1:]]
-                for i in range(psi.N) for j in range(i + 1, psi.N)})
-        for s, E in enumerate(exps)
-    ]
+    levels = _generator_images(M, psi, exps, [{s: 1} for s in range(psi.height)])
     coalgebras.require_generators(M.coalgebra, M.acts)
-    thetas = {}  # mu -> theta_mu, nonzero
-    for m in M.acts:
-        deg = monomial_degree(m)
-        total = 0  # theta_mu
-        for q, shifted in levels:
-            r = q - deg
-            if r < 0:
-                continue
-            acc = [1]
-            for v, e in m:
-                acc = _times_power(acc, shifted[v], e, p, r)
-            if r < len(acc):
-                total += acc[r]
-        total %= p
-        if total:
-            thetas[m] = total
+    fld = M.field
+    pos = {v: t for t, v in enumerate(coalgebras.generator_vars(M.coalgebra))}
+    degrees = [(m, monomial_degree(m)) for m in M.acts]
+    thetas = {}  # mu -> theta_mu, unreduced
+    for s, images in enumerate(levels):
+        q = fld.p**s
+        monos = [m for m, deg in degrees if 0 < deg <= q]
+        if not monos:
+            continue
+        pulled = frobenius_images(fld, images, pos, monos, f"pullback along level {s} of the subgroup")
+        for m, terms in zip(monos, pulled):
+            if q in terms:
+                thetas[m] = thetas.get(m, 0) + terms[q]
     return dual_action(M, thetas)
 
 
 def theta_operator(M, psi: OneParamSubgroup) -> Matrix:
     """The p-nilpotent operator sum_s (exp_{B_s})_*(u_s) acting on M.
 
-    For a k[U_N]-comodule Theta = sum_mu theta_mu A_mu over the occurring
-    monomials mu, A_mu the action matrix of mu's dual functional and
-    theta_mu the sum over the levels s of the T^{p^s} coefficient of mu
-    pulled back along exp_{B_s}(T).  The entries x_{i<j} of exp_{B_s}(T)
-    have zero constant term, so the pullback of mu is T^{deg mu} times the
-    product of the entries divided by T: its T^{p^s} coefficient is that
-    product's coefficient of T^{p^s - deg mu}, and level s is skipped when
-    deg mu > p^s.  Raises when Theta^p != 0.
+    Theta = sum_mu theta_mu A_mu, theta_mu the sum over the levels s of the
+    T^{p^s} coefficient of mu pulled back along the height-one subgroup
+    exp_{B_s}(T), or T -> lambda_s T over k[Ga].  Raises when Theta^p != 0.
     """
     theta = _theta(M, psi)
     if not linalg.is_p_nilpotent(theta, M.field):
@@ -279,14 +242,12 @@ def support_sample(M, samples) -> list:
 def pullback_module(M, psi: OneParamSubgroup) -> GaUFamily:
     """The restriction of M along psi, as a u-family for the additive group.
 
-    Every distinct coaction monomial is mapped through its generators'
-    images in one :func:`~expfilt.polyring.frobenius_images` call, on T
-    exponents as keys: x_{i,j} -> (i, j) entry of psi for a k[U_N]-comodule,
-    read off the nonzero :func:`~expfilt.linalg.digit_products` of the
-    tuple, T -> sum_s lambda_s T^{p^s} for a k[Ga]-comodule.  A power x^e is
-    expanded by the base-p digits of e, and its term count is bounded by the
-    desk-scale guard before it is expanded.  The pulled-back coaction is
-    sum_mu pullback(mu) A_mu (:func:`~expfilt.comodule.linear_image`).
+    Every distinct coaction monomial is pulled back along the whole of psi,
+    the levels of :func:`_generator_images` at weights p^s, in one
+    :func:`~expfilt.polyring.frobenius_images` call, which bounds each
+    power's term count by the desk-scale guard before expanding it.  The
+    pulled-back coaction is sum_mu pullback(mu) A_mu
+    (:func:`~expfilt.comodule.linear_image`).
     """
     exps = require_valid_1psg(psi)
     if isinstance(M, GaUFamily):
@@ -294,20 +255,10 @@ def pullback_module(M, psi: OneParamSubgroup) -> GaUFamily:
             raise ValueError("a GaUFamily pairs with a Ga-form subgroup")
         M = family_to_comodule(M)
     fld = M.field
+    # the weights p^s are distinct powers of p, so distinct digit vectors
+    # give distinct T exponents
+    (images,) = _generator_images(M, psi, exps, [{s: fld.p**s for s in range(psi.height)}])
     gens = coalgebras.generator_vars(M.coalgebra)
-    if M.coalgebra.kind == "GaPoly":
-        if psi.kind != "Ga":
-            raise ValueError("a k[Ga]-comodule pairs with a Ga-form subgroup")
-        images = [{fld.p**s: lam for s, lam in enumerate(psi.lambdas) if lam}]
-    else:
-        if M.coalgebra.kind != "UNPoly" or psi.kind != "UN" or psi.N != M.coalgebra.N:
-            raise ValueError("module and subgroup live over different groups")
-        # the T^n coefficient of psi is prod_s B_s^{n_s}/n_s! over the base-p
-        # digits n_s of n: the exponents sum_s n_s p^s are all distinct
-        coeffs = linalg.digit_products([(fld.p**s, E) for s, E in enumerate(exps)], psi.N, fld)
-        P = {f"x{i + 1}_{j + 1}": {n: C[i][j] for n, C in coeffs.items() if C[i][j]}
-             for i in range(psi.N) for j in range(i + 1, psi.N)}
-        images = [P[v] for v in gens]
     coalgebras.require_generators(M.coalgebra, M.acts)
     pulled = frobenius_images(fld, images, {v: s for s, v in enumerate(gens)}, M.acts,
                               "pullback along the subgroup")

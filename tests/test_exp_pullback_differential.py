@@ -6,17 +6,19 @@ takes: exp_B(T) built as a matrix of polynomials (the generic B through
 symbolic matrix powers, a numeric B through B^k/k!), assigned to the
 coordinates x_{i,j} and substituted with ``MultiPoly.substitute``, which
 raises every image to its power by repeated squaring.  The library's
-``exp_pullback`` and ``pullback_module`` expand through
-``polyring.frobenius_images`` instead and must give the same polynomials
-and families.  The ``MultiPoly`` oracles pull every coaction entry back as
-a whole polynomial (one substitution per entry) and read degrees,
-filtration constraints, Theta coefficients and pulled-back coactions off
-those polynomials.  The per-entry table oracles sum each nonzero entry's
-pullback from the integer table of its monomials first
+``exp_pullback``, ``pullback_module`` and ``theta_operator`` expand
+through ``polyring.frobenius_images`` instead and must give the same
+polynomials, families and matrices.  The ``MultiPoly`` oracles pull every
+coaction entry back as a whole polynomial (one substitution per entry) and
+read degrees, filtration constraints, Theta coefficients and pulled-back
+coactions off those polynomials.  The per-entry table oracles sum each
+nonzero entry's pullback from the integer table of its monomials first
 (``oracle_entry_images``) and only then keep the terms they need: the
 constraint rows with T power above d, the largest T power, the Theta
-coefficient, the subgroup pullback; Jordan types come from a chain of
-powers that starts at the identity, after a separate Theta^p check.  The
+coefficient (from coefficient lists in T cut at the degree each level
+needs, the route Theta took before it read height-one pullbacks), the
+subgroup pullback; Jordan types come from a chain of powers that starts
+at the identity, after a separate Theta^p check.  The
 1-psg oracle compares the formal exponentials as ``MultiPoly`` matrices in
 two scalar variables, T and b1_1; the radical-quotient oracle spans the columns of dense
 ``action_matrices``.  They are kept here only as the slow reference: the
@@ -31,7 +33,7 @@ from functools import lru_cache
 
 import pytest
 
-from expfilt import coalgebras, linalg
+from expfilt import coalgebras, linalg, support
 from expfilt.comodule import (
     Comodule,
     JordanType,
@@ -53,7 +55,7 @@ from expfilt.expdeg import (
     mock_trivial_check,
     module_exp_filtration,
 )
-from expfilt.fpcomb import PrimeField, digit_sums
+from expfilt.fpcomb import PrimeField, digit_sums, digits
 from expfilt.ga import (
     GaUFamily,
     comodule_to_family,
@@ -73,7 +75,6 @@ from expfilt.samplers import (
     random_un_comodule,
 )
 from expfilt.support import (
-    _times_power,
     ga_psg,
     is_free_at,
     pullback_module,
@@ -332,8 +333,46 @@ def oracle_table_exponential_degree(M: Comodule) -> int:
     return max((k for _, _, pulled in oracle_pullback_terms(M) for k, _ in pulled), default=0)
 
 
+def _series_mul(a: list, b: list, p: int, top: int) -> list:
+    """Product of two coefficient lists in T mod p, cut after degree ``top``."""
+    n = min(len(a) + len(b) - 1, top + 1) if a and b else 0
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[: n - i]):
+                out[i + j] += x * y
+    return [c % p for c in out]
+
+
+def _times_power(acc: list, f: list, e: int, p: int, top: int) -> list:
+    """acc * f^e mod p, cut after degree ``top``, by the base-p digits of e.
+
+    Over F_p, Frob^t(g) = g^{p^t} is g(T^{p^t}), so f^e is the product of
+    Frob^t(f^{d_t}) over the digits d_t of e, and Frob^t(g) cut after ``top``
+    needs only g cut after top // p^t: there are sum_t d_t products.
+    """
+    for t, d in enumerate(digits(e, p)):
+        if d:
+            q = p**t
+            g = f[: top // q + 1]
+            for _ in range(d - 1):
+                g = _series_mul(g, f, p, top // q)
+            if q > 1:
+                spread = [0] * ((len(g) - 1) * q + 1)
+                spread[::q] = g
+                g = spread
+            acc = _series_mul(acc, g, p, top)
+    return acc
+
+
 def oracle_table_theta(M: Comodule, psi):
-    """Theta summed per entry, then Theta^p checked by a separate power."""
+    """Theta summed per entry, then Theta^p checked by a separate power.
+
+    Each monomial's Theta coefficient is read off its coaction entries'
+    coefficient lists in T, every product cut at the degree it needs: the
+    pullback of m along exp_{B_s}(T) is T^{deg m} times the product of the
+    entries divided by T, so level s needs that product up to T^{p^s - deg m}.
+    """
     exps = require_valid_1psg(psi)
     fld = M.field
     p = fld.p
@@ -531,6 +570,30 @@ def test_theta_takes_powers_through_every_digit():
     for mats in ([J, J, J], [[[0] * 3] * 3, J, J], [J, [[0, 0, 1], [0, 0, 0], [0, 0, 0]], J]):
         psi = un_psg(F3, 3, mats)
         assert theta_operator(M, psi) == oracle_theta(M, psi), mats
+
+
+def test_theta_expands_a_monomial_only_at_levels_past_its_degree(monkeypatch):
+    # the 19th twist of natural U_3 has coaction monomials of degree 3^19,
+    # so along 20 copies of J only level 19 expands them, each once; the
+    # constant monomial, whose pullback is 1, is never expanded
+    M = natural_rep(UNContext(F3, 3))
+    for _ in range(19):
+        M = frobenius_twist(M)
+    J = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+    psi = un_psg(F3, 3, [J] * 20)
+    calls = []
+
+    def spy(field, images, pos, monos, what, **kwargs):
+        calls.append(sorted(monomial_degree(m) for m in monos))
+        return frobenius_images(field, images, pos, monos, what, **kwargs)
+
+    monkeypatch.setattr(support, "frobenius_images", spy)
+    start = time.perf_counter()
+    theta = theta_operator(M, psi)
+    assert time.perf_counter() - start < 1.0
+    assert calls == [[3**19] * 3]
+    assert theta == oracle_table_theta(M, psi)
+    assert not linalg.is_zero_matrix(theta, F3)
 
 
 def test_pullback_module_matches_oracle(pool):

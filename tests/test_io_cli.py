@@ -656,6 +656,9 @@ _ADD = st.tuples(st.just("add"), st.integers(0, 6), st.integers(0, 6),
 # a seeded base change of the base module, applied before the other edits:
 # the file stays a valid comodule, so the commands reach their success paths
 _BASE = st.tuples(st.just("base"), st.integers(0, 2**16))
+# the untruncated U_3 bases, the only ones on which `support` runs Theta on a
+# k[U_N]-comodule and `pullback` pulls back along a U_N subgroup
+_UN_BASES = ("natural U_3", "Sym^2 U_3")
 
 _EDITS = st.one_of(
     _BASE,
@@ -684,6 +687,11 @@ _EDITS = st.one_of(
     st.tuples(st.just("raw"),
               st.sampled_from(["", "{not json", "[]", "null", "{}", '"module"', "3"])),
 )
+
+# (base, edits): one draw in four is an untruncated U_3 base under base
+# changes only, a valid comodule on which every command takes its success path
+_MUTATED = st.tuples(st.sampled_from(sorted(_FUZZ_BASES)), st.lists(_EDITS, min_size=1, max_size=3))
+_UN_BASE_CHANGED = st.tuples(st.sampled_from(_UN_BASES), st.lists(_BASE, min_size=1, max_size=2))
 
 _COMMANDS = [
     ["expdeg"],
@@ -782,12 +790,12 @@ def _apply_edit(doc, text, edit):
 
 class TestCliFuzz:
     @given(
-        base=st.sampled_from(sorted(_FUZZ_BASES)),
-        edits=st.lists(_EDITS, min_size=1, max_size=3),
+        case=st.one_of(_MUTATED, _MUTATED, _MUTATED, _UN_BASE_CHANGED),
         command=st.sampled_from(_COMMANDS),
     )
     @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_mutated_module_files_never_trace_back(self, tmp_path_factory, base, edits, command):
+    def test_mutated_module_files_never_trace_back(self, tmp_path_factory, case, command):
+        base, edits = case
         path = tmp_path_factory.mktemp("fuzz") / "module.json"
         _fuzz_file(path, base, edits)
         out, err = io.StringIO(), io.StringIO()
