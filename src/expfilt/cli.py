@@ -1,8 +1,10 @@
 """Command-line surface.
 
 Subcommands: carries, filt, expdeg, support, pullback, frobcheck, dims,
-verify.  Exit codes: 0 success, 2 validation failure (bad input), 3 property
-violation (an oracle or suite found falsified mathematics).
+verify.  Exit codes: 0 success, 2 validation failure (bad input: a malformed,
+law-violating, missing or unreadable module file, a bad option value or an
+unwritable ``--output``; :func:`main` prints it as one ``error:`` line),
+3 property violation (an oracle or suite found falsified mathematics).
 """
 
 import argparse
@@ -15,7 +17,6 @@ from .expdeg import exponential_degree, exponential_height, ga_exp_filtration, m
 from .fpcomb import PrimeField
 from .ga import GaUFamily, carries_basis, degree_filtration_ga, family_to_comodule, regular_comodule
 from .io import (
-    ModuleFileError,
     canonical_dumps,
     load_module,
     make_record,
@@ -40,11 +41,12 @@ EXIT_PROPERTY = 3
 
 
 def _emit(text: str, output):
+    text = text if text.endswith("\n") else text + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _emit_json(doc, output):
@@ -63,22 +65,12 @@ def cmd_carries(args) -> int:
         oracle = sorted(span.pivots)
         result["oracle"] = oracle
         result["agrees"] = oracle == basis
-        _emit_json(result, args.output)
-        return EXIT_OK if result["agrees"] else EXIT_PROPERTY
     _emit_json(result, args.output)
-    return EXIT_OK
-
-
-def _load(args):
-    try:
-        return load_module(args.file)
-    except (ModuleFileError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
+    return EXIT_OK if result.get("agrees", True) else EXIT_PROPERTY
 
 
 def cmd_filt(args) -> int:
-    obj = _load(args)
+    obj = load_module(args.file)
     if isinstance(obj, GaUFamily):
         if args.kind == "exp":
             space = ga_exp_filtration(obj, args.d)
@@ -92,8 +84,7 @@ def cmd_filt(args) -> int:
         else:
             space = degree_filtration_un(obj, args.d)
     else:
-        print("error: filtrations need a polynomial (non-truncated) group kind", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError("filtrations need a polynomial (non-truncated) group kind")
     lines = [f"dim {space.dim} of {space.ambient}"]
     lines.extend(" ".join(map(str, row)) for row in space.rows)
     _emit("\n".join(lines), args.output)
@@ -101,10 +92,9 @@ def cmd_filt(args) -> int:
 
 
 def cmd_expdeg(args) -> int:
-    obj = _load(args)
+    obj = load_module(args.file)
     deg = exponential_degree(obj)
-    field = obj.field
-    value = exponential_height(deg, field) if args.scale == "height" else deg
+    value = exponential_height(deg, obj.field) if args.scale == "height" else deg
     _emit(str(value), args.output)
     return EXIT_OK
 
@@ -113,6 +103,8 @@ def _sample_psis(obj, args):
     field = obj.field
     ga_form = isinstance(obj, GaUFamily) or obj.coalgebra.kind == "GaPoly"
     if args.exhaustive:
+        if args.height < 1:
+            raise ValueError(f"--height must be at least 1, got {args.height}")
         if ga_form:
             lams = range(field.p)
             return [
@@ -127,11 +119,9 @@ def _sample_psis(obj, args):
 
 
 def cmd_support(args) -> int:
-    obj = _load(args)
+    obj = load_module(args.file)
     if not isinstance(obj, GaUFamily) and obj.coalgebra.kind not in ("GaPoly", "UNPoly"):
-        print("error: support sampling needs a polynomial (non-truncated) group kind",
-              file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError("support sampling needs a polynomial (non-truncated) group kind")
     psis = _sample_psis(obj, args)
     verdicts = support_sample(obj, psis)
     records = [
@@ -155,7 +145,10 @@ def _is_int(v) -> bool:
 
 def _parse_psi(text: str, obj):
     """The --psi subgroup for a loaded module; a UN form takes N from the module."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("psi is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("psi must be a JSON object")
     if data.get("kind") == "Ga":
@@ -179,48 +172,30 @@ def _parse_psi(text: str, obj):
 
 
 def cmd_pullback(args) -> int:
-    obj = _load(args)
-    try:
-        psi = _parse_psi(args.psi, obj)
-        fam = pullback_module(obj, psi)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    obj = load_module(args.file)
+    fam = pullback_module(obj, _parse_psi(args.psi, obj))
     _emit_json(module_to_doc(fam), args.output)
     return EXIT_OK
 
 
 def cmd_frobcheck(args) -> int:
-    obj = _load(args)
+    obj = load_module(args.file)
     if isinstance(obj, GaUFamily):
         obj = family_to_comodule(obj)
-    try:
-        verdict = frobenius_injectivity_check(obj, args.r)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    verdict = frobenius_injectivity_check(obj, args.r)
     doc = {"r": args.r, "free": verdict.free, "witness": verdict.witness()}
     _emit_json(doc, args.output)
     return EXIT_OK
 
 
 def cmd_dims(args) -> int:
-    try:
-        ctx = UNContext(PrimeField(args.p), args.N)
-        rec = frobenius_kernel_dims(ctx, args.r)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    rec = frobenius_kernel_dims(UNContext(PrimeField(args.p), args.N), args.r)
     _emit_json(rec.as_dict(), args.output)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        records = run_suite(args.suite, seed=args.seed, p=args.p, N=args.N)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    records = run_suite(args.suite, seed=args.seed, p=args.p, N=args.N)
     doc = report_doc(records, seed=args.seed, extra={"suite": args.suite})
     _emit_json(doc, args.output)
     ok = report_ok(doc)
@@ -322,9 +297,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
-    except ValueError as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -194,7 +194,11 @@ def canonical_dumps(doc: dict) -> str:
 
 def load_module(path: str):
     with open(path, encoding="utf-8") as fh:
-        return parse_module(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ModuleFileError("module file is nested too deeply") from None
+    return parse_module(doc)
 
 
 def save_module(obj, path: str):

@@ -160,15 +160,14 @@ def random_ga_family(field: PrimeField, dim: int, rng: random.Random,
 
 
 def random_un_comodule(field: PrimeField, N: int, rng: random.Random,
-                       max_pieces: int = 2, degree_bound: int = 2) -> Comodule:
-    """Random validated comodule over k[U_N] with coaction degree <= degree_bound."""
+                       max_pieces: int = 2) -> Comodule:
+    """Random validated comodule over k[U_N] with coaction degree <= 2."""
     ctx = UNContext(field, N)
     pool = [
         lambda: trivial_comodule(field, ctx.coalgebra, rng.randrange(1, 3)),
         lambda: natural_rep(ctx),
+        lambda: sym_square_rep(ctx),
     ]
-    if degree_bound >= 2:
-        pool.append(lambda: sym_square_rep(ctx))
     pieces = [pool[rng.randrange(len(pool))]() for _ in range(rng.randrange(1, max_pieces + 1))]
     M = direct_sum(pieces) if len(pieces) > 1 else pieces[0]
     M = conjugate(M, random_invertible(field, M.dim, rng))

@@ -8,7 +8,15 @@ record's verdict is truthy.  Records are deterministic for a fixed seed.
 import math
 
 from . import coalgebras, linalg
-from .comodule import local_freeness, restrict_to_subspace, validate
+from .comodule import (
+    conjugate,
+    direct_sum,
+    local_freeness,
+    quotient_by_subspace,
+    restrict_to_subspace,
+    trivial_comodule,
+    validate,
+)
 from .expdeg import (
     SymbolicNilpotentDomain,
     coalg_exp_degree,
@@ -23,7 +31,7 @@ from .expdeg import (
     module_exp_filtration,
     relate_inclusions_check,
 )
-from .fpcomb import PrimeField
+from .fpcomb import PrimeField, digits
 from .ga import (
     carries_basis,
     degree_filtration_ga,
@@ -77,47 +85,49 @@ def _exact_pascal_rows(nmax: int):
         yield n, row
 
 
+def _sweep(check, inputs, law, witnesses):
+    """The record of a seeded sweep.
+
+    ``witnesses`` yields None for each case that passes and a witness for
+    each case that fails.  The sweep stops at the first failure, so a
+    generator draws nothing from its rng past that case.
+    """
+    witness = next((w for w in witnesses if w is not None), None)
+    return make_record(check, inputs, witness is None, law, witness=witness)
+
+
 # -- criterion 1: carries / Kummer ------------------------------------------------
 
 
-def suite_carries(seed=0, p=None, N=None):
-    from .fpcomb import digits
+def _carries_witness(n, row, fld):
+    """None when the basis of T^n matches the exact row, else a witness."""
+    q = fld.p
+    support = sorted({n - j for j, c in enumerate(row) if c % q})
+    basis = carries_basis(n, fld)
+    if basis != support or len(basis) != math.prod(d + 1 for d in digits(n, q)):
+        return {"n": n, "basis": basis, "oracle": support}
+    if n <= 80:
+        # full span oracle: vectors v_j(T^n) = C(n,j) T^{n-j} in k[T]_{<n+1}
+        vectors = []
+        for j, c in enumerate(row):
+            if c % q:
+                v = [0] * (n + 1)
+                v[n - j] = c % q
+                vectors.append(v)
+        span = Subspace.from_vectors(fld, n + 1, vectors)
+        if sorted(span.pivots) != support:
+            return {"n": n, "detail": "span pivots disagree"}
+    return None
 
+
+def suite_carries(seed=0, p=None, N=None):
     nmax = 300
-    records = []
     primes = [2, 3, 5] if p is None else [p]
-    for q in primes:
-        fld = PrimeField(q)
-        bad = None
-        for n, row in _exact_pascal_rows(nmax):
-            support = sorted({n - j for j, c in enumerate(row) if c % q})
-            basis = carries_basis(n, fld)
-            expected_count = math.prod(d + 1 for d in digits(n, q))
-            if basis != support or len(basis) != expected_count:
-                bad = {"n": n, "basis": basis, "oracle": support}
-                break
-            if n <= 80:
-                # full span oracle: vectors v_j(T^n) = C(n,j) T^{n-j} in k[T]_{<n+1}
-                vectors = []
-                for j, c in enumerate(row):
-                    if c % q:
-                        v = [0] * (n + 1)
-                        v[n - j] = c % q
-                        vectors.append(v)
-                span = Subspace.from_vectors(fld, n + 1, vectors)
-                if sorted(span.pivots) != support:
-                    bad = {"n": n, "detail": "span pivots disagree"}
-                    break
-        records.append(
-            make_record(
-                f"carries-p{q}",
-                {"p": q, "nmax": nmax},
-                bad is None,
-                "kummer-carries-basis",
-                witness=bad,
-            )
-        )
-    return records
+    return [
+        _sweep(f"carries-p{fld.p}", {"p": fld.p, "nmax": nmax}, "kummer-carries-basis",
+               (_carries_witness(n, row, fld) for n, row in _exact_pascal_rows(nmax)))
+        for fld in map(PrimeField, primes)
+    ]
 
 
 # -- criterion 2: Lucas consistency ------------------------------------------------
@@ -150,9 +160,8 @@ def suite_lucas(seed=0, p=None, N=None):
             if exact != ours:
                 j = next(i for i, (a, b) in enumerate(zip(exact, ours)) if a != b)
                 bad[q] = {"n": n, "j": j, "exact": exact[j], "lucas": ours[j]}
-        for j, q in wanted.get(n, ()):
-            if binom_mod(n, j, PrimeField(q)) != reduced[j] % q:
-                scalar_ok = False
+        scalar_ok &= all(binom_mod(n, j, PrimeField(q)) == reduced[j] % q
+                         for j, q in wanted.get(n, ()))
     records = [
         make_record(
             f"lucas-p{q}",
@@ -450,6 +459,14 @@ def suite_yr(seed=0, p=None, N=None):
 # -- criterion 10: Frobenius twist ----------------------------------------------------
 
 
+def _twist_witness(k, fld, rng):
+    """None when a random module's Frobenius twist keeps degree <= p * degree."""
+    M = random_un_comodule(fld, 3, rng)
+    d = exponential_degree(M)
+    dt = exponential_degree(frobenius_twist(M))
+    return {"case": k, "degree": d, "twist_degree": dt} if dt > fld.p * d else None
+
+
 def suite_twist(seed=0, p=None, N=None):
     primes = [3, 5] if p is None else [p]
     records = []
@@ -457,24 +474,10 @@ def suite_twist(seed=0, p=None, N=None):
     for q in primes:
         fld = PrimeField(q)
         rng = rng_from_seed((seed, q))
-        ok = True
-        witness = None
-        for k in range(per_prime):
-            M = random_un_comodule(fld, 3, rng, degree_bound=2)
-            d = exponential_degree(M)
-            dt = exponential_degree(frobenius_twist(M))
-            if dt > q * d:
-                ok = False
-                witness = {"case": k, "degree": d, "twist_degree": dt}
-                break
         records.append(
-            make_record(
-                f"twist-bound-p{q}",
-                {"p": q, "count": per_prime},
-                ok,
-                "frobenius-twist-degree-bound",
-                witness=witness,
-            )
+            _sweep(f"twist-bound-p{q}", {"p": q, "count": per_prime},
+                   "frobenius-twist-degree-bound",
+                   (_twist_witness(k, fld, rng) for k in range(per_prime)))
         )
     fld3 = PrimeField(3)
     nat = natural_rep(UNContext(fld3, 2))
@@ -491,6 +494,19 @@ def suite_twist(seed=0, p=None, N=None):
 
 
 # -- criterion 11: freeness at Frobenius kernels --------------------------------------
+
+
+def _freeness_witness(k, p, rng):
+    """None when a random free module reads free and its sum with a trivial one does not."""
+    q = (2, 3)[rng.randrange(2)] if p is None else p
+    r = 1 if q == 3 else rng.randrange(1, 3)
+    copies = rng.randrange(1, 3)
+    M = random_free_trunc_module(PrimeField(q), r, copies, rng)
+    if not local_freeness(M).free:
+        return {"case": k, "expected": "free"}
+    if local_freeness(with_trivial_summand(M, rng)).free:
+        return {"case": k, "expected": "not free"}
+    return None
 
 
 def suite_freeness(seed=0, p=None, N=None):
@@ -538,31 +554,10 @@ def suite_freeness(seed=0, p=None, N=None):
         )
     )
     rng = rng_from_seed(seed)
-    ok = True
-    witness = None
-    for k in range(random_cases):
-        q = (2, 3)[rng.randrange(2)] if p is None else p
-        fld = PrimeField(q)
-        r = 1 if q == 3 else rng.randrange(1, 3)
-        copies = rng.randrange(1, 3)
-        M = random_free_trunc_module(fld, r, copies, rng)
-        if not local_freeness(M).free:
-            ok = False
-            witness = {"case": k, "expected": "free"}
-            break
-        M2 = with_trivial_summand(M, rng)
-        if local_freeness(M2).free:
-            ok = False
-            witness = {"case": k, "expected": "not free"}
-            break
     records.append(
-        make_record(
-            "free-random-sweep",
-            {"cases": random_cases, "seed": seed},
-            ok,
-            "freeness-detector-random-sweep",
-            witness=witness,
-        )
+        _sweep("free-random-sweep", {"cases": random_cases, "seed": seed},
+               "freeness-detector-random-sweep",
+               (_freeness_witness(k, p, rng) for k in range(random_cases)))
     )
     return records
 
@@ -571,156 +566,107 @@ def suite_freeness(seed=0, p=None, N=None):
 
 
 def _filtration_laws(M, filt):
-    """Shared law battery: idempotence, monotone chain, exhaustion, stability."""
+    """The first law of the battery that M breaks, or None: idempotence,
+    monotone chain, exhaustion, stability."""
     dmax = M.max_entry_degree() + 1
     prev = None
     for d in range(1, dmax + 1):
         S = filt(M, d)
         if prev is not None and not S.contains_space(prev):
-            return False, f"chain not monotone at d={d}"
+            return f"chain not monotone at d={d}"
         prev = S
         if S.dim:
             try:
                 sub = restrict_to_subspace(M, S)
             except ValueError:  # S is not coaction-stable
-                return False, f"filtration piece not coaction-stable at d={d}"
+                return f"filtration piece not coaction-stable at d={d}"
             if not validate(sub).ok:
-                return False, f"restricted coaction violates comodule laws at d={d}"
+                return f"restricted coaction violates comodule laws at d={d}"
             if sub.max_entry_degree() >= d:
-                return False, f"restricted coaction entries too large at d={d}"
+                return f"restricted coaction entries too large at d={d}"
             again = filt(sub, d)
             if not again.is_full():
-                return False, f"idempotence fails at d={d}"
+                return f"idempotence fails at d={d}"
     if prev is None or not prev.is_full():
-        return False, "filtration does not exhaust"
-    return True, None
+        return "filtration does not exhaust"
+    return None
+
+
+def _laws_witness(k, M, filt):
+    detail = _filtration_laws(M, filt)
+    return None if detail is None else {"case": k, "detail": detail}
 
 
 def suite_functor_laws(seed=0, p=None, N=None):
     cases_per_kind = 50
-    records = []
     q = 3 if p is None else p
     fld = PrimeField(q)
-    rng = rng_from_seed((seed, "ga"))
-    ok = True
-    witness = None
-    for k in range(cases_per_kind):
-        fam = random_ga_family(fld, rng.randrange(2, 5), rng)
-        M = family_to_comodule(fam)
-        good, msg = _filtration_laws(M, degree_filtration_ga)
-        if not good:
-            ok = False
-            witness = {"case": k, "detail": msg}
-            break
-    records.append(
-        make_record(
-            "functor-laws-ga",
-            {"p": q, "cases": cases_per_kind},
-            ok,
-            "degree-filtration-functor-laws",
-            witness=witness,
-        )
+    kinds = (
+        ("ga", {"p": q, "cases": cases_per_kind}, degree_filtration_ga,
+         lambda rng: family_to_comodule(random_ga_family(fld, rng.randrange(2, 5), rng))),
+        ("un", {"p": q, "N": 3, "cases": cases_per_kind}, degree_filtration_un,
+         lambda rng: random_un_comodule(fld, 3, rng)),
     )
-    rng = rng_from_seed((seed, "un"))
-    ok = True
-    witness = None
-    for k in range(cases_per_kind):
-        M = random_un_comodule(fld, 3, rng)
-        good, msg = _filtration_laws(M, degree_filtration_un)
-        if not good:
-            ok = False
-            witness = {"case": k, "detail": msg}
-            break
-    records.append(
-        make_record(
-            "functor-laws-un",
-            {"p": q, "N": 3, "cases": cases_per_kind},
-            ok,
-            "degree-filtration-functor-laws",
-            witness=witness,
+    records = []
+    for kind, inputs, filt, draw in kinds:
+        rng = rng_from_seed((seed, kind))
+        records.append(
+            _sweep(f"functor-laws-{kind}", inputs, "degree-filtration-functor-laws",
+                   (_laws_witness(k, draw(rng), filt) for k in range(cases_per_kind)))
         )
-    )
     return records
 
 
 # -- criterion 13: mock-trivial equivalence -------------------------------------------
 
 
-def suite_mock_trivial(seed=0, p=None, N=None):
-    from .comodule import direct_sum, quotient_by_subspace, trivial_comodule, conjugate
+def _mock_positive_witness(k, fld, coalg, rng):
+    """None when a random mock-trivial module has 5 trivial pullbacks and Thetas."""
+    dims = [rng.randrange(1, 4) for _ in range(rng.randrange(1, 3))]
+    M = direct_sum([trivial_comodule(fld, coalg, d) for d in dims])
+    if M.dim > 1 and rng.random() < 0.5:
+        drop = Subspace.from_vectors(fld, M.dim, [[1 if i == 0 else 0 for i in range(M.dim)]])
+        M = quotient_by_subspace(M, drop)
+    M = conjugate(M, random_invertible(fld, M.dim, rng))
+    if not mock_trivial_check(M):
+        return {"case": k, "detail": "constructed module not detected mock-trivial"}
+    for _ in range(5):
+        psi = random_1psg_un(fld, 3, rng)
+        fam = pullback_module(M, psi)
+        theta = theta_operator(M, psi)
+        if not fam.is_trivial() or not linalg.is_zero_matrix(theta, fld):
+            return {"case": k, "detail": "nontrivial pullback or Theta"}
+    return None
 
+
+def _mock_negative_witness(k, fld, coalg, rng, search):
+    """None when a random non-trivial module has a nonzero Theta within ``search`` draws."""
+    pieces = [natural_rep(UNContext(fld, 3))]
+    if rng.random() < 0.5:
+        pieces.append(trivial_comodule(fld, coalg, rng.randrange(1, 3)))
+    M = direct_sum(pieces) if len(pieces) > 1 else pieces[0]
+    M = conjugate(M, random_invertible(fld, M.dim, rng))
+    if mock_trivial_check(M):
+        return {"case": k, "detail": "non-trivial module detected mock-trivial"}
+    thetas = (theta_operator(M, random_1psg_un(fld, 3, rng, nonzero=True)) for _ in range(search))
+    if all(linalg.is_zero_matrix(theta, fld) for theta in thetas):
+        return {"case": k, "detail": f"no Theta witness within {search} samples"}
+    return None
+
+
+def suite_mock_trivial(seed=0, p=None, N=None):
     count, search = 20, 50
     q = 3 if p is None else p
     fld = PrimeField(q)
     coalg = coalgebras.un_poly(3)
     rng = rng_from_seed((seed, "mock"))
-    records = []
-
-    ok = True
-    witness = None
-    for k in range(count):
-        dims = [rng.randrange(1, 4) for _ in range(rng.randrange(1, 3))]
-        M = direct_sum([trivial_comodule(fld, coalg, d) for d in dims])
-        if M.dim > 1 and rng.random() < 0.5:
-            drop = Subspace.from_vectors(fld, M.dim, [[1 if i == 0 else 0 for i in range(M.dim)]])
-            M = quotient_by_subspace(M, drop)
-        M = conjugate(M, random_invertible(fld, M.dim, rng))
-        if not mock_trivial_check(M):
-            ok = False
-            witness = {"case": k, "detail": "constructed module not detected mock-trivial"}
-            break
-        for _ in range(5):
-            psi = random_1psg_un(fld, 3, rng)
-            fam = pullback_module(M, psi)
-            theta = theta_operator(M, psi)
-            if not fam.is_trivial() or not linalg.is_zero_matrix(theta, fld):
-                ok = False
-                witness = {"case": k, "detail": "nontrivial pullback or Theta"}
-                break
-        if not ok:
-            break
-    records.append(
-        make_record(
-            "mock-trivial-positive",
-            {"p": q, "count": count},
-            ok,
-            "mock-trivial-pullbacks-trivial",
-            witness=witness,
-        )
-    )
-
-    ok = True
-    witness = None
-    for k in range(count):
-        pieces = [natural_rep(UNContext(fld, 3))]
-        if rng.random() < 0.5:
-            pieces.append(trivial_comodule(fld, coalg, rng.randrange(1, 3)))
-        M = direct_sum(pieces) if len(pieces) > 1 else pieces[0]
-        M = conjugate(M, random_invertible(fld, M.dim, rng))
-        if mock_trivial_check(M):
-            ok = False
-            witness = {"case": k, "detail": "non-trivial module detected mock-trivial"}
-            break
-        found = False
-        for _ in range(search):
-            psi = random_1psg_un(fld, 3, rng, nonzero=True)
-            if not linalg.is_zero_matrix(theta_operator(M, psi), fld):
-                found = True
-                break
-        if not found:
-            ok = False
-            witness = {"case": k, "detail": f"no Theta witness within {search} samples"}
-            break
-    records.append(
-        make_record(
-            "mock-trivial-negative",
-            {"p": q, "count": count, "search": search},
-            ok,
-            "mock-trivial-witness-search",
-            witness=witness,
-        )
-    )
-    return records
+    return [
+        _sweep("mock-trivial-positive", {"p": q, "count": count}, "mock-trivial-pullbacks-trivial",
+               (_mock_positive_witness(k, fld, coalg, rng) for k in range(count))),
+        _sweep("mock-trivial-negative", {"p": q, "count": count, "search": search},
+               "mock-trivial-witness-search",
+               (_mock_negative_witness(k, fld, coalg, rng, search) for k in range(count))),
+    ]
 
 
 SUITES = {
@@ -742,10 +688,7 @@ SUITES = {
 
 def run_suite(name: str, seed=0, p=None, N=None) -> list:
     if name == "all":
-        out = []
-        for key in SUITES:
-            out.extend(SUITES[key](seed=seed, p=p, N=N))
-        return out
+        return [rec for suite in SUITES.values() for rec in suite(seed=seed, p=p, N=N)]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     return SUITES[name](seed=seed, p=p, N=N)

@@ -7,6 +7,7 @@ or equivalently ``expfilt verify --suite all``.
 """
 
 import time
+import types
 
 import pytest
 
@@ -62,3 +63,35 @@ def run_criterion(name):
 @pytest.mark.parametrize("name", list(SUITES), ids=[TITLES[n][:2] for n in SUITES])
 def test_criterion(name):
     run_criterion(name)
+
+
+def test_a_failing_sweep_stops_at_its_first_witness(monkeypatch):
+    """free-random-sweep with local_freeness reading not-free at the third
+    sampled module: the verdict is False, the witness is that case's, and the
+    sampler draws no later case."""
+    from expfilt import verify
+
+    drawn = []
+    sampler, freeness = verify.random_free_trunc_module, verify.local_freeness
+
+    def counting_sampler(*args):
+        drawn.append(sampler(*args))
+        return drawn[-1]
+
+    def not_free_at_third(M):
+        if len(drawn) == 3 and M is drawn[-1]:
+            return types.SimpleNamespace(free=False)
+        return freeness(M)
+
+    monkeypatch.setattr(verify, "random_free_trunc_module", counting_sampler)
+    monkeypatch.setattr(verify, "local_freeness", not_free_at_third)
+    records = {r["check"]: r for r in verify.suite_freeness(seed=0)}
+    assert records.pop("free-random-sweep") == {
+        "check": "free-random-sweep",
+        "inputs": {"cases": 50, "seed": 0},
+        "verdict": False,
+        "law": "freeness-detector-random-sweep",
+        "witness": {"case": 2, "expected": "free"},
+    }
+    assert len(drawn) == 3
+    assert all(r["verdict"] for r in records.values())

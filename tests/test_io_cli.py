@@ -176,6 +176,12 @@ class TestModuleFile:
         with pytest.raises(ModuleFileError):
             parse_module(doc)
 
+    def test_nesting_past_the_recursion_limit_rejected(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        with pytest.raises(ModuleFileError, match="nested too deeply"):
+            load_module(str(path))
+
     def test_trunc_group_kinds(self):
         from expfilt.ga import regular_comodule, restrict_frobenius_ga
 
@@ -400,9 +406,10 @@ class TestCli:
             ('{"kind": "UN", "mats": [[[0, 0], [1, 0]]]}', "strictly upper triangular"),
             ('{"kind": "UN", "mats": [[[0, 1, 0], [0, 0, 0], [0, 0, 0]]]}', "not N x N"),
             ('{"kind": "XY"}', "kind"),
+            ("[" * 5000, "nested too deeply"),
         ],
         ids=["not-object", "mats-int", "float-entry", "bool-entry", "flat-mats", "lambdas-str",
-             "lower", "3x3-for-N=2", "bad-kind"],
+             "lower", "3x3-for-N=2", "bad-kind", "deep"],
     )
     def test_pullback_bad_psi_exits_2(self, module_file, capsys, psi, reason):
         path = module_file(natural_rep(UNContext(F3, 2)))
@@ -466,6 +473,43 @@ class TestCli:
         path = tmp_path / "junk.json"
         path.write_text("{not json", encoding="utf-8")
         assert main(["expdeg", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["expdeg", "{tmp}/missing.json"], "No such file"),
+            (["expdeg", "{tmp}"], "directory"),
+            (["expdeg", "{tmp}/deep.json"], "nested too deeply"),
+            (["expdeg", "{tmp}/module.json", "--output", "{tmp}/no-dir/out.txt"], "No such file"),
+            (["expdeg", "{tmp}/module.json", "--output", "{tmp}"], "directory"),
+        ],
+        ids=["missing", "directory", "deep", "output-in-missing-dir", "output-is-directory"],
+    )
+    def test_unreadable_input_or_output_exits_2(self, tmp_path, capsys, argv, reason):
+        """One error line on stderr and exit 2, where the file calls raised
+        an OSError or a RecursionError traceback before."""
+        (tmp_path / "module.json").write_text(canonical_dumps(natural_u3_doc()), encoding="utf-8")
+        (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+        assert reason in captured.err
+
+    def test_missing_file_exits_2_without_traceback(self, tmp_path):
+        done, _ = run_cli_process(["expdeg", str(tmp_path / "missing.json")], timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("height", [0, -1])
+    @pytest.mark.parametrize("kind", ["UN", "Ga"])
+    def test_support_exhaustive_height_below_1_exits_2(self, module_file, capsys, kind, height):
+        M = natural_rep(UNContext(F3, 3)) if kind == "UN" else regular_comodule(F3, 3)
+        path = module_file(M)
+        assert main(["support", path, "--exhaustive", "--height", str(height)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --height must be at least 1, got {height}\n"
 
     @pytest.mark.parametrize(
         "module",
