@@ -18,6 +18,7 @@ from .comodule import (
     jordan_type,
     local_freeness,
     radical_quotient_dim,
+    restrict_frobenius,
     trivial_comodule,
     validate,
 )
@@ -45,7 +46,6 @@ from .ga import (
     family_to_comodule,
     ga_one_param_theta,
     regular_comodule,
-    restrict_frobenius_ga,
     retract_iso_check,
     y_r_family,
 )

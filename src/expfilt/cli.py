@@ -14,7 +14,7 @@ import sys
 
 from .comodule import generated_submodule
 from .expdeg import exponential_degree, exponential_height, ga_exp_filtration, module_exp_filtration
-from .fpcomb import PrimeField
+from .fpcomb import PrimeField, desk_power
 from .ga import GaUFamily, carries_basis, degree_filtration_ga, family_to_comodule, regular_comodule
 from .io import (
     canonical_dumps,
@@ -106,6 +106,7 @@ def _sample_psis(obj, args):
         if args.height < 1:
             raise ValueError(f"--height must be at least 1, got {args.height}")
         if ga_form:
+            desk_power(field, args.height, "Ga subgroups of height h")
             lams = range(field.p)
             return [
                 ga_psg(field, combo)

@@ -35,14 +35,17 @@ a substitution, the constraint rows of a filtration) is a sum
 sum_mu image(mu) A_mu, formed in one place, :func:`linear_image` (for a
 scalar functional, :func:`dual_action`); kernels of such tables are taken
 in one place, :func:`row_kernel`, which groups the entries of each matrix
-by row and keeps each line once.  A coideal preimage for a monomial-spanned
+by row and keeps each line once (the radical quotient ranks the same lines
+of the transposed matrices).  A coideal preimage for a monomial-spanned
 B, given as a membership test, is the row kernel of the A_mu for every mu
 outside B; the submodule generated by vectors s is the span of the A_mu s;
 stability, restriction and quotient read one pass over ``acts``
 (:func:`_split_actions`), which applies each A_mu to the reduced basis rows
 of a subspace S (and, for the quotient, to the unit vectors off its pivots)
 and splits every image into its pivot coordinates and its residue modulo
-S; base change by g is g A_mu g^{-1}.
+S; base change by g is g A_mu g^{-1}.  The restriction of a k[Ga]- or
+k[U_N]-comodule to a Frobenius kernel drops the monomials past the
+truncation (:func:`restrict_frobenius`).
 """
 
 from collections import defaultdict
@@ -345,20 +348,21 @@ def linear_image(acts: dict, images: dict, p: int) -> dict:
     return acts_from_sums(sums, p)
 
 
-def row_kernel(tables, ncols: int, field: PrimeField) -> Subspace:
-    """{x : A x = 0 for every listed A}, each A its nonzero entries (j, i, c).
-
-    The entries of A are grouped into its rows by j, c in [1, p); rows that
-    are multiples of one another are kept once, which leaves the kernel as
-    it is.
-    """
+def _row_lines(tables, ncols: int, field: PrimeField) -> list:
+    """The rows of the listed A, each A its nonzero entries (j, i, c), grouped
+    by j and kept once per line (which keeps their span and kernel)."""
     rows = []
     for table in tables:
         by_row = defaultdict(list)
         for j, i, c in table:
             by_row[j].append((i, c))
         rows.extend(by_row.values())
-    return linalg.kernel_of(linalg.distinct_lines(rows, ncols, field), ncols, field)
+    return linalg.distinct_lines(rows, ncols, field)
+
+
+def row_kernel(tables, ncols: int, field: PrimeField) -> Subspace:
+    """{x : A x = 0 for every listed A}, each A its nonzero entries (j, i, c)."""
+    return linalg.kernel_of(_row_lines(tables, ncols, field), ncols, field)
 
 
 def action_matrices(M: Comodule) -> dict:
@@ -577,7 +581,21 @@ def conjugate(M: Comodule, g: Matrix) -> Comodule:
     return Comodule(fld, M.coalgebra, n, acts)
 
 
-# -- radical quotients and local freeness -------------------------------------
+# -- Frobenius kernels, radical quotients and local freeness -------------------
+
+
+def restrict_frobenius(M: Comodule, r: int) -> Comodule:
+    """Restrict a k[Ga]- or k[U_N]-comodule to the r-th Frobenius kernel: reduce
+    the coaction mod the p^r-th powers of the generators."""
+    if M.coalgebra.kind == "GaPoly":
+        kernel = coalgebras.ga_trunc(r)  # rejects r < 1
+    elif M.coalgebra.kind == "UNPoly":
+        kernel = coalgebras.un_trunc(M.coalgebra.N, r)
+    else:
+        raise ValueError("restrict_frobenius needs a comodule over k[Ga] or k[U_N]")
+    bound = M.field.p**r
+    acts = {m: act for m, act in M.acts.items() if all(e < bound for _, e in m)}
+    return Comodule(M.field, kernel, M.dim, acts)
 
 
 def radical_quotient_dim(M: Comodule) -> int:
@@ -585,21 +603,13 @@ def radical_quotient_dim(M: Comodule) -> int:
 
     rad(A) is spanned by the dual-basis functionals of non-identity monomials;
     only monomials occurring in the coaction can act nonzero, so rad(A).M is
-    spanned by the nonzero columns of their action matrices, read sparsely
-    from ``acts`` and kept once per line.
+    spanned by the nonzero columns of their action matrices: the rows of the
+    transposed tables, kept once per line.
     """
     if not M.coalgebra.is_truncated():
         raise ValueError("radical quotient needs a truncated (finite) coalgebra")
-    columns = []
-    for mono, act in M.acts.items():
-        if mono == ():
-            continue
-        col = defaultdict(list)  # column i of A_mu
-        for j, i, c in act:
-            col[i].append((j, c))
-        columns.extend(col.values())
-    vectors = linalg.distinct_lines(columns, M.dim, M.field)
-    return M.dim - Subspace.from_vectors(M.field, M.dim, vectors).dim
+    transposed = ([(i, j, c) for j, i, c in act] for mono, act in M.acts.items() if mono != ())
+    return M.dim - linalg.mat_rank(_row_lines(transposed, M.dim, M.field), M.dim, M.field)
 
 
 @dataclass

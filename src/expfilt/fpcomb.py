@@ -15,7 +15,8 @@ MAX_PRIME = 97
 
 # Desk-scale work bound shared by every exhaustive enumeration: the Ga
 # digit-vector loop, the products of the digit-product walk, Frobenius-kernel
-# monomial counts and dual algebras.
+# monomial counts and dual algebras.  Every size p^k is checked against it
+# in one place, :func:`desk_power`.
 DESK_GUARD = 10**6
 
 
@@ -76,6 +77,15 @@ def digits(n: int, p: int) -> list:
     return out
 
 
+def desk_power(field: PrimeField, k: int, what: str) -> int:
+    """p^k, the count of ``what``; ValueError past :data:`DESK_GUARD`.  As p >= 2,
+    k >= ``DESK_GUARD.bit_length()`` is rejected without forming p^k."""
+    p = field.p
+    if k >= DESK_GUARD.bit_length() or p**k > DESK_GUARD:
+        raise ValueError(f"{what}: {p}^{k} exceeds the desk-scale guard {DESK_GUARD}")
+    return p**k
+
+
 def digit_sums(field: PrimeField, places):
     """Every j = sum_s j_s p^s with digits j_s in [0, p) at the given places.
 
@@ -84,11 +94,7 @@ def digit_sums(field: PrimeField, places):
     :data:`DESK_GUARD`.
     """
     p = field.p
-    count = p ** len(places)
-    if count > DESK_GUARD:
-        raise ValueError(
-            f"{count} = {p}^{len(places)} digit vectors exceed the desk-scale guard {DESK_GUARD}"
-        )
+    desk_power(field, len(places), "digit vectors")
     weights = [p**s for s in places]
     return (
         sum(d * w for d, w in zip(combo, weights))

@@ -1,6 +1,7 @@
 """Structures specific to the additive group: the divided-power family u_s/v_j,
-rationality checks, the degree filtration, the carries basis, Frobenius-kernel
-restriction and the coalgebra splitting.
+rationality checks, the degree filtration, the carries basis and the
+coalgebra splitting.  The restriction to a Frobenius kernel is
+:func:`expfilt.comodule.restrict_frobenius`, shared with k[U_N].
 
 A module is primarily a :class:`GaUFamily` (the matrices of the generators
 u_s); the coaction form Delta(m) = sum_j v_j(m) (x) T^j is derived on demand,
@@ -12,12 +13,13 @@ expands a 1-parameter subgroup in :mod:`expfilt.support`).
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 
 from . import coalgebras, linalg
-from .comodule import Comodule, action_matrices, coideal_preimage, degree_below
+from .comodule import Comodule, action_matrices, coideal_preimage, degree_below, restrict_frobenius
 from .comodule import generated_submodule  # noqa: F401 (re-exported)
-from .fpcomb import PrimeField, binom_row_mod, digit_dominates, digit_sums, digits
+from .fpcomb import DESK_GUARD, PrimeField, binom_row_mod, digit_dominates, digit_sums, digits
 from .linalg import Matrix, Subspace
 from .polyring import monomial
 
@@ -47,16 +49,20 @@ class GaUFamily:
 
 
 def validate_family(U: GaUFamily) -> list:
-    """Violations of the family invariants (empty list when valid)."""
+    """Violations of the family invariants (empty list when valid); the
+    commutation checks run only when every u_s is dim x dim."""
     out = []
     fld = U.field
-    mats = {s: m for s, m in U.u_mats.items()}
+    mats = U.u_mats
+    misshapen = False
     for s, m in mats.items():
         if len(m) != U.dim or any(len(r) != U.dim for r in m):
             out.append(f"u_{s} is not {U.dim}x{U.dim}")
-            continue
-        if not linalg.is_p_nilpotent(m, fld):
+            misshapen = True
+        elif not linalg.is_p_nilpotent(m, fld):
             out.append(f"u_{s}^p != 0")
+    if misshapen:
+        return out
     keys = sorted(mats)
     for a_idx, s in enumerate(keys):
         for t in keys[a_idx + 1 :]:
@@ -171,8 +177,7 @@ def regular_comodule(field: PrimeField, D: int) -> Comodule:
 
 def regular_trunc_comodule(field: PrimeField, r: int) -> Comodule:
     """k[T]/T^{p^r} as a comodule over itself (dimension p^r)."""
-    M = restrict_frobenius_ga(regular_comodule(field, field.p**r), r)
-    return M
+    return restrict_frobenius(regular_comodule(field, field.p**r), r)
 
 
 # -- filtrations and submodules -------------------------------------------------
@@ -188,27 +193,20 @@ def degree_filtration_ga(M: Comodule, d: int) -> Subspace:
 
 
 def carries_basis(n: int, field: PrimeField) -> list:
-    """All m whose base-p digits are dominated by those of n, sorted."""
+    """All m whose base-p digits are dominated by those of n, sorted; raises
+    ValueError, before enumerating, when their count exceeds DESK_GUARD."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     ds = digits(n, field.p)
+    count = math.prod(d + 1 for d in ds)
+    if count > DESK_GUARD:
+        raise ValueError(f"{count} carries-basis elements exceed the desk-scale guard {DESK_GUARD}")
     out = []
     for combo in itertools.product(*(range(d + 1) for d in ds)):
         out.append(sum(c * field.p**i for i, c in enumerate(combo)))
     out.sort()
     assert all(digit_dominates(m, n, field) for m in out)
     return out
-
-
-def restrict_frobenius_ga(M: Comodule, r: int) -> Comodule:
-    """Reduce the coaction mod T^{p^r}: the restriction to the r-th kernel."""
-    if M.coalgebra.kind != "GaPoly":
-        raise ValueError("restrict_frobenius_ga needs a comodule over k[Ga]")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    bound = M.field.p**r
-    acts = {m: act for m, act in M.acts.items() if all(e < bound for _, e in m)}
-    return Comodule(M.field, coalgebras.ga_trunc(r), M.dim, acts)
 
 
 def retract_iso_check(r: int, field: PrimeField, correspondence=None) -> dict:

@@ -36,7 +36,7 @@ from collections import defaultdict
 
 from . import coalgebras
 from .comodule import Comodule, validate
-from .fpcomb import PrimeField
+from .fpcomb import DESK_GUARD, PrimeField, desk_power
 from .ga import GaUFamily, require_valid_family
 from .polyring import format_poly, parse_terms
 
@@ -68,18 +68,28 @@ def _int_field(obj: dict, key: str, what: str = "field") -> int:
     return _as_int(_field(obj, key, what), f"{what} {key!r}")
 
 
-def _coalgebra_from_group(group: dict) -> coalgebras.CoalgebraId:
+def _coalgebra_from_group(group: dict, field: PrimeField) -> coalgebras.CoalgebraId:
+    """The group's coalgebra; rejected past the desk-scale guard: p^(r*m) for a
+    truncated group, the (N-1)N(N+4)/6 generator coproduct terms of k[U_N]."""
     kind = group.get("kind")
     what = f"group {kind!r} field"
     if kind == "Ga":
         return coalgebras.ga_poly()
-    if kind == "GaTrunc":
-        return coalgebras.ga_trunc(_int_field(group, "r", what))
     if kind == "UN":
-        return coalgebras.un_poly(_int_field(group, "N", what))
-    if kind == "UNTrunc":
-        return coalgebras.un_trunc(_int_field(group, "N", what), _int_field(group, "r", what))
-    raise ModuleFileError(f"unknown group kind {kind!r}")
+        N = _int_field(group, "N", what)
+        terms = (N - 1) * N * (N + 4) // 6
+        if terms > DESK_GUARD:
+            raise ModuleFileError(f"N = {N}: the {terms} generator coproduct terms of k[U_N] "
+                                  f"exceed the desk-scale guard {DESK_GUARD}")
+        return coalgebras.un_poly(N)
+    if kind == "GaTrunc":
+        coalg = coalgebras.ga_trunc(_int_field(group, "r", what))
+    elif kind == "UNTrunc":
+        coalg = coalgebras.un_trunc(_int_field(group, "N", what), _int_field(group, "r", what))
+    else:
+        raise ModuleFileError(f"unknown group kind {kind!r}")
+    desk_power(field, coalg.r * coalgebras.group_dimension(coalg), "truncated group order p^(r*m)")
+    return coalg
 
 
 def _group_from_coalgebra(coalg: coalgebras.CoalgebraId) -> dict:
@@ -133,7 +143,7 @@ def parse_module(doc: dict):
             raise ModuleFileError("u_mats rows must be dim x dim")
         require_valid_family(fam)
         return fam
-    coalg = _coalgebra_from_group(group)
+    coalg = _coalgebra_from_group(group, field)
     dim = _int_field(module, "dim")
     rows = _field(module, "coaction")
     _require_matrix(rows, "coaction", str)

@@ -1,6 +1,7 @@
 """One-parameter subgroups as commuting p-nilpotent tuples, the p-nilpotent
 operator Theta, freeness/support tests, pullback modules and per-level
-Frobenius-kernel injectivity checks.
+Frobenius-kernel injectivity checks (the restriction to the kernel is
+:func:`~expfilt.comodule.restrict_frobenius`, one for k[Ga] and k[U_N]).
 
 A height-r subgroup is psi = prod_{s<r} exp_{B_s}(T^{p^s}) for a commuting
 tuple (B_0, ..., B_{r-1}); Theta is the operator of sum_s (coefficient of
@@ -34,18 +35,19 @@ test reads Theta^p = 0 and the Jordan type off one chain of powers.
 from dataclasses import dataclass
 
 from . import coalgebras, linalg
-from .comodule import Comodule, FreenessVerdict, dual_action, jordan_type, linear_image, local_freeness
-from .fpcomb import DESK_GUARD, PrimeField
-from .ga import (
-    GaUFamily,
-    comodule_to_family,
-    family_to_comodule,
-    ga_one_param_theta,
-    restrict_frobenius_ga,
+from .comodule import (
+    Comodule,
+    FreenessVerdict,
+    dual_action,
+    jordan_type,
+    linear_image,
+    local_freeness,
+    restrict_frobenius,
 )
+from .fpcomb import PrimeField, desk_power
+from .ga import GaUFamily, comodule_to_family, family_to_comodule, ga_one_param_theta
 from .linalg import Matrix
 from .polyring import frobenius_images, monomial_degree
-from .un import restrict_frobenius_un
 
 _NOT_P_NILPOTENT = "Theta^p != 0: corrupted input module"
 
@@ -269,12 +271,8 @@ def pullback_module(M, psi: OneParamSubgroup) -> GaUFamily:
 
 def frobenius_injectivity_check(M: Comodule, r: int) -> FreenessVerdict:
     """Restrict to the level-r kernel and test freeness over its dual algebra."""
-    if M.coalgebra.kind == "GaPoly":
-        restricted = restrict_frobenius_ga(M, r)
-    elif M.coalgebra.kind == "UNPoly":
-        restricted = restrict_frobenius_un(M, r)
-    else:
+    if M.coalgebra.kind not in ("GaPoly", "UNPoly"):
         raise ValueError("frobenius_injectivity_check needs a k[Ga]- or k[U_N]-comodule")
-    if coalgebras.dual_algebra_dim(restricted.coalgebra, M.field) > DESK_GUARD:
-        raise ValueError("p^(r*m) exceeds the desk-scale guard")
-    return local_freeness(restricted)
+    m = coalgebras.group_dimension(M.coalgebra)
+    desk_power(M.field, r * m, "dual algebra dimension p^(r*m)")
+    return local_freeness(restrict_frobenius(M, r))

@@ -5,12 +5,13 @@ degree filtration, restriction maps, and the standard comodule constructors
 (natural and symmetric-square, both directly and by restriction from the
 N x N matrix coalgebra).  The restrictions here are along group maps that
 send each coordinate function to a generator, to 1 or to 0, so each is a
-relabelling of the action table: to a Frobenius kernel it drops the
-monomials past the truncation, from k[Ga] to k[U_2] it renames T to x1_2,
-and from k[M_N] to k[U_N] it maps each monomial to its U_N part
-(:func:`un_part`) and sums the actions that land on one monomial.  A
-restriction along a 1-parameter subgroup is
-:func:`expfilt.support.pullback_module`.
+relabelling of the action table: from k[Ga] to k[U_2] it renames T to
+x1_2, and from k[M_N] to k[U_N] it maps each monomial to its U_N part
+(:func:`un_part`) and sums the actions that land on one monomial.  The
+restriction to a Frobenius kernel, which drops the monomials past the
+truncation for k[Ga] and k[U_N] alike, is
+:func:`expfilt.comodule.restrict_frobenius`; a restriction along a
+1-parameter subgroup is :func:`expfilt.support.pullback_module`.
 """
 
 import itertools
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from . import coalgebras
 from .coalgebras import CoalgebraId
 from .comodule import Comodule, acts_from_sums, coideal_preimage, degree_below, linear_image
-from .fpcomb import DESK_GUARD, PrimeField
+from .fpcomb import PrimeField, desk_power
 from .linalg import Subspace
 from .polyring import Monomial, _merge_monomials, monomial
 
@@ -114,9 +115,8 @@ def frobenius_kernel_dims(ctx: UNContext, r: int) -> FrobeniusKernelDims:
         raise ValueError("r must be >= 1")
     p = ctx.field.p
     m = ctx.m
+    dim_formula = desk_power(ctx.field, r * m, "kernel dimension p^(r*m)")
     q = p**r
-    if p ** (r * m) > DESK_GUARD:
-        raise ValueError(f"p^(r*m) = {p ** (r * m)} exceeds the desk-scale guard")
 
     # enumerate monomials with all exponents < p^r
     dim_kernel = 0
@@ -139,7 +139,7 @@ def frobenius_kernel_dims(ctx: UNContext, r: int) -> FrobeniusKernelDims:
         r=r,
         m=m,
         dim_kernel=dim_kernel,
-        dim_kernel_formula=p ** (r * m),
+        dim_kernel_formula=dim_formula,
         dim_piece_strict=enumerated_piece,
         dim_piece_formula_claimed=claimed,
         formula_discrepancy=claimed != enumerated_piece,
@@ -222,17 +222,6 @@ def _sym_square_of(M: Comodule) -> Comodule:
 
 
 # -- restrictions ----------------------------------------------------------------
-
-
-def restrict_frobenius_un(M: Comodule, r: int) -> Comodule:
-    """Reduce the coaction mod (x_{i,j}^{p^r}): restriction to the r-th kernel."""
-    if M.coalgebra.kind != "UNPoly":
-        raise ValueError("restrict_frobenius_un needs a comodule over k[U_N]")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    bound = M.field.p**r
-    acts = {m: act for m, act in M.acts.items() if all(e < bound for _, e in m)}
-    return Comodule(M.field, coalgebras.un_trunc(M.coalgebra.N, r), M.dim, acts)
 
 
 def ga_as_u2(M: Comodule) -> Comodule:

@@ -13,6 +13,7 @@ from .comodule import (
     direct_sum,
     local_freeness,
     quotient_by_subspace,
+    restrict_frobenius,
     restrict_to_subspace,
     trivial_comodule,
     validate,
@@ -66,7 +67,6 @@ from .un import (
     frobenius_kernel_dims,
     natural_rep,
     natural_rep_gl,
-    restrict_frobenius_un,
     restrict_mat_to_un,
     sym_square_rep,
     sym_square_rep_gl,
@@ -542,7 +542,7 @@ def suite_freeness(seed=0, p=None, N=None):
         )
     fld2 = PrimeField(2)
     piece = degree_piece_comodule(UNContext(fld2, 3), 2)
-    restricted = restrict_frobenius_un(piece, 1)
+    restricted = restrict_frobenius(piece, 1)
     verdict = local_freeness(restricted)
     records.append(
         make_record(

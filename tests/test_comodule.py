@@ -21,6 +21,7 @@ from expfilt.comodule import (
     local_freeness,
     quotient_by_subspace,
     radical_quotient_dim,
+    restrict_frobenius,
     restrict_to_subspace,
     row_kernel,
     trivial_comodule,
@@ -30,7 +31,6 @@ from expfilt.fpcomb import PrimeField, binom_mod
 from expfilt.ga import (
     regular_comodule,
     regular_trunc_comodule,
-    restrict_frobenius_ga,
     y_r_family,
     family_to_comodule,
 )
@@ -137,12 +137,12 @@ class TestStoredForm:
         # column-major entries split the rows of each A_mu: the module, its
         # verdict, coideal preimages and radical quotient stay the same
         from expfilt.samplers import random_invertible
-        from expfilt.un import restrict_frobenius_un, sym_square_rep
+        from expfilt.un import sym_square_rep
 
         ctx = UNContext(F3, 3)
         S = sym_square_rep(ctx)
         M = conjugate(direct_sum([S, natural_rep(ctx)]), random_invertible(F3, 9, random.Random(3)))
-        for M in (M, restrict_frobenius_un(M, 1)):
+        for M in (M, restrict_frobenius(M, 1)):
             C = Comodule(M.field, M.coalgebra, M.dim, {
                 m: sorted(act, key=lambda e: (e[1], e[0])) for m, act in M.acts.items()
             })
@@ -340,12 +340,28 @@ class TestRadicalAndFreeness:
 
     def test_yr_restricted_has_top_one(self):
         fam = y_r_family(F3, 1)
-        M = restrict_frobenius_ga(family_to_comodule(fam), 2)
+        M = restrict_frobenius(family_to_comodule(fam), 2)
         assert radical_quotient_dim(M) == 1
 
     def test_nontruncated_rejected(self):
         with pytest.raises(ValueError):
             radical_quotient_dim(regular_comodule(F3, 3))
+
+    def test_restrict_frobenius_one_rule_for_ga_and_un(self):
+        from expfilt.un import natural_rep_gl
+
+        ga = restrict_frobenius(regular_comodule(F3, 5), 1)
+        assert ga.coalgebra == ga_trunc(1)
+        assert sorted(ga.acts) == [(), (("T", 1),), (("T", 2),)]
+        M = natural_rep(UNContext(F2, 3))
+        M.acts[(("x1_3", 2),)] = [(0, 2, 1)]  # not a comodule; only the filter reads it
+        un = restrict_frobenius(M, 1)
+        assert un.coalgebra == coalgebras.un_trunc(3, 1)
+        assert (("x1_3", 2),) not in un.acts and len(un.acts) == len(M.acts) - 1
+        with pytest.raises(ValueError, match="k\\[Ga\\] or k\\[U_N\\]"):
+            restrict_frobenius(natural_rep_gl(F3, 2), 1)
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            restrict_frobenius(M, 0)
 
     def test_trivial_dim_one_not_free(self):
         verdict = local_freeness(trivial_comodule(F3, ga_trunc(1), 1))

@@ -20,6 +20,7 @@ import random
 import pytest
 
 from expfilt import coalgebras
+from expfilt.comodule import restrict_frobenius
 from expfilt.expdeg import frobenius_twist
 from expfilt.fpcomb import PrimeField, digits
 from expfilt.ga import family_to_comodule, regular_comodule, regular_trunc_comodule
@@ -29,7 +30,6 @@ from expfilt.un import (
     UNContext,
     degree_piece_comodule,
     natural_rep_gl,
-    restrict_frobenius_un,
     sym_square_rep,
     sym_square_rep_gl,
 )
@@ -116,7 +116,7 @@ def _pool():
         out.append((f"family_to_comodule p={p}", family_to_comodule(random_ga_family(F, 4, rng, max_support=2))))
         out.append((f"random_un_comodule p={p}", random_un_comodule(F, 3, rng, max_pieces=2)))
         out.append((f"degree piece U_3 d=3 p={p}", degree_piece_comodule(ctx, 3)))
-        out.append((f"UNTrunc sym square p={p}", restrict_frobenius_un(sym_square_rep(ctx), 1)))
+        out.append((f"UNTrunc sym square p={p}", restrict_frobenius(sym_square_rep(ctx), 1)))
         out.append((f"natural_rep_gl p={p}", natural_rep_gl(F, 3)))
         out.append((f"sym_square_rep_gl p={p}", sym_square_rep_gl(F, 2)))
     twisted = [(f"twist of {label}", frobenius_twist(M)) for label, M in out]

@@ -42,6 +42,7 @@ from expfilt.comodule import (
     conjugate,
     direct_sum,
     radical_quotient_dim,
+    restrict_frobenius,
     trivial_comodule,
 )
 from expfilt.expdeg import (
@@ -62,7 +63,6 @@ from expfilt.ga import (
     derived_v,
     family_to_comodule,
     regular_comodule,
-    restrict_frobenius_ga,
     y_r_family,
 )
 from expfilt.linalg import Subspace
@@ -88,7 +88,6 @@ from expfilt.un import (
     degree_piece_comodule,
     ga_as_u2,
     natural_rep,
-    restrict_frobenius_un,
     sym_square_rep,
 )
 from test_comodule import matrix_comodule
@@ -1009,12 +1008,12 @@ def _truncated_pool():
         rng = random.Random(f"radical-differential/{p}")
         ctx = UNContext(F, 3)
         for r in (1, 2):
-            out.append((f"U_3 degree piece d=3 p={p} r={r}", restrict_frobenius_un(degree_piece_comodule(ctx, 3), r)))
+            out.append((f"U_3 degree piece d=3 p={p} r={r}", restrict_frobenius(degree_piece_comodule(ctx, 3), r)))
             M = random_un_comodule(F, 3, rng, max_pieces=2)
-            out.append((f"random U_3 p={p} r={r}", restrict_frobenius_un(conjugate(M, random_invertible(F, M.dim, rng)), r)))
-            out.append((f"regular Ga D=9 p={p} r={r}", restrict_frobenius_ga(regular_comodule(F, 9), r)))
+            out.append((f"random U_3 p={p} r={r}", restrict_frobenius(conjugate(M, random_invertible(F, M.dim, rng)), r)))
+            out.append((f"regular Ga D=9 p={p} r={r}", restrict_frobenius(regular_comodule(F, 9), r)))
             fam = random_ga_family(F, 4, rng)
-            out.append((f"random Ga p={p} r={r}", restrict_frobenius_ga(family_to_comodule(fam), r)))
+            out.append((f"random Ga p={p} r={r}", restrict_frobenius(family_to_comodule(fam), r)))
     return out
 
 

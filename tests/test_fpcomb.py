@@ -12,6 +12,7 @@ from expfilt.fpcomb import (
     PrimeField,
     binom_mod,
     binom_row_mod,
+    desk_power,
     digit_dominates,
     digit_sums,
     digits,
@@ -173,3 +174,18 @@ def test_digit_sums_guard_raises_before_enumerating():
     digit_sums(f, range(12))  # at the guard: allowed
     with pytest.raises(ValueError, match="desk-scale guard"):
         digit_sums(f, range(13))
+
+
+def test_desk_power_is_the_one_p_power_guard():
+    assert desk_power(PrimeField(3), 12, "x") == 3**12
+    assert desk_power(PrimeField(2), 19, "x") == 2**19
+    assert desk_power(PrimeField(97), 0, "x") == 1
+    for p, k in ((3, 13), (2, 20), (97, 4)):
+        with pytest.raises(ValueError, match=f"^x: {p}\\^{k} exceeds the desk-scale guard {DESK_GUARD}$"):
+            desk_power(PrimeField(p), k, "x")
+
+
+def test_desk_power_rejects_a_huge_exponent_without_forming_it():
+    # 3^(10^18) has about 4.8e17 digits; forming it would never finish
+    with pytest.raises(ValueError, match="desk-scale guard"):
+        desk_power(PrimeField(3), 10**18, "x")

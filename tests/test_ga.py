@@ -2,11 +2,12 @@
 submodules, the carries basis, restriction, and the coalgebra splitting."""
 
 import math
+import time
 
 import pytest
 
 from expfilt import coalgebras, linalg
-from expfilt.comodule import Comodule, validate
+from expfilt.comodule import Comodule, restrict_frobenius, validate
 from expfilt.fpcomb import PrimeField, binom_mod, digits
 from expfilt.ga import (
     GaUFamily,
@@ -18,7 +19,6 @@ from expfilt.ga import (
     ga_one_param_theta,
     generated_submodule,
     regular_comodule,
-    restrict_frobenius_ga,
     retract_iso_check,
     validate_family,
     y_r_family,
@@ -65,7 +65,7 @@ def section_frobenius_ga(M: Comodule) -> Comodule:
 
     The degree piece and the truncation have identical structure constants
     (see :func:`retract_iso_check`), so the same coaction entries define a
-    comodule over k[Ga]; this inverts :func:`restrict_frobenius_ga` on
+    comodule over k[Ga]; this inverts :func:`~expfilt.comodule.restrict_frobenius` on
     comodules whose entries have degree < p^r.
     """
     if M.coalgebra.kind != "GaTrunc":
@@ -99,6 +99,14 @@ class TestFamilyBasics:
         b = [[0, 0, 0], [0, 0, 1], [0, 0, 0]]
         noncomm = GaUFamily(F3, 3, {0: a, 1: b})
         assert any("commute" in v for v in validate_family(noncomm))
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_misshapen_matrix_is_reported_not_raised(self, order):
+        # a 1 x 1 u_0 in a 2-dim family: the shape violation comes back
+        # before the commutation checks read u_0 as a 2 x 2 matrix
+        mats = {0: [[0]], 1: [[0, 0], [1, 0]]}
+        fam = GaUFamily(F3, 2, {s: mats[s] for s in order})
+        assert validate_family(fam) == ["u_0 is not 2x2"]
 
     def test_derived_v_identity_and_generators(self):
         fam = y_r_family(F3, 2)
@@ -297,6 +305,13 @@ class TestCarriesBasis:
             S = generated_submodule(M, [vec])
             assert sorted(S.pivots) == carries_basis(n, fld)
 
+    def test_guard_rejects_before_enumerating(self):
+        # 3^20 - 1 has twenty digits 2: 3^20 basis elements
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="desk-scale guard"):
+            carries_basis(3**20 - 1, F3)
+        assert time.perf_counter() - start < 1.0
+
     def test_cardinality(self):
         for p in (2, 3, 5):
             fld = PrimeField(p)
@@ -331,20 +346,20 @@ class TestRestriction:
         from expfilt import coalgebras
 
         M = trivial_comodule(F3, coalgebras.ga_poly(), 2)
-        R = restrict_frobenius_ga(M, 1)
+        R = restrict_frobenius(M, 1)
         assert R.coalgebra == coalgebras.ga_trunc(1)
         assert R.coaction == M.coaction
         assert validate(R).ok
 
     def test_y1_truncates_to_single_term(self):
-        M = restrict_frobenius_ga(family_to_comodule(y_r_family(F3, 1)), 1)
+        M = restrict_frobenius(family_to_comodule(y_r_family(F3, 1)), 1)
         assert M.coaction[1][0] == parse_poly("T", F3)
         assert validate(M).ok
 
     def test_regular_piece_is_regular_truncated_comodule(self):
         for p, r in ((2, 1), (2, 2), (3, 1)):
             fld = PrimeField(p)
-            M = restrict_frobenius_ga(regular_comodule(fld, p**r), r)
+            M = restrict_frobenius(regular_comodule(fld, p**r), r)
             assert validate(M).ok
             # no truncation actually occurs: the piece maps isomorphically
             assert all(
@@ -362,7 +377,7 @@ class TestSection:
             M = family_to_comodule(fam)
             r = 1
             if M.max_entry_degree() < 3**r:
-                R = restrict_frobenius_ga(M, r)
+                R = restrict_frobenius(M, r)
                 back = section_frobenius_ga(R)
                 assert back.coaction == M.coaction
                 assert validate(back).ok
@@ -373,7 +388,7 @@ class TestSection:
         M = regular_trunc_comodule(F3, 1)
         lifted = section_frobenius_ga(M)
         assert validate(lifted).ok
-        assert restrict_frobenius_ga(lifted, 1).coaction == M.coaction
+        assert restrict_frobenius(lifted, 1).coaction == M.coaction
 
     def test_needs_truncated_input(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import expfilt
 from expfilt import coalgebras, linalg
 from expfilt.cli import main
-from expfilt.comodule import conjugate, trivial_comodule
+from expfilt.comodule import conjugate, restrict_frobenius, trivial_comodule
 from expfilt.fpcomb import PrimeField
 from expfilt.ga import (
     GaUFamily,
@@ -37,7 +37,7 @@ from expfilt.io import (
 )
 from expfilt.polyring import MultiPoly, parse_poly, parse_terms
 from expfilt.samplers import random_invertible
-from expfilt.un import UNContext, natural_rep, restrict_frobenius_un, sym_square_rep
+from expfilt.un import UNContext, natural_rep, sym_square_rep
 from expfilt.verify import SUITES
 from test_comodule import matrix_comodule
 
@@ -52,7 +52,7 @@ def _golden_modules() -> dict:
     """One module from every builder that writes the action table, by label."""
     from expfilt.comodule import conjugate, direct_sum, quotient_by_subspace, restrict_to_subspace
     from expfilt.expdeg import frobenius_twist
-    from expfilt.ga import family_to_comodule, restrict_frobenius_ga
+    from expfilt.ga import family_to_comodule
     from expfilt.samplers import random_invertible
     from expfilt.un import (
         degree_filtration_un,
@@ -76,9 +76,9 @@ def _golden_modules() -> dict:
         "restricted": restrict_to_subspace(C, S),
         "quotient": quotient_by_subspace(C, S),
         "y_3 family F_5": family_to_comodule(y_r_family(F5, 3)),
-        "frobenius kernel of sym square": restrict_frobenius_un(sym_square_rep(ctx), 1),
+        "frobenius kernel of sym square": restrict_frobenius(sym_square_rep(ctx), 1),
         "frobenius twist of natural": frobenius_twist(natural_rep(ctx)),
-        "regular F_3 D=27 mod T^9": restrict_frobenius_ga(regular_comodule(F3, 27), 2),
+        "regular F_3 D=27 mod T^9": restrict_frobenius(regular_comodule(F3, 27), 2),
         "sym square GL_3 on U_3": restrict_mat_to_un(sym_square_rep_gl(F3, 3)),
     }
 
@@ -183,9 +183,9 @@ class TestModuleFile:
             load_module(str(path))
 
     def test_trunc_group_kinds(self):
-        from expfilt.ga import regular_comodule, restrict_frobenius_ga
+        from expfilt.ga import regular_comodule
 
-        M = restrict_frobenius_ga(regular_comodule(F3, 3), 1)
+        M = restrict_frobenius(regular_comodule(F3, 3), 1)
         doc = module_to_doc(M)
         assert doc["group"] == {"kind": "GaTrunc", "r": 1}
         back = parse_module(doc)
@@ -512,6 +512,46 @@ class TestCli:
         assert captured.err == f"error: --height must be at least 1, got {height}\n"
 
     @pytest.mark.parametrize(
+        "argv, group",
+        [
+            (["frobcheck", "{regular}", "--r", "300000000"], None),
+            (["dims", "--N", "3", "--p", "3", "--r", "300000000"], None),
+            (["support", "{regular}", "--exhaustive", "--height", "1000000000"], None),
+            (["expdeg", "{group}"], {"kind": "GaTrunc", "r": 10**9}),
+            (["expdeg", "{group}"], {"kind": "UNTrunc", "N": 3, "r": 10**9}),
+            (["expdeg", "{group}"], {"kind": "UN", "N": 10**9}),
+            (["carries", str(3**20 - 1), "3"], None),
+        ],
+        ids=["frobcheck-r", "dims-r", "ga-support-height", "GaTrunc-r", "UNTrunc-r", "UN-N",
+             "carries"],
+    )
+    def test_past_desk_guard_exits_2_fast(self, tmp_path, argv, group):
+        # each size is checked before anything of that size is formed: p^r,
+        # p^(r*m), the p^h Ga subgroups, the (N-1)N(N+4)/6 generator
+        # coproduct terms of k[U_N] or the 3^20 carries-basis elements
+        regular = tmp_path / "regular.json"
+        save_module(regular_comodule(F3, 5), str(regular))
+        if group is not None:
+            doc = {"p": 3, "group": group, "module": {"dim": 1, "coaction": [["1"]]}}
+            (tmp_path / "group.json").write_text(json.dumps(doc), encoding="utf-8")
+        args = [a.format(regular=regular, group=tmp_path / "group.json") for a in argv]
+        done, elapsed = run_cli_process(args, timeout=10)
+        assert done.returncode == 2, done.stderr
+        assert elapsed < 2.0
+        assert done.stdout == ""
+        assert done.stderr.count("\n") == 1 and done.stderr.startswith("error:")
+        assert "desk-scale guard" in done.stderr and "Traceback" not in done.stderr
+
+    def test_un_group_size_limit_is_n_180(self):
+        # (N-1)N(N+4)/6 generator coproduct terms: 988,080 at N = 180,
+        # 1,004,550 at N = 181
+        from expfilt.io import _coalgebra_from_group
+
+        assert _coalgebra_from_group({"kind": "UN", "N": 180}, F3) == coalgebras.un_poly(180)
+        with pytest.raises(ModuleFileError, match="1004550 generator coproduct terms"):
+            _coalgebra_from_group({"kind": "UN", "N": 181}, F3)
+
+    @pytest.mark.parametrize(
         "module",
         [
             {"dim": 1, "coaction": [[5]]},  # entry is not a polynomial string
@@ -666,9 +706,9 @@ class TestCli:
         assert capsys.readouterr().out.startswith(f"dim {M.dim} of {M.dim}\n")
 
     def test_truncated_kind_rejected_for_support(self, module_file, capsys):
-        from expfilt.ga import regular_comodule, restrict_frobenius_ga
+        from expfilt.ga import regular_comodule
 
-        path = module_file(restrict_frobenius_ga(regular_comodule(F3, 3), 1))
+        path = module_file(restrict_frobenius(regular_comodule(F3, 3), 1))
         assert main(["support", path, "--samples", "3"]) == 2
         assert "non-truncated" in capsys.readouterr().err
 
@@ -678,7 +718,7 @@ class TestCli:
 _FUZZ_BASES = {
     "natural U_3": lambda: natural_rep(UNContext(F3, 3)),
     "Sym^2 U_3": lambda: sym_square_rep(UNContext(F3, 3)),
-    "Sym^2 U_3 at level 1": lambda: restrict_frobenius_un(sym_square_rep(UNContext(F3, 3)), 1),
+    "Sym^2 U_3 at level 1": lambda: restrict_frobenius(sym_square_rep(UNContext(F3, 3)), 1),
     "regular Ga dim 5": lambda: regular_comodule(F3, 5),
     "regular Ga_(1) p=2": lambda: regular_trunc_comodule(PrimeField(2), 1),
     "Y_1 family": lambda: y_r_family(F3, 1),

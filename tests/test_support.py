@@ -295,6 +295,20 @@ class TestFrobeniusInjectivity:
         assert not verdict.free
         assert verdict.dim_module < verdict.dim_dual_algebra
 
+    def test_kind_then_guard_then_restriction(self):
+        from expfilt.un import natural_rep_gl
+
+        # the kind is checked before p^(r*m), which is checked before p^r
+        # is formed by the restriction
+        with pytest.raises(ValueError, match="k\\[Ga\\]- or k\\[U_N\\]-comodule"):
+            frobenius_injectivity_check(natural_rep_gl(F3, 2), 10**9)
+        with pytest.raises(ValueError, match="p\\^\\(r\\*m\\): 2\\^3000000000 exceeds the desk-scale guard"):
+            frobenius_injectivity_check(natural_rep(UNContext(F2, 3)), 10**9)
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            frobenius_injectivity_check(regular_comodule(F3, 3), 0)
+        # at the guard: 3^12 = dim of the dual algebra of U_3,(4)
+        assert frobenius_injectivity_check(natural_rep(UNContext(F3, 3)), 4).dim_dual_algebra == 3**12
+
 
 class TestSamplers:
     def test_enumerated_pool_sizes(self):

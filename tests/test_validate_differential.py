@@ -25,6 +25,7 @@ from expfilt.comodule import (
     action_matrix,
     conjugate,
     direct_sum,
+    restrict_frobenius,
     trivial_comodule,
     validate,
 )
@@ -36,7 +37,6 @@ from expfilt.un import (
     UNContext,
     natural_rep,
     natural_rep_gl,
-    restrict_frobenius_un,
     sym_square_rep,
     sym_square_rep_gl,
 )
@@ -127,7 +127,7 @@ def _pool():
         for k in range(2):
             fam = random_ga_family(F, 4, rng, max_support=2 if small else 3)
             out.append((f"family_to_comodule p={p} #{k}", family_to_comodule(fam)))
-        out.append((f"UNTrunc sym square p={p}", restrict_frobenius_un(sym_square_rep(ctx), 1)))
+        out.append((f"UNTrunc sym square p={p}", restrict_frobenius(sym_square_rep(ctx), 1)))
         out.append((f"natural_rep_gl p={p}", natural_rep_gl(F, 3)))
         out.append((f"sym_square_rep_gl p={p}", sym_square_rep_gl(F, 2)))
     return out
@@ -288,8 +288,8 @@ def _fuzz_bases(F: PrimeField, rng: random.Random) -> list:
         natural_rep(ctx),
         random_un_comodule(F, 3, rng, max_pieces=1),
         trivial_comodule(F, coalgebras.un_trunc(3, 2), 3),
-        restrict_frobenius_un(natural_rep(ctx), 1),
-        restrict_frobenius_un(sym_square_rep(ctx), 1),
+        restrict_frobenius(natural_rep(ctx), 1),
+        restrict_frobenius(sym_square_rep(ctx), 1),
     ]
 
 
