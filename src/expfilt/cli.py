@@ -14,7 +14,7 @@ import sys
 
 from .comodule import generated_submodule
 from .expdeg import exponential_degree, exponential_height, ga_exp_filtration, module_exp_filtration
-from .fpcomb import PrimeField, desk_power
+from .fpcomb import DESK_GUARD, PrimeField, desk_power
 from .ga import GaUFamily, carries_basis, degree_filtration_ga, family_to_comodule, regular_comodule
 from .io import (
     canonical_dumps,
@@ -58,6 +58,10 @@ def cmd_carries(args) -> int:
     basis = carries_basis(args.n, field)
     result = {"n": args.n, "p": args.p, "basis": basis}
     if args.oracle:
+        entries = (args.n + 1) * (args.n + 2) // 2  # the i <= j coaction entries it builds
+        if entries > DESK_GUARD:
+            raise ValueError(f"--oracle: the {entries} coaction entries of the regular comodule "
+                             f"of dimension {args.n + 1} exceed the desk-scale guard {DESK_GUARD}")
         M = regular_comodule(field, args.n + 1)
         target = [0] * (args.n + 1)
         target[args.n] = 1

@@ -47,7 +47,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fpcomb import PrimeField
+from .fpcomb import PrimeField, desk_power
 from .polyring import MultiPoly, frobenius_images
 
 GA_KINDS = ("GaPoly", "GaTrunc")
@@ -134,20 +134,14 @@ def truncation_bound(coalg: CoalgebraId, field: PrimeField):
     return None
 
 
-def group_dimension(coalg: CoalgebraId) -> int:
-    """Dimension of the underlying unipotent group (Ga: 1, U_N: N(N-1)/2)."""
-    if coalg.kind in GA_KINDS:
-        return 1
-    if coalg.kind in UN_KINDS:
-        return coalg.N * (coalg.N - 1) // 2
-    raise ValueError(f"{coalg} has no unipotent group dimension")
-
-
 def dual_algebra_dim(coalg: CoalgebraId, field: PrimeField) -> int:
-    """Dimension p^{r.m} of the dual algebra of a truncated id."""
+    """Dimension p^(r*m) of the dual algebra of a truncated id, m the dimension
+    of the group (Ga: 1, U_N: N(N-1)/2).  The one place where it is formed;
+    ValueError past :data:`fpcomb.DESK_GUARD`."""
     if not coalg.is_truncated():
         raise ValueError(f"{coalg} is not finite dimensional")
-    return field.p ** (coalg.r * group_dimension(coalg))
+    m = 1 if coalg.kind == "GaTrunc" else coalg.N * (coalg.N - 1) // 2
+    return desk_power(field, coalg.r * m, "dual algebra dimension p^(r*m)")
 
 
 def is_member(coalg: CoalgebraId, field: PrimeField, f: MultiPoly) -> bool:

@@ -593,7 +593,8 @@ def restrict_frobenius(M: Comodule, r: int) -> Comodule:
         kernel = coalgebras.un_trunc(M.coalgebra.N, r)
     else:
         raise ValueError("restrict_frobenius needs a comodule over k[Ga] or k[U_N]")
-    bound = M.field.p**r
+    coalgebras.dual_algebra_dim(kernel, M.field)  # p^(r*m) under the guard before p^r
+    bound = coalgebras.truncation_bound(kernel, M.field)
     acts = {m: act for m, act in M.acts.items() if all(e < bound for _, e in m)}
     return Comodule(M.field, kernel, M.dim, acts)
 

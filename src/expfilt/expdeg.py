@@ -93,11 +93,6 @@ class SymbolicNilpotentDomain:
                 f"symbolic domain needs N <= p, got N={self.N}, p={self.field.p}"
             )
 
-    def variables(self) -> tuple:
-        return tuple(
-            f"b{i}_{j}" for i in range(1, self.N + 1) for j in range(i + 1, self.N + 1)
-        )
-
 
 def _generic_exp_images(field: PrimeField, gens: tuple, W: int) -> list:
     """Packed image of each generator x_{i,j} under exp of the generic B.

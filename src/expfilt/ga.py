@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 from . import coalgebras, linalg
 from .comodule import Comodule, action_matrices, coideal_preimage, degree_below, restrict_frobenius
 from .comodule import generated_submodule  # noqa: F401 (re-exported)
-from .fpcomb import DESK_GUARD, PrimeField, binom_row_mod, digit_dominates, digit_sums, digits
+from .fpcomb import DESK_GUARD, PrimeField, binom_row_mod, digit_sums, digits
 from .linalg import Matrix, Subspace
 from .polyring import monomial
 
@@ -201,12 +201,8 @@ def carries_basis(n: int, field: PrimeField) -> list:
     count = math.prod(d + 1 for d in ds)
     if count > DESK_GUARD:
         raise ValueError(f"{count} carries-basis elements exceed the desk-scale guard {DESK_GUARD}")
-    out = []
-    for combo in itertools.product(*(range(d + 1) for d in ds)):
-        out.append(sum(c * field.p**i for i, c in enumerate(combo)))
-    out.sort()
-    assert all(digit_dominates(m, n, field) for m in out)
-    return out
+    return sorted(sum(c * field.p**i for i, c in enumerate(combo))
+                  for combo in itertools.product(*(range(d + 1) for d in ds)))
 
 
 def retract_iso_check(r: int, field: PrimeField, correspondence=None) -> dict:

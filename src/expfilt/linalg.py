@@ -177,10 +177,6 @@ class Subspace:
         rows, pivots = _kernels.rref(list(vectors), ambient, field.p)
         return cls(field, ambient, rows, pivots)
 
-    @classmethod
-    def zero(cls, field: PrimeField, ambient: int) -> "Subspace":
-        return cls(field, ambient, [], [])
-
     @property
     def dim(self) -> int:
         return len(self.rows)

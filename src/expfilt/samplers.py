@@ -122,6 +122,8 @@ def random_1psg_ga(field: PrimeField, rng: random.Random) -> OneParamSubgroup:
 
 def enumerate_1psg_un(field: PrimeField, N: int, height: int) -> list:
     """Exhaustive pool of commuting tuples; guarded to N <= 3, p <= 3, height <= 2."""
+    if height < 1:
+        raise ValueError(f"height must be at least 1, got {height}")
     if N > 3 or field.p > 3 or height > 2:
         raise ValueError("exhaustive pool is guarded to N <= 3, p in {2,3}, height <= 2")
     singles = [B.entries for B in enumerate_nilpotent_upper(field, N)]

@@ -5,6 +5,7 @@ Each suite returns a list of report records; a suite passes when every
 record's verdict is truthy.  Records are deterministic for a fixed seed.
 """
 
+import itertools
 import math
 
 from . import coalgebras, linalg
@@ -63,6 +64,7 @@ from .support import (
 from .un import (
     UNContext,
     degree_filtration_un,
+    degree_piece,
     degree_piece_comodule,
     frobenius_kernel_dims,
     natural_rep,
@@ -218,6 +220,18 @@ def suite_retract(seed=0, p=None, N=None):
 # -- criterion 4: dimension numerics -----------------------------------------------
 
 
+def _enumerated_dims_agree(ctx, rec) -> bool:
+    """Oracle of ``frobenius_kernel_dims(ctx, 1)``: enumerate the p^m truncated
+    exponent tuples and the degree < p piece; compare every count and flag."""
+    q, m = ctx.field.p, ctx.m
+    degrees = [sum(exps) for exps in itertools.product(range(q), repeat=m)]
+    piece = degree_piece(ctx, q)
+    embeds = len(set(piece)) == len(piece) and all(e < q for mono in piece for _, e in mono)
+    return (rec.dim_kernel, rec.surjective_check, rec.dim_piece_strict, rec.injective_check,
+            rec.formula_discrepancy) == (len(degrees), max(degrees) < q * m, len(piece), embeds,
+                                         rec.dim_piece_formula_claimed != len(piece))
+
+
 def suite_dims(seed=0, p=None, N=None):
     primes = [2, 3] if p is None else [p]
     records = []
@@ -228,6 +242,7 @@ def suite_dims(seed=0, p=None, N=None):
             rec.dim_kernel == rec.dim_kernel_formula == q**3
             and rec.injective_check
             and rec.surjective_check
+            and _enumerated_dims_agree(ctx, rec)
         )
         records.append(
             make_record(
@@ -245,7 +260,8 @@ def suite_dims(seed=0, p=None, N=None):
         make_record(
             "dims-piece-discrepancy",
             {"N": 3, "p": 2, "r": 1},
-            rec2.dim_piece_strict == 4 and rec2.formula_discrepancy,
+            rec2.dim_piece_strict == 4 and rec2.formula_discrepancy
+            and _enumerated_dims_agree(ctx2, rec2),
             "degree-piece-dimension-enumerated",
             witness={
                 "enumerated": rec2.dim_piece_strict,

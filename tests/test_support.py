@@ -298,9 +298,9 @@ class TestFrobeniusInjectivity:
     def test_kind_then_guard_then_restriction(self):
         from expfilt.un import natural_rep_gl
 
-        # the kind is checked before p^(r*m), which is checked before p^r
-        # is formed by the restriction
-        with pytest.raises(ValueError, match="k\\[Ga\\]- or k\\[U_N\\]-comodule"):
+        # the kind is checked before r >= 1, then p^(r*m), all before p^r is
+        # formed by the restriction
+        with pytest.raises(ValueError, match="k\\[Ga\\] or k\\[U_N\\]"):
             frobenius_injectivity_check(natural_rep_gl(F3, 2), 10**9)
         with pytest.raises(ValueError, match="p\\^\\(r\\*m\\): 2\\^3000000000 exceeds the desk-scale guard"):
             frobenius_injectivity_check(natural_rep(UNContext(F2, 3)), 10**9)
@@ -320,6 +320,13 @@ class TestSamplers:
     def test_enumeration_guard(self):
         with pytest.raises(ValueError):
             enumerate_1psg_un(F5, 3, 1)
+
+    @pytest.mark.parametrize("height", [0, -1])
+    def test_height_below_1_rejected(self, height):
+        # any height other than 1 used to fall into the pairs branch
+        with pytest.raises(ValueError, match=f"height must be at least 1, got {height}"):
+            enumerate_1psg_un(F2, 3, height)
+        assert len(enumerate_1psg_un(F3, 3, 2)) == 297
 
     def test_random_tuples_commute(self):
         rng = rng_from_seed("tuples")
