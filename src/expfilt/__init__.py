@@ -13,6 +13,7 @@ from .comodule import (
     JordanType,
     coideal_preimage,
     degree_below,
+    degree_filtration,
     dual_action,
     generated_submodule,
     jordan_type,

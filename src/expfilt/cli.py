@@ -12,10 +12,10 @@ import itertools
 import json
 import sys
 
-from .comodule import generated_submodule
-from .expdeg import exponential_degree, exponential_height, ga_exp_filtration, module_exp_filtration
+from .comodule import degree_filtration, generated_submodule
+from .expdeg import exponential_degree, exponential_height, module_exp_filtration
 from .fpcomb import DESK_GUARD, PrimeField, desk_power
-from .ga import GaUFamily, carries_basis, degree_filtration_ga, family_to_comodule, regular_comodule
+from .ga import GaUFamily, carries_basis, family_to_comodule, regular_comodule
 from .io import (
     canonical_dumps,
     load_module,
@@ -32,7 +32,7 @@ from .support import (
     support_sample,
     un_psg,
 )
-from .un import UNContext, degree_filtration_un, frobenius_kernel_dims
+from .un import UNContext, frobenius_kernel_dims
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -75,20 +75,12 @@ def cmd_carries(args) -> int:
 
 def cmd_filt(args) -> int:
     obj = load_module(args.file)
-    if isinstance(obj, GaUFamily):
-        if args.kind == "exp":
-            space = ga_exp_filtration(obj, args.d)
-        else:
-            space = degree_filtration_ga(family_to_comodule(obj), args.d)
-    elif obj.coalgebra.kind in ("GaPoly", "UNPoly"):
-        if args.kind == "exp":
-            space = module_exp_filtration(obj, args.d)
-        elif obj.coalgebra.kind == "GaPoly":
-            space = degree_filtration_ga(obj, args.d)
-        else:
-            space = degree_filtration_un(obj, args.d)
+    if args.kind == "exp":
+        space = module_exp_filtration(obj, args.d)
     else:
-        raise ValueError("filtrations need a polynomial (non-truncated) group kind")
+        if isinstance(obj, GaUFamily):
+            obj = family_to_comodule(obj)
+        space = degree_filtration(obj, args.d)
     lines = [f"dim {space.dim} of {space.ambient}"]
     lines.extend(" ".join(map(str, row)) for row in space.rows)
     _emit("\n".join(lines), args.output)
@@ -104,23 +96,36 @@ def cmd_expdeg(args) -> int:
 
 
 def _sample_psis(obj, args):
+    """The subgroups of a ``support`` report.  Each record holds an n x n
+    Theta, so records * n^2 must fit the desk-scale guard: checked before a
+    sampled or Ga subgroup is built, and on the exhaustive U_N pool (at most
+    297 tuples under its own guard) once it is built."""
     field = obj.field
     ga_form = isinstance(obj, GaUFamily) or obj.coalgebra.kind == "GaPoly"
     if args.exhaustive:
         if args.height < 1:
             raise ValueError(f"--height must be at least 1, got {args.height}")
         if ga_form:
-            desk_power(field, args.height, "Ga subgroups of height h")
-            lams = range(field.p)
-            return [
-                ga_psg(field, combo)
-                for combo in itertools.product(lams, repeat=args.height)
-            ]
-        return enumerate_1psg_un(field, obj.coalgebra.N, args.height)
-    rng = rng_from_seed(args.seed)
-    if ga_form:
-        return [random_1psg_ga(field, rng) for _ in range(args.samples)]
-    return [random_1psg_un(field, obj.coalgebra.N, rng) for _ in range(args.samples)]
+            count = desk_power(field, args.height, "Ga subgroups of height h")
+            psis = (ga_psg(field, combo)
+                    for combo in itertools.product(range(field.p), repeat=args.height))
+        else:
+            psis = enumerate_1psg_un(field, obj.coalgebra.N, args.height)
+            count = len(psis)
+    else:
+        if args.samples < 1:
+            raise ValueError(f"--samples must be at least 1, got {args.samples}")
+        count = args.samples
+        rng = rng_from_seed(args.seed)
+        if ga_form:
+            psis = (random_1psg_ga(field, rng) for _ in range(count))
+        else:
+            psis = (random_1psg_un(field, obj.coalgebra.N, rng) for _ in range(count))
+    entries = count * obj.dim**2
+    if entries > DESK_GUARD:
+        raise ValueError(f"{count} support records of a {obj.dim} x {obj.dim} Theta: {entries} "
+                         f"entries exceed the desk-scale guard {DESK_GUARD}")
+    return psis
 
 
 def cmd_support(args) -> int:
@@ -184,10 +189,7 @@ def cmd_pullback(args) -> int:
 
 
 def cmd_frobcheck(args) -> int:
-    obj = load_module(args.file)
-    if isinstance(obj, GaUFamily):
-        obj = family_to_comodule(obj)
-    verdict = frobenius_injectivity_check(obj, args.r)
+    verdict = frobenius_injectivity_check(load_module(args.file), args.r)
     doc = {"r": args.r, "free": verdict.free, "witness": verdict.witness()}
     _emit_json(doc, args.output)
     return EXIT_OK

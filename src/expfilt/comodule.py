@@ -38,14 +38,16 @@ in one place, :func:`row_kernel`, which groups the entries of each matrix
 by row and keeps each line once (the radical quotient ranks the same lines
 of the transposed matrices).  A coideal preimage for a monomial-spanned
 B, given as a membership test, is the row kernel of the A_mu for every mu
-outside B; the submodule generated by vectors s is the span of the A_mu s;
-stability, restriction and quotient read one pass over ``acts``
-(:func:`_split_actions`), which applies each A_mu to the reduced basis rows
-of a subspace S (and, for the quotient, to the unit vectors off its pivots)
-and splits every image into its pivot coordinates and its residue modulo
-S; base change by g is g A_mu g^{-1}.  The restriction of a k[Ga]- or
-k[U_N]-comodule to a Frobenius kernel drops the monomials past the
-truncation (:func:`restrict_frobenius`).
+outside B, and the degree filtration M_{<d} of a k[Ga]- or k[U_N]-comodule
+is the preimage of k[G]_{<d} (:func:`degree_filtration`); the submodule
+generated by vectors s is the span of the A_mu s; stability, restriction
+and quotient read one pass over ``acts`` (:func:`_split_actions`), which
+applies each A_mu to the reduced basis rows of a subspace S (and, for the
+quotient, to the unit vectors off its pivots) and splits every image into
+its pivot coordinates and its residue modulo S; base change by g is
+g A_mu g^{-1}.  The restriction of a k[Ga]- or k[U_N]-comodule to a
+Frobenius kernel drops the monomials past the truncation
+(:func:`restrict_frobenius`).
 """
 
 from collections import defaultdict
@@ -431,6 +433,16 @@ def coideal_preimage(M: Comodule, inside) -> Subspace:
     :func:`is_coaction_stable`).
     """
     return row_kernel((act for m, act in M.acts.items() if not inside(m)), M.dim, M.field)
+
+
+def degree_filtration(M: Comodule, d: int) -> Subspace:
+    """M_{<d} = {m : Delta_M(m) in M (x) k[G]_{<d}} for G = Ga or U_N, d >= 1."""
+    if M.coalgebra.kind not in ("GaPoly", "UNPoly"):
+        raise ValueError(f"degree filtration needs a comodule over k[Ga] or k[U_N], "
+                         f"not {M.coalgebra.kind}")
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    return coideal_preimage(M, degree_below(M.coalgebra, d))
 
 
 def _split_actions(M: Comodule, S: Subspace, units=()):

@@ -46,9 +46,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from . import coalgebras, linalg
-from .comodule import CoalgebraSubspace, Comodule, linear_image, row_kernel
+from .comodule import CoalgebraSubspace, Comodule, degree_filtration, linear_image, row_kernel
 from .fpcomb import PrimeField, digit_sums
-from .ga import GaUFamily, degree_filtration_ga, derived_v
+from .ga import GaUFamily, derived_v
 from .linalg import Matrix, Subspace
 from .polyring import MultiPoly, frobenius_images, monomial_degree
 from .un import UNContext, degree_piece, un_part
@@ -256,18 +256,20 @@ def _above(monos, pulled, mask, d: int) -> dict:
     return out
 
 
-def module_exp_filtration(M: Comodule, d: int) -> Subspace:
+def module_exp_filtration(M, d: int) -> Subspace:
     """M_{[d]}: vectors whose coaction pullbacks have no T^j term, j > d.
 
     Over k[U_N] it is the row kernel of sum_mu high(mu) A_mu, high(mu) the
     terms T^k b of mu's pullback with k > d: a row per (T^k b, j), each kept
-    once up to scalars.  Over k[Ga] it is the degree filtration M_{<d+1}
-    (see :func:`ga_exp_filtration`).
+    once up to scalars.  Over k[Ga] it is the degree filtration M_{<d+1};
+    a GaUFamily goes to :func:`ga_exp_filtration`.
     """
+    if isinstance(M, GaUFamily):
+        return ga_exp_filtration(M, d)
     if d < 0:
         raise ValueError("d must be nonnegative")
     if M.coalgebra.kind == "GaPoly":
-        return degree_filtration_ga(M, d + 1)
+        return degree_filtration(M, d + 1)
     pulled, mask = _generic_pullbacks(M.field, M.coalgebra, list(M.acts))
     high = linear_image(M.acts, _above(M.acts, pulled, mask, d), M.field.p)
     return row_kernel(high.values(), M.dim, M.field)
@@ -286,7 +288,7 @@ def exponential_degree(M) -> int:
     if isinstance(M, GaUFamily):
         return ga_exponential_degree(M)
     if M.coalgebra.kind == "GaPoly":
-        return max((e for m in M.acts for v, e in m if v == "T"), default=0)
+        return M.max_entry_degree()
     pulled, mask = _generic_pullbacks(M.field, M.coalgebra, list(M.acts))
     by_power = defaultdict(list)  # T power -> [(mu, key, coeff)]
     for mu, terms in zip(M.acts, pulled):

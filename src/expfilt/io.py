@@ -32,6 +32,7 @@ tag of the mathematical property the record checked.
 """
 
 import json
+import math
 from collections import defaultdict
 
 from . import coalgebras
@@ -74,6 +75,16 @@ def _u_index(s: int) -> int:
     if not 0 <= s <= U_INDEX_BOUND:
         raise ModuleFileError(f"u_mats index {s} is outside [0, {U_INDEX_BOUND}]")
     return s
+
+
+def _dim(n: int) -> int:
+    """n, when every n x n action matrix fits the desk-scale guard (n^2 <=
+    DESK_GUARD, so n <= 1,000); checked before anything of size n is built."""
+    bound = math.isqrt(DESK_GUARD)
+    if not 0 <= n <= bound:
+        raise ModuleFileError(f"dim {n} is outside [0, {bound}]: an action matrix has dim^2 "
+                              f"entries, at most the desk-scale guard {DESK_GUARD}")
+    return n
 
 
 def _int_field(obj: dict, key: str, what: str = "field") -> int:
@@ -147,14 +158,14 @@ def parse_module(doc: dict):
             _require_matrix(mat, "u_mats matrix", int)
             mats[s] = [[v % p for v in row] for row in mat]
             dim = len(mats[s]) if dim is None else dim
-        dim = _as_int(module.get("dim", dim if dim is not None else 0), "field 'dim'")
+        dim = _dim(_as_int(module.get("dim", dim if dim is not None else 0), "field 'dim'"))
         fam = GaUFamily(field, dim, mats)
         if any(len(m) != dim or any(len(r) != dim for r in m) for m in mats.values()):
             raise ModuleFileError("u_mats rows must be dim x dim")
         require_valid_family(fam)
         return fam
     coalg = _coalgebra_from_group(group, field)
-    dim = _int_field(module, "dim")
+    dim = _dim(_int_field(module, "dim"))
     rows = _field(module, "coaction")
     _require_matrix(rows, "coaction", str)
     if len(rows) != dim or any(len(r) != dim for r in rows):

@@ -269,6 +269,9 @@ def pullback_module(M, psi: OneParamSubgroup) -> GaUFamily:
     return comodule_to_family(Comodule(fld, coalgebras.ga_poly(), M.dim, acts))
 
 
-def frobenius_injectivity_check(M: Comodule, r: int) -> FreenessVerdict:
-    """Restrict to the level-r kernel and test freeness over its dual algebra."""
+def frobenius_injectivity_check(M, r: int) -> FreenessVerdict:
+    """Restrict to the level-r kernel and test freeness over its dual algebra
+    (a GaUFamily first becomes its k[Ga]-comodule)."""
+    if isinstance(M, GaUFamily):
+        M = family_to_comodule(M)
     return local_freeness(restrict_frobenius(M, r))

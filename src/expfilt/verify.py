@@ -11,6 +11,7 @@ import math
 from . import coalgebras, linalg
 from .comodule import (
     conjugate,
+    degree_filtration,
     direct_sum,
     local_freeness,
     quotient_by_subspace,
@@ -36,7 +37,6 @@ from .expdeg import (
 from .fpcomb import PrimeField, digits
 from .ga import (
     carries_basis,
-    degree_filtration_ga,
     family_to_comodule,
     regular_comodule,
     retract_iso_check,
@@ -63,7 +63,6 @@ from .support import (
 )
 from .un import (
     UNContext,
-    degree_filtration_un,
     degree_piece,
     degree_piece_comodule,
     frobenius_kernel_dims,
@@ -581,13 +580,13 @@ def suite_freeness(seed=0, p=None, N=None):
 # -- criterion 12: filtration functor laws --------------------------------------------
 
 
-def _filtration_laws(M, filt):
+def _filtration_laws(M):
     """The first law of the battery that M breaks, or None: idempotence,
     monotone chain, exhaustion, stability."""
     dmax = M.max_entry_degree() + 1
     prev = None
     for d in range(1, dmax + 1):
-        S = filt(M, d)
+        S = degree_filtration(M, d)
         if prev is not None and not S.contains_space(prev):
             return f"chain not monotone at d={d}"
         prev = S
@@ -600,7 +599,7 @@ def _filtration_laws(M, filt):
                 return f"restricted coaction violates comodule laws at d={d}"
             if sub.max_entry_degree() >= d:
                 return f"restricted coaction entries too large at d={d}"
-            again = filt(sub, d)
+            again = degree_filtration(sub, d)
             if not again.is_full():
                 return f"idempotence fails at d={d}"
     if prev is None or not prev.is_full():
@@ -608,8 +607,8 @@ def _filtration_laws(M, filt):
     return None
 
 
-def _laws_witness(k, M, filt):
-    detail = _filtration_laws(M, filt)
+def _laws_witness(k, M):
+    detail = _filtration_laws(M)
     return None if detail is None else {"case": k, "detail": detail}
 
 
@@ -618,17 +617,17 @@ def suite_functor_laws(seed=0, p=None, N=None):
     q = 3 if p is None else p
     fld = PrimeField(q)
     kinds = (
-        ("ga", {"p": q, "cases": cases_per_kind}, degree_filtration_ga,
+        ("ga", {"p": q, "cases": cases_per_kind},
          lambda rng: family_to_comodule(random_ga_family(fld, rng.randrange(2, 5), rng))),
-        ("un", {"p": q, "N": 3, "cases": cases_per_kind}, degree_filtration_un,
+        ("un", {"p": q, "N": 3, "cases": cases_per_kind},
          lambda rng: random_un_comodule(fld, 3, rng)),
     )
     records = []
-    for kind, inputs, filt, draw in kinds:
+    for kind, inputs, draw in kinds:
         rng = rng_from_seed((seed, kind))
         records.append(
             _sweep(f"functor-laws-{kind}", inputs, "degree-filtration-functor-laws",
-                   (_laws_witness(k, draw(rng), filt) for k in range(cases_per_kind)))
+                   (_laws_witness(k, draw(rng)) for k in range(cases_per_kind)))
         )
     return records
 

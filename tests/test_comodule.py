@@ -14,6 +14,7 @@ from expfilt.comodule import (
     conjugate,
     direct_sum,
     degree_below,
+    degree_filtration,
     dual_action,
     is_coaction_stable,
     jordan_type,
@@ -277,6 +278,16 @@ class TestCoidealPreimage:
         sub = restrict_to_subspace(M, S)
         again = coideal_preimage(sub, degree_below(M.coalgebra, 3))
         assert again.is_full()
+
+    def test_degree_filtration_rejects_truncated_kinds_and_d_below_1(self):
+        for M in (regular_comodule(F3, 7), natural_rep(UNContext(F3, 3))):
+            assert degree_filtration(M, 2) == coideal_preimage(M, degree_below(M.coalgebra, 2))
+            for d in (0, -1):
+                with pytest.raises(ValueError, match="d must be >= 1"):
+                    degree_filtration(M, d)
+            trunc = restrict_frobenius(M, 1)
+            with pytest.raises(ValueError, match=f"or k\\[U_N\\], not {trunc.coalgebra.kind}$"):
+                degree_filtration(trunc, 1)
 
 
 class TestSubQuotient:

@@ -462,15 +462,19 @@ class TestGaExpFiltration:
         assert ga_exp_filtration(fam, 0).is_full()
 
     def test_matches_degree_filtration_shift(self):
-        """For the additive group, M_[d] = M_{<d+1}."""
-        from expfilt.ga import degree_filtration_ga
+        """For the additive group, M_[d] = M_{<d+1}, whether
+        module_exp_filtration is given the family or its comodule."""
+        from expfilt.comodule import degree_filtration
 
         rng = rng_from_seed(31)
         for _ in range(15):
             fam = random_ga_family(F3, rng.randrange(2, 5), rng)
             M = family_to_comodule(fam)
             for d in range(0, 5):
-                assert ga_exp_filtration(fam, d) == degree_filtration_ga(M, d + 1)
+                want = ga_exp_filtration(fam, d)
+                assert want == degree_filtration(M, d + 1)
+                assert module_exp_filtration(fam, d) == want
+                assert module_exp_filtration(M, d) == want
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_agreement_with_u2_route(self, p):

@@ -19,6 +19,7 @@ import expfilt
 from expfilt import coalgebras, linalg
 from expfilt.cli import main
 from expfilt.comodule import conjugate, restrict_frobenius, trivial_comodule
+from expfilt.expdeg import frobenius_twist
 from expfilt.fpcomb import PrimeField
 from expfilt.ga import (
     GaUFamily,
@@ -752,6 +753,95 @@ class TestCli:
         path = module_file(restrict_frobenius(regular_comodule(F3, 3), 1))
         assert main(["support", path, "--samples", "3"]) == 2
         assert "non-truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("filt", ["degree", "exp"])
+    @pytest.mark.parametrize("group", ["GaTrunc", "UNTrunc"])
+    def test_truncated_kind_rejected_for_filt(self, module_file, capsys, group, filt):
+        # the library's own kind check answers; the degree filtration names
+        # the kind it was given, the exponential one the kinds it takes
+        M = regular_comodule(F3, 9) if group == "GaTrunc" else natural_rep(UNContext(F3, 3))
+        path = module_file(restrict_frobenius(M, 1))
+        assert main(["filt", path, "--kind", filt, "--d", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        want = (f"error: degree filtration needs a comodule over k[Ga] or k[U_N], not {group}\n"
+                if filt == "degree" else
+                "error: exponential filtration needs a comodule over k[Ga] or k[U_N]\n")
+        assert captured.err == want
+
+    @pytest.mark.parametrize("form", ["u_mats", "coaction"])
+    @pytest.mark.parametrize("dim", [10**9, -1], ids=["1e9", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["filt", "--kind", "degree", "--d", "1"], ["frobcheck", "--r", "1"], ["support"]],
+        ids=["filt", "frobcheck", "support"],
+    )
+    def test_dim_outside_the_bound_exits_2_fast(self, tmp_path, argv, dim, form):
+        # an action matrix has dim^2 entries: dim 10^9 with no u_s ended in
+        # a MemoryError traceback, and dim -1 answered "dim 0 of -1"
+        body = {"u_mats": {}} if form == "u_mats" else {"coaction": []}
+        doc = {"p": 3, "group": {"kind": "Ga"}, "module": {"dim": dim, **body}}
+        path = tmp_path / "dim.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        done, elapsed = run_cli_process([argv[0], str(path)] + argv[1:], timeout=10)
+        assert done.returncode == 2, done.stderr
+        assert elapsed < 2.0
+        assert done.stdout == ""
+        assert done.stderr == (f"error: dim {dim} is outside [0, 1000]: an action matrix has "
+                               f"dim^2 entries, at most the desk-scale guard 1000000\n")
+
+    @pytest.mark.parametrize("dim, code", [(1000, 0), (1001, 2)])
+    def test_empty_family_at_the_dim_bound(self, tmp_path, capsys, dim, code):
+        path = tmp_path / "empty.json"
+        doc = {"p": 3, "group": {"kind": "Ga"}, "module": {"dim": dim, "u_mats": {}}}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["filt", str(path), "--kind", "degree", "--d", "1"]) == code
+        out = capsys.readouterr().out
+        assert out.startswith("dim 1000 of 1000\n") if code == 0 else out == ""
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["--samples", "1000000000"], "25000000000 entries exceed the desk-scale guard"),
+            (["--samples", "0"], "--samples must be at least 1, got 0"),
+            (["--samples", "-5"], "--samples must be at least 1, got -5"),
+            (["--exhaustive", "--height", "10"], "1476225 entries exceed the desk-scale guard"),
+        ],
+        ids=["samples-1e9", "samples-0", "samples-negative", "height-10"],
+    )
+    def test_support_report_past_the_bound_exits_2_fast(self, module_file, capsys, argv, reason):
+        # each record holds a 5 x 5 Theta; 10^9 samples ended in a
+        # MemoryError traceback, 0 and -5 in an empty report, and height 10
+        # wrote 24 MB in 16 s
+        path = module_file(regular_comodule(F3, 5))
+        start = time.perf_counter()
+        assert main(["support", path] + argv) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+        assert reason in captured.err
+
+    @pytest.mark.parametrize(
+        "module, argv, admitted",
+        [
+            (GaUFamily(F3, 141, {}), [], True),  # the default 50 samples: 994,050 entries
+            (GaUFamily(F3, 142, {}), [], False),
+            (regular_comodule(F3, 5), ["--exhaustive", "--height", "9"], True),
+            (frobenius_twist(sym_square_rep(UNContext(F3, 3))), ["--exhaustive", "--height", "2"],
+             True),  # the CI pin: 297 records x 36 entries
+        ],
+        ids=["dim-141", "dim-142", "height-9", "u3-pool"],
+    )
+    def test_support_report_bound_edges(self, module, argv, admitted):
+        from expfilt.cli import _parser, _sample_psis
+
+        args = _parser().parse_args(["support", "module.json"] + argv)
+        if admitted:
+            _sample_psis(module, args)
+        else:
+            with pytest.raises(ValueError, match="desk-scale guard"):
+                _sample_psis(module, args)
 
 
 # -- fuzzing mutated canonical module files through the CLI ------------------

@@ -274,6 +274,15 @@ class TestFrobeniusInjectivity:
             M = regular_comodule(fld, p**r)
             assert frobenius_injectivity_check(M, r).free
 
+    def test_family_gets_the_verdict_of_its_comodule(self):
+        rng = rng_from_seed("frobcheck-family")
+        fams = [y_r_family(F3, 2), y_r_family(F2, 1)]
+        fams += [random_ga_family(F3, rng.randrange(2, 5), rng) for _ in range(6)]
+        for fam in fams:
+            for r in (1, 2):
+                want = frobenius_injectivity_check(family_to_comodule(fam), r)
+                assert frobenius_injectivity_check(fam, r) == want
+
     def test_one_level_up_fails_by_dimension(self):
         M = regular_comodule(F3, 3)
         verdict = frobenius_injectivity_check(M, 2)
