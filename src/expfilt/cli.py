@@ -24,7 +24,7 @@ from .io import (
     report_doc,
     report_ok,
 )
-from .samplers import enumerate_1psg_un, random_1psg_ga, random_1psg_un, rng_from_seed
+from .samplers import SAMPLED_HEIGHT, enumerate_1psg_un, random_1psg_ga, random_1psg_un, rng_from_seed
 from .support import (
     frobenius_injectivity_check,
     ga_psg,
@@ -97,9 +97,11 @@ def cmd_expdeg(args) -> int:
 
 def _sample_psis(obj, args):
     """The subgroups of a ``support`` report.  Each record holds an n x n
-    Theta, so records * n^2 must fit the desk-scale guard: checked before a
-    sampled or Ga subgroup is built, and on the exhaustive U_N pool (at most
-    297 tuples under its own guard) once it is built."""
+    Theta and its subgroup, up to h scalars over k[Ga] or h N x N matrices
+    over k[U_N] (h the exhaustive height, or the samplers' top height), so
+    records * (n^2 + h * s), s = 1 or N^2, must fit the desk-scale guard:
+    checked before a sampled or Ga subgroup is built, and on the exhaustive
+    U_N pool (at most 297 tuples under its own guard) once it is built."""
     field = obj.field
     ga_form = isinstance(obj, GaUFamily) or obj.coalgebra.kind == "GaPoly"
     if args.exhaustive:
@@ -121,10 +123,14 @@ def _sample_psis(obj, args):
             psis = (random_1psg_ga(field, rng) for _ in range(count))
         else:
             psis = (random_1psg_un(field, obj.coalgebra.N, rng) for _ in range(count))
-    entries = count * obj.dim**2
+    n = obj.dim
+    height = args.height if args.exhaustive else SAMPLED_HEIGHT
+    per_psi = height * (1 if ga_form else obj.coalgebra.N**2)
+    entries = count * (n * n + per_psi)
     if entries > DESK_GUARD:
-        raise ValueError(f"{count} support records of a {obj.dim} x {obj.dim} Theta: {entries} "
-                         f"entries exceed the desk-scale guard {DESK_GUARD}")
+        raise ValueError(f"{count} support records, each a {n} x {n} Theta and up to {per_psi} "
+                         f"subgroup entries: {entries} entries exceed the desk-scale guard "
+                         f"{DESK_GUARD}")
     return psis
 
 

@@ -16,16 +16,14 @@ dual-functional actions, linear images and row kernels, coideal preimages,
 generated submodules, radical quotients, the local-algebra freeness test,
 and Jordan types of p-nilpotent operators.
 
-The validator reads the table column-major (:func:`_sparse_columns`): every
-occurring monomial gets an integer id and each nonzero entry f_{ji} becomes
-a list of (id, coeff) pairs, filed under its column i.  Membership is then
-decided once per distinct monomial, the counit law is the sum
-sum_mu eps(mu) A_mu = I over the monomials whose counit is nonzero (for Ga
-and U_N kinds the constant term alone), and coassociativity
-compares integer-keyed coefficient tables against a Delta table built by one
-:func:`coalgebras.coproduct_table` call (Frobenius digits, a per-call memo
-over monomial prefixes, the desk-scale term guard), so no ``MultiPoly``
-arithmetic runs inside the index-triple loop.  For Ga and U_N kinds the
+The validator reads ``acts`` as it is, a monomial's id its place in the
+table.  Membership is decided once per distinct monomial, the counit law is
+the sum sum_mu eps(mu) A_mu = I over the monomials whose counit is nonzero
+(for Ga and U_N kinds the constant term alone), and coassociativity is one
+pass over the entries of every A_mu (:func:`_coassociativity`) against a
+Delta table built by one :func:`coalgebras.coproduct_table` call (Frobenius
+digits, a per-call memo over monomial prefixes, the desk-scale term guard),
+so no ``MultiPoly`` arithmetic runs in the pass.  For Ga and U_N kinds the
 comparison first runs on the keys whose left factor is a generator to a
 p-power only, which decides the verdict (the generator theorem in
 :func:`validate`); ``MatPoly`` and rejected coactions take the full table.
@@ -136,20 +134,6 @@ class ValidationReport:
         )
 
 
-def _sparse_columns(M: Comodule):
-    """The column-major read of ``acts``: interned monomials and nonzero columns.
-
-    Returns ``(monos, cols)``: ``monos[k]`` is the monomial with id k, in
-    ``acts`` order, and ``cols[i]`` lists ``(j, [(id, coeff), ...])`` for
-    every nonzero f_{ji}, j ascending.
-    """
-    cols = [defaultdict(list) for _ in range(M.dim)]
-    for k, act in enumerate(M.acts.values()):
-        for j, i, c in act:
-            cols[i][j].append((k, c))
-    return list(M.acts), [sorted(col.items()) for col in cols]
-
-
 def _coproduct_table(M: Comodule, monos: list, left_cap=None, left_ok=None) -> tuple:
     """(table, K): Delta of each interned monomial as [(left id * K + right id, coeff)].
 
@@ -179,13 +163,17 @@ def _generator_power_test(p: int, top: int):
     return cap, lambda m: len(m) == 1 and m[0][1] in powers
 
 
-def _coassociativity(M: Comodule, monos: list, cols: list, generators_only: bool) -> list:
+def _coassociativity(M: Comodule, generators_only: bool) -> list:
     """Coassociativity violations, component (l, i) column then row.
 
-    For each column i the diff sum_j f_{lj} (x) f_{ji} - Delta(f_{li}) is
-    accumulated over the nonzero pattern only (j in nz(col i), then l in
-    nz(col j)), multiplying out the two entries' term lists, and a
-    component is violated when its diff does not vanish mod p.
+    The diff sum_j f_{lj} (x) f_{ji} - Delta(f_{li}) of every component is
+    summed straight from ``acts`` into one table keyed
+    ((i * n + l) * K + left id) * K + right id (ids in ``acts`` order, the
+    Delta table's other factors after), so sorted keys list the components
+    column then row; a component is violated when its diff is nonzero mod p.
+    Each entry (l, i, c) of A_mu subtracts c Delta(mu) and, as a left
+    factor, adds c c' mu (x) nu for each entry (i, k, c') in row i of each
+    A_nu (the rows are grouped once per call).
 
     ``generators_only``: compare only the keys whose left factor is one
     generator to a p-power, x_v^(p^r) <= the top degree, on a Delta table
@@ -193,40 +181,38 @@ def _coassociativity(M: Comodule, monos: list, cols: list, generators_only: bool
     this decides the verdict for Ga and U_N kinds once the counit law holds.
     """
     p = M.field.p
+    n = M.dim
+    monos = list(M.acts)
     if generators_only:
-        cap, left_ok = _generator_power_test(p, max(map(monomial_degree, monos), default=0))
+        cap, left_ok = _generator_power_test(p, M.max_entry_degree())
         delta, K = _coproduct_table(M, monos, cap, left_ok)
-        ok = [left_ok(m) for m in monos]
     else:
         delta, K = _coproduct_table(M, monos)
-        ok = [True] * len(monos)
-    # a component's diff is keyed l * K^2 + left id * K + right id; each entry
-    # as a left factor is kept as its kept ids pre-shifted by l * K^2 + id * K
     KK = K * K
-    lefts = [
-        [(l * KK + a * K, c) for l, terms in col for a, c in terms if ok[a]] for col in cols
+    nKK = n * KK
+    rows = [[] for _ in range(n)]  # rows[j]: (i * n * K^2 + right id, c) over every A_mu
+    for b, act in enumerate(M.acts.values()):
+        for j, i, c in act:
+            rows[j].append((i * nKK + b, c))
+    diff = defaultdict(int)  # unreduced lhs - rhs coefficients of every component
+    for a, (m, act) in enumerate(M.acts.items()):
+        terms = delta[a]
+        left = not generators_only or left_ok(m)
+        aK = a * K
+        for l, i, c in act:
+            base = (i * n + l) * KK
+            for key, dc in terms:
+                diff[base + key] -= c * dc
+            if left:
+                base = l * KK + aK
+                for key, cb in rows[i]:
+                    diff[base + key] += c * cb
+    violated = sorted({key // KK for key, v in diff.items() if v % p})  # i * n + l
+    return [
+        {"law": "coassociativity", "index": q // n,
+         "detail": f"component ({q % n},{q // n}) disagrees"}
+        for q in violated
     ]
-    violations = []
-    for i, col in enumerate(cols):
-        diff = defaultdict(int)  # unreduced lhs - rhs coefficients of column i
-        for l, terms in col:
-            base = l * KK
-            for k, c in terms:
-                for key, dc in delta[k]:
-                    diff[base + key] -= c * dc
-        for j, right in col:
-            for a, ca in lefts[j]:
-                for b, cb in right:
-                    diff[a + b] += ca * cb
-        for l in sorted({key // KK for key, v in diff.items() if v % p}):
-            violations.append(
-                {
-                    "law": "coassociativity",
-                    "index": i,
-                    "detail": f"component ({l},{i}) disagrees",
-                }
-            )
-    return violations
 
 
 def validate(M: Comodule) -> ValidationReport:
@@ -236,13 +222,13 @@ def validate(M: Comodule) -> ValidationReport:
     (j, i) row-major, counit by column then row, coassociativity by
     component (l, i) column then row; a failing law stops the later ones.
 
-    Membership is decided once per distinct monomial of the coaction.  The
-    counit law sum_mu eps(mu) A_mu = I is summed over the monomials whose
-    counit is nonzero only, and a zero diagonal entry is still reported.
-    Coassociativity,
-    sum_j f_{lj} (x) f_{ji} = Delta(f_{li}), first builds the Delta table of
-    every distinct monomial in one call, then runs one sparse loop
-    (:func:`_coassociativity`).
+    Every law reads the action table ``acts`` as it is.  Membership is
+    decided once per distinct monomial of the coaction.  The counit law
+    sum_mu eps(mu) A_mu = I is summed over the monomials whose counit is
+    nonzero only, and a zero diagonal entry is still reported.
+    Coassociativity, sum_j f_{lj} (x) f_{ji} = Delta(f_{li}), first builds
+    the Delta table of every distinct monomial in one call, then makes one
+    pass over the entries of every A_mu (:func:`_coassociativity`).
 
     Generator theorem.  Write A_phi = (1 (x) phi) rho for a functional phi;
     the (phi, psi) component of the diff is (A_phi A_psi - A_{phi psi})[l][i]
@@ -262,15 +248,12 @@ def validate(M: Comodule) -> ValidationReport:
     """
     coalg = M.coalgebra
     fld = M.field
-    monos, cols = _sparse_columns(M)
+    monos = list(M.acts)
     member = coalgebras.monomial_members(coalg, fld, monos)
     if not all(member):
-        bad = sorted(
-            (j, i)
-            for i, col in enumerate(cols)
-            for j, terms in col
-            if not all(member[k] for k, _ in terms)
-        )
+        bad = sorted({
+            (j, i) for ok, act in zip(member, M.acts.values()) if not ok for j, i, _ in act
+        })
         return ValidationReport(False, [
             {"law": "membership", "index": i, "detail": f"entry ({j},{i}) not in {coalg}"}
             for j, i in bad
@@ -297,9 +280,9 @@ def validate(M: Comodule) -> ValidationReport:
             for i, j in bad
         ])
 
-    if coalg.kind != "MatPoly" and not _coassociativity(M, monos, cols, True):
+    if coalg.kind != "MatPoly" and not _coassociativity(M, True):
         return ValidationReport(True, [])
-    violations = _coassociativity(M, monos, cols, False)
+    violations = _coassociativity(M, False)
     return ValidationReport(not violations, violations)
 
 

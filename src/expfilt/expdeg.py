@@ -132,7 +132,8 @@ def _generic_pullbacks(field: PrimeField, coalg, monos) -> tuple:
     leaves the generators.
     """
     if coalg.kind != "UNPoly":
-        raise ValueError("exponential filtration needs a comodule over k[Ga] or k[U_N]")
+        raise ValueError(f"exponential filtration needs a comodule over k[Ga] or k[U_N], "
+                         f"not {coalg.kind}")
     N = coalg.N
     SymbolicNilpotentDomain(field, N)  # raises unless N <= p
     coalgebras.require_generators(coalg, monos)

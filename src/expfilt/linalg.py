@@ -246,7 +246,13 @@ def distinct_lines(rows, ncols: int, field: PrimeField) -> list:
 
 
 def kernel_of(rows, ncols: int, field: PrimeField) -> Subspace:
-    """{x : rows . x = 0} as a Subspace of F_p^ncols."""
-    basis = _kernels.nullspace(rows, ncols, field.p)
-    return Subspace.from_vectors(field, ncols, basis)
+    """{x : rows . x = 0} as a Subspace of F_p^ncols, in one elimination.
 
+    The rows are reduced with their columns reversed, so each reduced row
+    red_i has its pivot P_i at its rightmost nonzero.  The nullspace vector
+    e_f - sum_i red_i[f] e_{P_i} of a free column f is then zero left of f
+    and at the other free columns: by f ascending, these are the kernel's RREF.
+    """
+    basis = _kernels.nullspace([row[::-1] for row in rows], ncols, field.p)
+    basis = [v[::-1] for v in reversed(basis)]
+    return Subspace(field, ncols, basis, [v.index(1) for v in basis])

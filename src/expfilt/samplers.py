@@ -103,8 +103,11 @@ def random_commuting_tuple(field: PrimeField, N: int, height: int, rng: random.R
     return mats
 
 
+SAMPLED_HEIGHT = 3  # the top height of a sampled 1-parameter subgroup, Ga or U_N
+
+
 def random_1psg_un(field: PrimeField, N: int, rng: random.Random,
-                   max_height: int = 3, nonzero: bool = False) -> OneParamSubgroup:
+                   max_height: int = SAMPLED_HEIGHT, nonzero: bool = False) -> OneParamSubgroup:
     height = rng.randrange(1, max_height + 1)
     for _ in range(100):
         mats = random_commuting_tuple(field, N, height, rng)
@@ -116,7 +119,7 @@ def random_1psg_un(field: PrimeField, N: int, rng: random.Random,
 
 def random_1psg_ga(field: PrimeField, rng: random.Random) -> OneParamSubgroup:
     """Scalars (lambda_0, ..., lambda_{h-1}) of a random height h in 1..3."""
-    height = rng.randrange(1, 4)
+    height = rng.randrange(1, SAMPLED_HEIGHT + 1)
     return ga_psg(field, [rng.randrange(field.p) for _ in range(height)])
 
 

@@ -13,8 +13,9 @@ replaced, kept here only as the slow reference:
   new coaction with ``MultiPoly`` additions and scalings, entry by entry;
 - ``column_stable``, ``column_restrict`` and ``column_quotient`` are the
   column route that the one pass over ``acts`` (``_split_actions``)
-  replaced: they re-intern the module column-major (``_sparse_columns``),
-  apply it to one sparse vector at a time for every monomial at once
+  replaced: they re-intern the module column-major
+  (``column_oracle.sparse_columns``), apply it to one sparse vector at a
+  time for every monomial at once
   (``column_images``), and test membership in S by rebuilding each image
   from its pivot coordinates; the quotient projects every image onto the
   non-pivot coordinates;
@@ -44,7 +45,6 @@ from expfilt import coalgebras, linalg
 from expfilt.comodule import (
     CoalgebraSubspace,
     Comodule,
-    _sparse_columns,
     acts_from_sums,
     action_matrices,
     coideal_preimage,
@@ -71,6 +71,7 @@ from expfilt.un import (
     natural_rep,
     sym_square_rep,
 )
+from column_oracle import sparse_columns
 from test_comodule import matrix_comodule
 from test_validate_differential import _pool
 
@@ -253,7 +254,7 @@ def column_pivot_images(M: Comodule, S: Subspace):
     """(monos, images), images[a][k] = {b: (A_mu s_a) at pivot b}, or None when
     some image A_mu s_a differs from sum_b (A_mu s_a)[piv_b] s_b."""
     p = M.field.p
-    monos, cols = _sparse_columns(M)
+    monos, cols = sparse_columns(M)
     pos = {piv: b for b, piv in enumerate(S.pivots)}
     rows = [{l: c for l, c in enumerate(row) if c} for row in S.rows]
     images = []
@@ -300,7 +301,7 @@ def column_quotient(M: Comodule, S: Subspace) -> Comodule:
         proj[i].append((idx, 1))
     for row, piv in zip(S.rows, S.pivots):
         proj[piv] = [(idx, -row[i] % p) for idx, i in enumerate(keep) if row[i]]
-    monos, cols = _sparse_columns(M)
+    monos, cols = sparse_columns(M)
 
     def project(w):
         out = defaultdict(int)

@@ -37,7 +37,6 @@ from expfilt import coalgebras, linalg, support
 from expfilt.comodule import (
     Comodule,
     JordanType,
-    _sparse_columns,
     action_matrices,
     conjugate,
     direct_sum,
@@ -90,6 +89,7 @@ from expfilt.un import (
     natural_rep,
     sym_square_rep,
 )
+from column_oracle import sparse_columns
 from test_comodule import matrix_comodule
 
 F3 = PrimeField(3)
@@ -281,7 +281,7 @@ def oracle_entry_images(M: Comodule, images) -> list:
     ``images(monos)`` gives each distinct monomial's image as (key, coeff)
     pairs; every entry is summed in full before the caller sees it.
     """
-    monos, cols = _sparse_columns(M)
+    monos, cols = sparse_columns(M)
     table = [list(terms) for terms in images(monos)]
     p = M.field.p
     out = []

@@ -757,16 +757,15 @@ class TestCli:
     @pytest.mark.parametrize("filt", ["degree", "exp"])
     @pytest.mark.parametrize("group", ["GaTrunc", "UNTrunc"])
     def test_truncated_kind_rejected_for_filt(self, module_file, capsys, group, filt):
-        # the library's own kind check answers; the degree filtration names
-        # the kind it was given, the exponential one the kinds it takes
+        # the library's own kind check answers; both filtrations name the
+        # kinds they take and the kind they were given
         M = regular_comodule(F3, 9) if group == "GaTrunc" else natural_rep(UNContext(F3, 3))
         path = module_file(restrict_frobenius(M, 1))
         assert main(["filt", path, "--kind", filt, "--d", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        want = (f"error: degree filtration needs a comodule over k[Ga] or k[U_N], not {group}\n"
-                if filt == "degree" else
-                "error: exponential filtration needs a comodule over k[Ga] or k[U_N]\n")
+        name = "degree" if filt == "degree" else "exponential"
+        want = f"error: {name} filtration needs a comodule over k[Ga] or k[U_N], not {group}\n"
         assert captured.err == want
 
     @pytest.mark.parametrize("form", ["u_mats", "coaction"])
@@ -800,20 +799,31 @@ class TestCli:
         assert out.startswith("dim 1000 of 1000\n") if code == 0 else out == ""
 
     @pytest.mark.parametrize(
-        "argv, reason",
+        "module, argv, reason",
         [
-            (["--samples", "1000000000"], "25000000000 entries exceed the desk-scale guard"),
-            (["--samples", "0"], "--samples must be at least 1, got 0"),
-            (["--samples", "-5"], "--samples must be at least 1, got -5"),
-            (["--exhaustive", "--height", "10"], "1476225 entries exceed the desk-scale guard"),
+            # 10^9 x (25 + 3), 3^10 x (25 + 10), 3^11 x (1 + 11) and 3^12 x (1 + 12)
+            (regular_comodule(F3, 5), ["--samples", "1000000000"],
+             "28000000000 entries exceed the desk-scale guard"),
+            (regular_comodule(F3, 5), ["--samples", "0"], "--samples must be at least 1, got 0"),
+            (regular_comodule(F3, 5), ["--samples", "-5"], "--samples must be at least 1, got -5"),
+            (regular_comodule(F3, 5), ["--exhaustive", "--height", "10"],
+             "2066715 entries exceed the desk-scale guard"),
+            (trivial_comodule(F3, coalgebras.ga_poly(), 1), ["--exhaustive", "--height", "11"],
+             "177147 support records, each a 1 x 1 Theta and up to 11 subgroup entries: "
+             "2125764 entries exceed the desk-scale guard"),
+            (trivial_comodule(F3, coalgebras.ga_poly(), 1), ["--exhaustive", "--height", "12"],
+             "6908733 entries exceed the desk-scale guard"),
         ],
-        ids=["samples-1e9", "samples-0", "samples-negative", "height-10"],
+        ids=["samples-1e9", "samples-0", "samples-negative", "height-10", "dim-1-height-11",
+             "dim-1-height-12"],
     )
-    def test_support_report_past_the_bound_exits_2_fast(self, module_file, capsys, argv, reason):
-        # each record holds a 5 x 5 Theta; 10^9 samples ended in a
-        # MemoryError traceback, 0 and -5 in an empty report, and height 10
-        # wrote 24 MB in 16 s
-        path = module_file(regular_comodule(F3, 5))
+    def test_support_report_past_the_bound_exits_2_fast(self, module_file, capsys, module, argv,
+                                                        reason):
+        # each record holds an n x n Theta and up to h subgroup scalars; on the
+        # 5-dim module 10^9 samples ended in a MemoryError traceback, 0 and -5
+        # in an empty report, and height 10 wrote 24 MB in 16 s; on the 1-dim
+        # one height 12 was admitted, 531,441 records and about 200 MB
+        path = module_file(module)
         start = time.perf_counter()
         assert main(["support", path] + argv) == 2
         assert time.perf_counter() - start < 1.0
@@ -825,13 +835,16 @@ class TestCli:
     @pytest.mark.parametrize(
         "module, argv, admitted",
         [
-            (GaUFamily(F3, 141, {}), [], True),  # the default 50 samples: 994,050 entries
+            # the default 50 samples: 50 x (141^2 + 3) = 994,200 entries
+            (GaUFamily(F3, 141, {}), [], True),
             (GaUFamily(F3, 142, {}), [], False),
             (regular_comodule(F3, 5), ["--exhaustive", "--height", "9"], True),
+            (GaUFamily(F3, 1, {}), ["--exhaustive", "--height", "10"], True),  # 3^10 x 11
+            (GaUFamily(F3, 1, {}), ["--exhaustive", "--height", "11"], False),
             (frobenius_twist(sym_square_rep(UNContext(F3, 3))), ["--exhaustive", "--height", "2"],
-             True),  # the CI pin: 297 records x 36 entries
+             True),  # the CI pin: 297 records x (36 + 2 x 9) entries
         ],
-        ids=["dim-141", "dim-142", "height-9", "u3-pool"],
+        ids=["dim-141", "dim-142", "height-9", "dim-1-height-10", "dim-1-height-11", "u3-pool"],
     )
     def test_support_report_bound_edges(self, module, argv, admitted):
         from expfilt.cli import _parser, _sample_psis

@@ -6,6 +6,8 @@ import random
 import pytest
 
 from expfilt import _kernels
+from expfilt.fpcomb import PrimeField
+from expfilt.linalg import Subspace, identity, kernel_of
 
 
 def random_matrix(rng, n, m, p):
@@ -72,3 +74,40 @@ def test_matmul_matches_naive():
             for i in range(n)
         ]
         assert got == want
+
+
+def _rows_of_rank(rng, r, m, p):
+    """Rows spanning a random rank-r subspace of F_p^m: r independent rows
+    and as many random combinations of them, zero rows included, shuffled."""
+    while True:
+        gens = random_matrix(rng, r, m, p)
+        if _kernels.rank(gens, m, p) == r:
+            break
+    rows = list(gens)
+    for _ in range(rng.randrange(r + 2)):
+        coeffs = [rng.randrange(p) for _ in range(r)]
+        rows.append([sum(c * g[k] for c, g in zip(coeffs, gens)) % p for k in range(m)])
+    rows.extend([0] * m for _ in range(rng.randrange(2)))
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_kernel_of_matches_nullspace_then_rref(p):
+    # the oracle: one vector per free column, then the echelon form of their span
+    field = PrimeField(p)
+    rng = random.Random(f"kernel-of/{p}")
+    cases = 0
+    for m in range(0, 9):
+        for r in range(0, m + 1):
+            for _ in range(6):
+                rows = _rows_of_rank(rng, r, m, p)
+                want = Subspace.from_vectors(field, m, _kernels.nullspace(rows, m, p))
+                got = kernel_of(rows, m, field)
+                assert got == want and got.pivots == want.pivots, (rows, m)
+                assert got.dim == m - r
+                cases += 1
+    for m in range(0, 5):
+        assert kernel_of([], m, field) == Subspace(field, m, identity(m), range(m))
+        assert kernel_of([[0] * m] * 3, m, field).is_full()
+    assert cases == 6 * 45

@@ -20,7 +20,6 @@ from expfilt.comodule import (
     Comodule,
     ValidationReport,
     _coassociativity,
-    _sparse_columns,
     action_matrices,
     action_matrix,
     conjugate,
@@ -35,11 +34,13 @@ from expfilt.polyring import MultiPoly, monomial, monomial_degree, monomial_sort
 from expfilt.samplers import random_ga_family, random_invertible, random_un_comodule
 from expfilt.un import (
     UNContext,
+    degree_piece_comodule,
     natural_rep,
     natural_rep_gl,
     sym_square_rep,
     sym_square_rep_gl,
 )
+from column_oracle import column_coassociativity
 from test_comodule import matrix_comodule
 from test_coproduct_differential import _pool as coproduct_pool
 from test_coproduct_differential import oracle_coproduct, tensor
@@ -270,9 +271,8 @@ def test_action_matrices_match_per_monomial(pool, mutants):
 
 
 def _passes(M: Comodule) -> tuple:
-    """(generator-only verdict, full verdict) of the coassociativity loop."""
-    monos, cols = _sparse_columns(M)
-    return not _coassociativity(M, monos, cols, True), not _coassociativity(M, monos, cols, False)
+    """(generator-only verdict, full verdict) of the coassociativity pass."""
+    return not _coassociativity(M, True), not _coassociativity(M, False)
 
 
 def _fuzz_bases(F: PrimeField, rng: random.Random) -> list:
@@ -465,3 +465,52 @@ def test_matpoly_counit_sums_several_monomials():
                 if rep.violations:
                     violated[rep.violations[0]["law"]] += 1
     assert min(violated.values()) >= 10, violated
+
+
+# -- the acts-direct pass against the column-major one -----------------------
+#
+# ``_coassociativity`` reads ``acts`` directly; ``column_oracle`` keeps the
+# column-major pass it replaced.  Both passes, generator-only and full, must
+# give the same violation list (dicts, strings and order) on every module
+# whose monomials lie in its coalgebra (the passes run after the membership
+# law), whether or not its counit law holds.
+
+
+def _wide_mutants(rng: random.Random):
+    """Single-entry edits of degree pieces and regular comodules of dim 10 to
+    28: each adds c m at a random entry, m an occurring monomial or one of
+    degree 1 or 2 in the generators."""
+    for M in (degree_piece_comodule(UNContext(PrimeField(5), 3), 3),
+              degree_piece_comodule(UNContext(PrimeField(5), 4), 3),
+              regular_comodule(PrimeField(5), 25),
+              regular_comodule(PrimeField(3), 27)):
+        fld = M.field
+        monos = list(M.acts) + _member_monomials(M)
+        for k in range(5):
+            j, i = rng.randrange(M.dim), rng.randrange(M.dim)
+            m = rng.choice(monos)
+            terms = {mu: c for mu, act in M.acts.items() for l, q, c in act if (l, q) == (j, i)}
+            terms[m] = (terms.get(m, 0) + rng.randrange(1, fld.p)) % fld.p
+            yield f"{M} / + {m} at ({j},{i})", _with_entry(M, j, i, MultiPoly(fld, terms))
+
+
+def test_acts_pass_matches_the_column_pass(pool, mutants):
+    rng = random.Random("validate-differential/column-pass")
+    cases = list(pool) + list(mutants) + list(_wide_mutants(rng))
+    for p in (2, 3):
+        for M in _fuzz_bases(PrimeField(p), rng):
+            cases.extend((f"{M} / counit-preserving #{k}", _counit_preserving_mutant(M, rng))
+                         for k in range(6))
+    kinds = set()
+    seen = {"ok": 0, "one": 0, "several": 0}
+    for label, M in cases:
+        if not all(coalgebras.monomial_members(M.coalgebra, M.field, M.acts)):
+            continue
+        for generators_only in (True, False):
+            want = column_coassociativity(M, generators_only)
+            assert _coassociativity(M, generators_only) == want, (label, generators_only)
+            seen[("ok", "one", "several")[min(len(want), 2)]] += 1
+        kinds.add(M.coalgebra.kind)
+    assert kinds == {"GaPoly", "GaTrunc", "UNPoly", "UNTrunc", "MatPoly"}
+    # accepted, singly and multiply violated modules all occur
+    assert min(seen["ok"], seen["one"], seen["several"]) >= 20, seen
